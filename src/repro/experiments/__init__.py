@@ -12,7 +12,8 @@
 * :mod:`repro.experiments.engine` -- the parallel, cache-aware job engine
   the table/figure experiments are scheduled through;
 * :mod:`repro.experiments.resilience` -- the fault-tolerant batch executor
-  behind parallel engine runs (per-job retries/timeouts, pool rebuild);
+  behind parallel engine runs (subject-affine dispatch, per-job
+  retries/timeouts, worker-slot rebuild);
 * :mod:`repro.experiments.faults` -- the deterministic fault-injection
   harness (chaos suite) proving the resilience layer keeps artifacts
   bit-identical.

@@ -9,21 +9,23 @@ the single scheduling/caching layer behind :mod:`repro.experiments.table2`,
   ``(benchmark, library, objective)`` triple; Table 2 becomes one
   :class:`CharacterizationJob` per family; Figure 6 is derived from the
   Table-3 results and needs no jobs of its own.
-* **Parallel execution.**  Jobs run across processes via
-  :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``.  Every
-  job is a pure function of its spec, so the parallel schedule is
+* **Parallel execution.**  Jobs run across worker processes when
+  ``jobs > 1``.  Mapping jobs are scheduled by *subject* (one benchmark
+  after the synthesis flow, with its cuts): the worker that claims a
+  subject builds it once and maps all of its jobs, largest raw AIG first.
+  Every job is a pure function of its spec, so the parallel schedule is
   bit-identical to the deterministic single-process fallback (which is also
-  used automatically if a process pool cannot be created).
+  used automatically if no worker process can be created).
 * **Fault tolerance.**  Parallel batches go through
   :mod:`repro.experiments.resilience`: per-job futures with a wall-clock
   timeout, bounded retries with deterministic backoff for crashed or
-  timed-out jobs, pool rebuild on ``BrokenExecutor`` re-dispatching only
-  the jobs still pending, and in-process degradation once retries are
-  exhausted.  Real job exceptions (flow errors) propagate unretried.
-  Completed payloads are cache-committed the moment they arrive, never at
-  batch end.  The chaos harness (:mod:`repro.experiments.faults`) injects
-  deterministic worker kills / delays / attach failures to prove all of
-  this keeps artifacts bit-identical.
+  timed-out jobs, rebuild of only the crashed or stuck worker slot
+  (re-dispatching only its lost job), and in-process degradation once
+  retries are exhausted.  Real job exceptions (flow errors) propagate
+  unretried.  Completed payloads are cache-committed the moment they
+  arrive, never at batch end.  The chaos harness
+  (:mod:`repro.experiments.faults`) injects deterministic worker kills /
+  delays to prove all of this keeps artifacts bit-identical.
 * **Content-addressed caching.**  Each job result is memoized in an
   on-disk JSON cache keyed by a SHA-256 hash of the subject AIG structure,
   the characterized library and the flow parameters.  The store is safe
@@ -79,16 +81,14 @@ from repro.experiments.table3 import (
     _paper_row,
 )
 from repro import obs, profiling
-from repro.experiments import faults, resilience, shm
+from repro.experiments import faults, resilience
 from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
 from repro.synthesis.aig import Aig
-from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_INPUTS,
     clear_cut_caches,
     cut_cache_sizes,
-    cut_set_for,
 )
 from repro.synthesis.mapper import technology_map, verify_mapping
 from repro.synthesis.matcher import matcher_for
@@ -215,6 +215,12 @@ class MapJob:
     def label(self) -> str:
         """Human-readable identity used by spans and the progress line."""
         return f"{self.benchmark}:{self.family.value}:{self.objective}"
+
+    def subject(self) -> tuple:
+        """The subject this job maps: jobs that share it share the flow
+        output, cuts and function table, and a parallel batch runs them in
+        the worker that claimed the subject."""
+        return (self.benchmark, self.flow, self.max_inputs, self.cut_limit)
 
 
 @dataclass(frozen=True)
@@ -450,8 +456,8 @@ def _resolve_cases(benchmark_names: tuple[str, ...] | None):
     return cases
 
 
-# Per-process memo of flow-optimized benchmark AIGs so the three family jobs
-# of one benchmark that land in the same process run the flow only once.
+# Per-process memo of flow-optimized benchmark AIGs so the jobs of one
+# subject that run in the same process run the flow only once.
 _OPTIMIZED_AIGS: dict[tuple[str, str], Aig] = {}
 
 # Per-process memo of activity reports: the signal statistics depend only on
@@ -459,43 +465,41 @@ _OPTIMIZED_AIGS: dict[tuple[str, str], Aig] = {}
 # benchmark share a single propagation.
 _ACTIVITY_REPORTS: dict[tuple[str, str, int, int], object] = {}
 
-# Cache-epoch protocol (worker-side memo hygiene).  The parent bumps
-# _CACHE_EPOCH once per run_map_jobs batch and stamps it on every shipped
-# job; a pool worker whose _WORKER_EPOCH disagrees drops its per-process
-# memos before running the job.  Freshly forked workers are stamped by the
-# pool initializer, so within one batch the inherited warm caches (prewarmed
-# matchers, published subjects) survive -- only a worker *reused across
-# batches* resets, which is exactly the unbounded-growth case the parent's
-# own ``finally`` cleanup never reached.  _WORKER_EPOCH stays ``None`` in
-# the parent: in-process job execution (jobs=1, pool-failure fallback) must
-# not clear the parent memos mid-run.
-_CACHE_EPOCH = 0
-_WORKER_EPOCH: int | None = None
+#: The subject (:meth:`MapJob.subject`) whose memos this pool worker holds.
+#: ``None`` in the parent: in-process jobs (jobs=1, degradation) never drop
+#: the parent's memos.
+_WORKER_SUBJECT: tuple | None = None
 
 
-def _reset_worker_state(epoch: int) -> None:
-    """Drop per-process memos grown under a previous cache epoch."""
-    global _WORKER_EPOCH
+def _hold_subject(subject: tuple) -> None:
+    """Drop a pool worker's memos when it switches to another subject.
+
+    A worker holds one subject at a time, so its memory stays bounded by
+    the largest subject however many it maps in a batch.
+    """
+    global _WORKER_SUBJECT
+    if _WORKER_SUBJECT is None or _WORKER_SUBJECT == subject:
+        return
     _OPTIMIZED_AIGS.clear()
     _ACTIVITY_REPORTS.clear()
-    clear_cut_caches()
-    shm.drop_attachments()
-    _WORKER_EPOCH = epoch
+    _WORKER_SUBJECT = subject
 
 
-def _pool_initializer(epoch: int, obs_config: dict | None = None) -> None:
-    """Stamp a fresh pool worker with the batch's cache epoch.
+def _pool_initializer(obs_config: dict | None = None) -> None:
+    """Prepare a fresh pool worker.
 
-    Also installs any fault plan carried by the environment -- only here,
-    so chaos faults fire exclusively in pool workers and the parent's
-    deterministic in-process path stays fault-free by construction -- and
-    adopts the parent's observability switches (``obs_config``, see
+    Marks the process as a worker holding no subject yet (it drops any
+    memos inherited through ``fork`` on its first job), installs any fault
+    plan carried by the environment -- only here, so chaos faults fire
+    exclusively in pool workers and the parent's deterministic in-process
+    path stays fault-free by construction -- and adopts the parent's
+    observability switches (``obs_config``, see
     :func:`repro.obs.worker_config`): the worker clears any span buffer it
     inherited through ``fork`` and starts buffering telemetry per job for
     shipment back inside the payloads.
     """
-    global _WORKER_EPOCH
-    _WORKER_EPOCH = epoch
+    global _WORKER_SUBJECT
+    _WORKER_SUBJECT = ()
     obs.activate_worker(obs_config)
     faults.install_from_env()
 
@@ -513,7 +517,6 @@ def _worker_cache_footprint() -> dict[str, int]:
             + sizes.get("npn_batch_memo", 0)
         ),
         "match_tables": sizes.get("cutset_memos", 0),
-        "shm_attachments": shm.attachment_count(),
     }
 
 
@@ -562,17 +565,14 @@ def _attach_obs(payload: dict) -> dict:
     return payload
 
 
-def _run_map_job(transport: tuple) -> dict:
-    """Execute one mapping job (worker-side; must stay picklable/pure).
+def _run_map_job(spec: tuple) -> dict:
+    """Execute one mapping job from its :meth:`MapJob.spec` (worker-side;
+    must stay picklable/pure).
 
-    ``transport`` is ``(spec, epoch, subject_handle_or_None)``: the job spec
-    proper, the batch's cache epoch (see :func:`_reset_worker_state`) and,
-    when the parent published the optimized subject, the shared-memory
-    handle that lets this process skip the flow and cut enumeration.
+    The first job of a subject in a process builds it (flow, cuts,
+    function table, activities) into the per-process memos; the subject's
+    later jobs reuse them.
     """
-    spec, epoch, handle = transport
-    if _WORKER_EPOCH is not None and _WORKER_EPOCH != epoch:
-        _reset_worker_state(epoch)
     (
         benchmark,
         family_value,
@@ -586,6 +586,7 @@ def _run_map_job(transport: tuple) -> dict:
         recovery,
     ) = spec
     faults.on_job_start(f"{benchmark}:{family_value}:{objective}:{flow}:{rounds}")
+    _hold_subject((benchmark, flow, max_inputs, cut_limit))  # MapJob.subject()
     family = LogicFamily(family_value)
     with obs.span(
         f"job:{benchmark}:{family_value}:{objective}",
@@ -596,13 +597,6 @@ def _run_map_job(transport: tuple) -> dict:
         flow=flow,
         rounds=rounds,
     ) as job_span:
-        if handle is not None and (benchmark, flow) not in _OPTIMIZED_AIGS:
-            try:
-                _OPTIMIZED_AIGS[(benchmark, flow)] = shm.resolve_subject(handle)
-                job_span.set("shm_subject", handle.key)
-            except (OSError, ValueError):
-                # Unreadable segment: recompute the subject from the spec.
-                shm.note_degraded()
         aig = _subject_aig(benchmark, flow)
         job_span.set("aig_nodes", aig.num_ands)
         library = build_library(family)
@@ -667,6 +661,43 @@ def _run_characterization_job(spec: tuple) -> dict:
     return _attach_obs(payload)
 
 
+def _map_key(job: MapJob, aig_print: str, flow_print: str) -> str:
+    """Cache key of ``job`` given its raw AIG's and its flow's fingerprints."""
+    material = json.dumps(
+        {
+            "schema": CACHE_SCHEMA,
+            "kind": "map",
+            "aig": aig_print,
+            "library": _family_fingerprint(job.family),
+            "objective": job.objective,
+            "flow": job.flow,
+            "flow_spec": flow_print,
+            "max_inputs": job.max_inputs,
+            "cut_limit": job.cut_limit,
+            "power_vectors": job.power_vectors,
+            "power_seed": job.power_seed,
+            "rounds": job.rounds,
+            "recovery": job.recovery,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def _subject_schedule(
+    jobs: Sequence[MapJob], sources: dict[str, Aig]
+) -> list[list[int]]:
+    """Job positions grouped by :meth:`MapJob.subject`, largest raw AIG
+    first (ties keep first appearance), each group in job order."""
+    groups: dict[tuple, list[int]] = {}
+    for index, job in enumerate(jobs):
+        groups.setdefault(job.subject(), []).append(index)
+    return sorted(
+        groups.values(),
+        key=lambda group: -sources[jobs[group[0]].benchmark].num_ands,
+    )
+
+
 class ExperimentEngine:
     """Schedules experiment jobs over processes with on-disk memoization.
 
@@ -706,12 +737,6 @@ class ExperimentEngine:
                 Path(cache_dir) if cache_dir else default_cache_dir(),
                 max_bytes=cache_max_bytes,
             )
-        # Unlink shared-memory segments leaked by crashed earlier runs
-        # before this one publishes its own (see shm.reap_stale_segments).
-        try:
-            shm.reap_stale_segments()
-        except OSError:  # pragma: no cover - /dev/shm in a bad state
-            pass
 
     # -- generic job scheduling ---------------------------------------------
 
@@ -722,17 +747,19 @@ class ExperimentEngine:
         initializer: Callable | None = None,
         initargs: tuple = (),
         on_result: Callable[[int, dict], None] | None = None,
+        subjects: list[list[int]] | None = None,
     ) -> list[dict]:
         """Run job payloads through ``worker``, in processes when possible.
 
         Parallel batches go through the resilient executor: per-job
-        futures with the engine's retry policy, pool rebuild on worker
-        crashes, and per-job in-process degradation once retries are
-        exhausted (whole-batch fallback only when no pool can be created
-        at all).  Exceptions raised *by* a job propagate unchanged so real
-        flow errors are never silently retried.  ``on_result(index,
-        payload)`` fires the moment each job completes, in both the
-        parallel and the in-process paths.
+        futures with the engine's retry policy, subject-affine dispatch
+        (``subjects``, see :func:`repro.experiments.resilience.run_resilient`),
+        slot rebuild on worker crashes, and per-job in-process degradation
+        once retries are exhausted (whole-batch fallback only when no worker
+        can be created at all).  Exceptions raised *by* a job propagate
+        unchanged so real flow errors are never silently retried.
+        ``on_result(index, payload)`` fires the moment each job completes,
+        in both the parallel and the in-process paths.
         """
         if self.jobs > 1 and len(payloads) > 1:
             outcome = resilience.run_resilient(
@@ -743,6 +770,7 @@ class ExperimentEngine:
                 initializer=initializer,
                 initargs=initargs,
                 on_result=on_result,
+                subjects=subjects,
                 on_failure=(
                     (lambda failure: self.progress.job_failed(
                         failure.kind, failure.resolution))
@@ -767,20 +795,18 @@ class ExperimentEngine:
         worker,
         jobs: Sequence,
         keys: dict,
-        prepare_parallel: Callable[[list], None] | None = None,
-        transport: Callable[[object], tuple] | None = None,
+        prepare_parallel: Callable[[list], list[list[int]]] | None = None,
         initializer: Callable | None = None,
         initargs: tuple = (),
     ) -> dict:
         """Cache-aware scheduling shared by map and characterization jobs.
 
-        ``prepare_parallel`` runs in the parent just before a process pool
-        would be forked (i.e. only when there are cache misses to execute
-        in parallel), so expensive shared state can be built once and
-        inherited by the workers.  ``transport`` turns a pending job into
-        the picklable payload handed to ``worker`` (default: the job's
-        ``spec()``); it runs after ``prepare_parallel`` so it can embed
-        handles to state published there.
+        ``prepare_parallel`` runs in the parent just before worker
+        processes would be forked (i.e. only when there are cache misses to
+        execute in parallel), so cheap shared state can be built once and
+        inherited by the workers; it returns the pending jobs' subject
+        schedule (positions grouped by subject, in claim order).  Workers
+        receive each job's ``spec()``.
         """
         if self.progress is not None:
             self.progress.start_batch(len(jobs))
@@ -803,8 +829,9 @@ class ExperimentEngine:
             else:
                 pending.append(job)
         if pending:
+            subjects = None
             if prepare_parallel is not None and self.jobs > 1 and len(pending) > 1:
-                prepare_parallel(pending)
+                subjects = prepare_parallel(pending)
 
             def commit(index: int, payload: dict) -> None:
                 # Worker-side telemetry rides back inside the payload; fold
@@ -822,17 +849,18 @@ class ExperimentEngine:
 
             payloads = self._execute(
                 worker,
-                [transport(job) if transport else job.spec() for job in pending],
+                [job.spec() for job in pending],
                 initializer=initializer,
                 initargs=initargs,
                 on_result=commit,
+                subjects=subjects,
             )
             for job, payload in zip(pending, payloads):
                 results[job] = (payload, False)
         return results
 
     def robustness_stats(self) -> dict:
-        """Cache / transport / failure counters accumulated by this engine.
+        """Cache / worker / failure counters accumulated by this engine.
 
         What the runner prints under ``--cache-stats`` and the chaos suite
         serializes into the failure-classification artifact.
@@ -842,7 +870,6 @@ class ExperimentEngine:
             counts[failure.kind] = counts.get(failure.kind, 0) + 1
         return {
             "cache": self.cache.stats.as_dict() if self.cache else None,
-            "shm_degraded": shm.degraded_count(),
             "pool_rebuilds": self.pool_rebuilds,
             "degraded_jobs": self.degraded_jobs,
             "failure_counts": counts,
@@ -855,92 +882,55 @@ class ExperimentEngine:
         """Content-addressed cache key of one mapping job."""
         if aig is None:
             aig = benchmark_by_name(job.benchmark).build()
-        material = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "kind": "map",
-                "aig": aig_fingerprint(aig),
-                "library": _family_fingerprint(job.family),
-                "objective": job.objective,
-                "flow": job.flow,
-                "flow_spec": get_flow(job.flow).fingerprint(),
-                "max_inputs": job.max_inputs,
-                "cut_limit": job.cut_limit,
-                "power_vectors": job.power_vectors,
-                "power_seed": job.power_seed,
-                "rounds": job.rounds,
-                "recovery": job.recovery,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
+        return _map_key(job, aig_fingerprint(aig), get_flow(job.flow).fingerprint())
+
+    def _map_batch_keys(
+        self, jobs: Sequence[MapJob]
+    ) -> tuple[dict[MapJob, str], dict[str, Aig]]:
+        """:meth:`map_job_key` of every job, hashing each benchmark's AIG and
+        each flow once per batch; also returns the raw AIGs by benchmark."""
+        sources: dict[str, Aig] = {}
+        aig_prints: dict[str, str] = {}
+        flow_prints: dict[str, str] = {}
+        keys: dict[MapJob, str] = {}
+        for job in jobs:
+            if job.benchmark not in sources:
+                sources[job.benchmark] = benchmark_by_name(job.benchmark).build()
+                aig_prints[job.benchmark] = aig_fingerprint(sources[job.benchmark])
+            if job.flow not in flow_prints:
+                flow_prints[job.flow] = get_flow(job.flow).fingerprint()
+            keys[job] = _map_key(
+                job, aig_prints[job.benchmark], flow_prints[job.flow]
+            )
+        return keys, sources
 
     def run_map_jobs(self, jobs: Sequence[MapJob]) -> dict[MapJob, MapJobResult]:
         """Run mapping jobs (cache first, then processes) and decode results."""
-        global _CACHE_EPOCH
-        subject_aigs: dict[str, Aig] = {}
-        keys: dict[MapJob, str] = {}
-        for job in jobs:
-            if job.benchmark not in subject_aigs:
-                subject_aigs[job.benchmark] = benchmark_by_name(job.benchmark).build()
-            keys[job] = self.map_job_key(job, subject_aigs[job.benchmark])
-        _CACHE_EPOCH += 1
-        epoch = _CACHE_EPOCH
-        handles: dict[tuple[str, str, int, int], shm.SubjectHandle] = {}
+        keys, sources = self._map_batch_keys(jobs)
 
-        def subject_of(job: MapJob) -> tuple[str, str, int, int]:
-            return (job.benchmark, job.flow, job.max_inputs, job.cut_limit)
-
-        def prepare_parallel(pending: list) -> None:
-            # Build every required library matcher before the pool forks so
-            # worker processes inherit the warm caches instead of each paying
-            # the (expensive) matcher construction on their own.
+        def prepare_parallel(pending: list) -> list[list[int]]:
+            # Build every required library matcher before the workers fork
+            # so they inherit the warm caches instead of each paying the
+            # (expensive) matcher construction on their own.  Subjects are
+            # built by the workers that claim them.
             with obs.span(
                 "prepare-parallel", category="engine", pending=len(pending)
             ):
                 for family in {job.family for job in pending}:
                     matcher_for(build_library(family))
-                # Publish each distinct optimized subject (flow output plus
-                # enumerated cuts) into shared memory once, keyed by its
-                # content-addressed structure hash, so every worker maps the
-                # same buffers instead of re-running the flow per process.
-                for benchmark, flow, max_inputs, cut_limit in sorted(
-                    {subject_of(job) for job in pending}
-                ):
-                    try:
-                        aig = _subject_aig(benchmark, flow)
-                        handles[(benchmark, flow, max_inputs, cut_limit)] = (
-                            shm.publish_subject(
-                                f"{aig_fingerprint(aig)}:{max_inputs}:{cut_limit}",
-                                aig,
-                                aig_arrays(aig),
-                                cut_set_for(aig, max_inputs, cut_limit),
-                            )
-                        )
-                    except OSError:
-                        # No usable shared memory on this platform/filesystem:
-                        # ship the bare spec and let workers recompute.
-                        shm.note_degraded()
-                        continue
-
-        def transport(job: MapJob) -> tuple:
-            return (job.spec(), epoch, handles.get(subject_of(job)))
+            return _subject_schedule(pending, sources)
 
         try:
-            with obs.span(
-                "run_map_jobs", category="engine", jobs=len(jobs), epoch=epoch
-            ):
+            with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
                 raw = self._run_jobs(
                     _run_map_job,
                     list(jobs),
                     keys,
                     prepare_parallel=prepare_parallel,
-                    transport=transport,
                     initializer=_pool_initializer,
-                    initargs=(epoch, obs.worker_config()),
+                    initargs=(obs.worker_config(),),
                 )
         finally:
-            shm.release_subjects()
             # Bound per-process memory across repeated large-benchmark runs:
             # the scalar table and matcher caches regrow cheaply, and the
             # cut-set memos (the largest per-run allocations) are stripped
@@ -1053,7 +1043,7 @@ class ExperimentEngine:
                 jobs,
                 keys,
                 initializer=_pool_initializer,
-                initargs=(_CACHE_EPOCH, obs.worker_config()),
+                initargs=(obs.worker_config(),),
             )
 
         rows: dict[LogicFamily, tuple[CellCharacterization, ...]] = {}

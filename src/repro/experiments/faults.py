@@ -8,9 +8,7 @@ worker processes to make a specific bad thing happen at a specific point:
 * **worker kill** -- the worker executing the plan's target job dies with
   ``os._exit`` (the moral equivalent of an OOM kill), breaking the pool;
 * **job delay** -- the target job sleeps past its wall-clock budget,
-  driving the timeout/pool-rebuild path;
-* **shared-memory attach failure** -- :func:`on_shm_attach` raises
-  ``OSError``, driving the engine's degraded recompute-from-spec path;
+  driving the timeout/slot-rebuild path;
 * **cache corruption** -- :func:`corrupt_file` deterministically truncates
   or bit-flips an on-disk cache entry, driving the quarantine path.
 
@@ -49,17 +47,14 @@ class FaultPlan:
 
     ``kill_job`` / ``delay_job`` name the 0-based job-execution ordinal
     (per worker process) whose execution triggers the fault; both are
-    latched through ``once_dir`` so they strike once per run.
-    ``fail_shm_attach`` fails every *first* attach per subject key (also
-    latched), forcing the degraded recompute path.  ``seed`` drives every
-    derived random stream (:meth:`rng`, :func:`corrupt_file`).
+    latched through ``once_dir`` so they strike once per run.  ``seed``
+    drives every derived random stream (:meth:`rng`, :func:`corrupt_file`).
     """
 
     seed: int = 0
     kill_job: int | None = None
     delay_job: int | None = None
     delay_seconds: float = 0.0
-    fail_shm_attach: bool = False
     once_dir: str | None = None
     #: Exit status of an injected worker kill (distinctive in core dumps
     #: and logs; anything nonzero breaks the pool the same way).
@@ -187,15 +182,6 @@ def on_job_start(tag: str = "") -> None:
         and _claim(plan, "delay")
     ):
         time.sleep(plan.delay_seconds)
-
-
-def on_shm_attach(key: str) -> None:
-    """Shared-memory hook: fired before attaching a published segment."""
-    plan = _PLAN
-    if plan is None or not plan.fail_shm_attach:
-        return
-    if _claim(plan, f"shm:{key}"):
-        raise OSError(f"injected shared-memory attach failure for {key!r}")
 
 
 def corrupt_file(path: str | os.PathLike, seed: int = 0, mode: str = "flip") -> None:

@@ -1,16 +1,25 @@
-"""Fault-tolerant batch execution for the experiment engine.
+"""Fault-tolerant, subject-affine batch execution for the experiment engine.
 
 The engine's jobs are pure functions of their specs, which makes them safe
 to retry: a result computed on the second attempt is bit-identical to one
 computed on the first.  This module exploits that purity to run a batch of
-jobs through a :class:`~concurrent.futures.ProcessPoolExecutor` without the
-all-or-nothing failure mode of ``pool.map``:
+jobs through worker processes without the all-or-nothing failure mode of
+``pool.map``:
 
 * **Per-job futures.**  Jobs are ``submit()``-ed individually (at most one
   per worker slot at a time, so a submitted job starts immediately and its
   wall-clock deadline is meaningful) and their results are committed the
   moment each future resolves -- a later crash never discards work that
   already finished.
+* **Subject affinity.**  Each slot is its own single-worker
+  :class:`~concurrent.futures.ProcessPoolExecutor`, and jobs are grouped
+  into *subjects* (jobs that share expensive per-process state).  An idle
+  slot takes the next job of the subject it holds; when that subject has
+  nothing queued it claims the next unclaimed subject in the caller's
+  order, and when every subject is claimed it joins the one with the most
+  jobs still queued, so the tail of a batch (or a one-subject batch) still
+  uses every slot.  Dispatch order never changes payload order: results,
+  callbacks and failures name each job by its position in ``payloads``.
 * **Failure taxonomy.**  A worker death (:class:`BrokenExecutor`) is a
   *crash*; a job overrunning its wall-clock budget is a *timeout*; any
   other exception raised by the job itself is a *flow error* and propagates
@@ -20,16 +29,17 @@ all-or-nothing failure mode of ``pool.map``:
   exponential backoff with deterministic seeded jitter
   (:func:`backoff_delay`), so a transient failure (OOM kill, descheduled
   worker) converges to a correct result instead of aborting the batch.
-* **Pool rebuild.**  A broken or stuck pool is abandoned (best-effort
-  ``kill`` of its worker processes) and rebuilt; only the jobs that were
-  lost in flight are re-dispatched.
+* **Slot rebuild.**  A crashed or stuck slot is abandoned (best-effort
+  ``kill`` of its worker process) and rebuilt; the other slots keep
+  running, and only the lost job is re-dispatched.
 * **Graceful degradation.**  A job that exhausts its retries -- and the
-  whole batch, when no pool can be (re)built at all -- falls back to the
+  whole batch, when no slot can be created at all -- falls back to the
   deterministic in-process path, which computes the same payload the
   worker would have.
 
-Every abnormal event is recorded as a structured :class:`JobFailure` on the
-returned :class:`BatchOutcome`, which is what the chaos suite and the
+A batch that completes joins its workers before returning.  Every abnormal
+event is recorded as a structured :class:`JobFailure` on the returned
+:class:`BatchOutcome`, which is what the chaos suite and the
 failure-classification artifact assert against.
 """
 
@@ -59,6 +69,9 @@ TIMEOUT = "timeout"
 #: caller unretried -- but the name participates in the taxonomy so reports
 #: can classify exceptions uniformly.
 FLOW_ERROR = "flow-error"
+
+#: How long an abandoned worker may take to die after ``SIGKILL``.
+_REAP_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -126,10 +139,11 @@ def backoff_delay(policy: RetryPolicy, index: int, attempt: int) -> float:
 class JobFailure:
     """One abnormal event in a batch (a job lost to a crash or a timeout).
 
-    ``index`` is the job's position in the batch, ``attempt`` the 1-based
-    pool attempt that failed, ``resolution`` what the executor did about it
-    (``"retry"``: re-dispatched to the pool after backoff; ``"in-process"``:
-    retries exhausted, computed deterministically in the parent).
+    ``index`` is the job's position in the caller's payload list (never its
+    dispatch position), ``attempt`` the 1-based pool attempt that failed,
+    ``resolution`` what the executor did about it (``"retry"``:
+    re-dispatched to the pool after backoff; ``"in-process"``: retries
+    exhausted, computed deterministically in the parent).
     """
 
     index: int
@@ -154,11 +168,11 @@ class BatchOutcome:
 
     results: list
     failures: list[JobFailure] = field(default_factory=list)
-    #: Times the worker pool was abandoned and rebuilt.
+    #: Times a worker slot was abandoned and rebuilt.
     rebuilds: int = 0
     #: Jobs that exhausted their retries and ran in-process.
     degraded: int = 0
-    #: False when no pool could be created and the whole batch ran in-process.
+    #: False when no slot could be created and the whole batch ran in-process.
     pool_used: bool = True
 
     def failure_counts(self) -> dict[str, int]:
@@ -177,16 +191,18 @@ def classify_exception(error: BaseException) -> str:
 
 def _abandon(executor: ProcessPoolExecutor) -> None:
     """Tear an executor down without waiting on (possibly stuck) workers."""
+    # Read the workers first: shutdown() drops the executor's reference.
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     try:
         executor.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of a broken pool
         pass
     # shutdown() only delivers sentinels; a worker wedged inside a job (the
     # timeout case) never reads one.  Reclaim it for real.
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.kill()
+            process.join(_REAP_SECONDS)
         except Exception:  # pragma: no cover - already gone
             pass
 
@@ -201,26 +217,35 @@ def run_resilient(
     initargs: tuple = (),
     on_result: Callable[[int, object], None] | None = None,
     on_failure: Callable[[JobFailure], None] | None = None,
+    subjects: Sequence[Sequence[int]] | None = None,
 ) -> BatchOutcome:
     """Run ``worker`` over ``payloads`` with per-job retries and timeouts.
 
-    Results are returned in payload order regardless of completion order;
-    ``on_result(index, payload)`` fires the moment each job finishes (pool
-    or in-process), so callers can commit completed work immediately, and
-    ``on_failure(failure)`` fires the moment each abnormal event is
-    recorded (live progress reporting).  Exceptions raised *by* a job
-    propagate unchanged after the pool is shut down; crashes and timeouts
-    are retried per ``policy`` and degrade to the in-process path once
-    exhausted.  Every failure is mirrored to the profiler/tracer event
-    counters (``jobs.crash`` / ``jobs.timeout`` / ``jobs.retry`` /
-    ``jobs.degraded_inprocess`` and the ``jobs.backoff_seconds`` total) and
-    recorded as a tracer event, so ``--profile`` and ``--trace`` both see
-    the failure-path traffic.
+    ``subjects`` groups payload positions into subjects, in the order idle
+    slots claim them (see the module docstring); each group lists its jobs
+    in dispatch order.  ``None`` makes every job its own subject, claimed
+    in payload order.  Results are returned in payload order regardless of
+    dispatch or completion order; ``on_result(index, payload)`` fires the
+    moment each job finishes (pool or in-process), so callers can commit
+    completed work immediately, and ``on_failure(failure)`` fires the
+    moment each abnormal event is recorded (live progress reporting).
+    Exceptions raised *by* a job propagate unchanged after the workers are
+    killed; crashes and timeouts are retried per ``policy`` and degrade to
+    the in-process path once exhausted.  Every failure is mirrored to the
+    profiler/tracer event counters (``jobs.crash`` / ``jobs.timeout`` /
+    ``jobs.retry`` / ``jobs.degraded_inprocess`` and the
+    ``jobs.backoff_seconds`` total) and recorded as a tracer event, so
+    ``--profile`` and ``--trace`` both see the failure-path traffic.
     """
     policy = policy or RetryPolicy()
     payloads = list(payloads)
     total = len(payloads)
     outcome = BatchOutcome(results=[None] * total)
+    if subjects is None:
+        subjects = [[index] for index in range(total)]
+    groups = [list(group) for group in subjects if group]
+    if sorted(index for group in groups for index in group) != list(range(total)):
+        raise ValueError("subjects must list every payload position exactly once")
 
     def finish(index: int, payload) -> None:
         outcome.results[index] = payload
@@ -230,29 +255,45 @@ def run_resilient(
     def run_in_process(index: int) -> None:
         finish(index, worker(payloads[index]))
 
-    slots = max(1, min(jobs, total))
+    def new_pool() -> ProcessPoolExecutor | None:
+        try:
+            return ProcessPoolExecutor(
+                max_workers=1, initializer=initializer, initargs=initargs
+            )
+        except OSError:
+            return None
 
-    def new_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=slots, initializer=initializer, initargs=initargs
-        )
-
-    try:
-        pool: ProcessPoolExecutor | None = new_pool()
-    except OSError:
-        pool = None
-    if pool is None:
+    pools = [new_pool() for _ in range(max(1, min(jobs, total)))]
+    if not any(pools):
         # No process pool on this platform: the deterministic fallback.
         outcome.pool_used = False
         for index in range(total):
             run_in_process(index)
         return outcome
 
+    subject_of = {
+        index: subject for subject, group in enumerate(groups) for index in group
+    }
+    queued = [deque(group) for group in groups]
+    unclaimed = deque(range(len(groups)))
+    held: list[int | None] = [None] * len(pools)
     attempts = [0] * total
-    ready: deque[int] = deque(range(total))
     timers: list[tuple[float, int]] = []  # (due, index) backoff heap
-    in_flight: dict[Future, int] = {}
+    in_flight: dict[Future, tuple[int, int]] = {}  # future -> (slot, index)
     deadlines: dict[Future, float | None] = {}
+
+    def claim(slot: int) -> int | None:
+        """The next job for ``slot`` (``None``: nothing is queued)."""
+        subject = held[slot]
+        if subject is None or not queued[subject]:
+            if unclaimed:
+                subject = unclaimed.popleft()
+            else:
+                subject = max(range(len(queued)), key=lambda s: len(queued[s]))
+                if not queued[subject]:
+                    return None
+            held[slot] = subject
+        return queued[subject].popleft()
 
     def settle_failure(index: int, kind: str, message: str) -> None:
         attempt = attempts[index]
@@ -280,15 +321,10 @@ def run_resilient(
             due = time.monotonic() + delay
             heapq.heappush(timers, (due, index))
 
-    def rebuild_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            _abandon(pool)
+    def rebuild(slot: int) -> None:
+        _abandon(pools[slot])
         outcome.rebuilds += 1
-        try:
-            pool = new_pool()
-        except OSError:
-            pool = None
+        pools[slot] = new_pool()
 
     def next_tick() -> float | None:
         bounds = [due for due in deadlines.values() if due is not None]
@@ -298,24 +334,35 @@ def run_resilient(
             return None
         return max(0.0, min(bounds) - time.monotonic())
 
+    completed = False
     try:
-        while ready or timers or in_flight:
+        while any(queued) or timers or in_flight:
             now = time.monotonic()
             while timers and timers[0][0] <= now:
-                ready.append(heapq.heappop(timers)[1])
-            if pool is None:
-                # Rebuild failed: drain every remaining job deterministically.
-                remaining = sorted(set(ready) | {index for _due, index in timers})
-                ready.clear()
+                index = heapq.heappop(timers)[1]
+                queued[subject_of[index]].append(index)
+            if not any(pools):
+                # Every rebuild failed: drain the remaining jobs deterministically.
+                remaining = sorted(
+                    [index for queue in queued for index in queue]
+                    + [index for _due, index in timers]
+                )
+                for queue in queued:
+                    queue.clear()
                 timers.clear()
                 for index in remaining:
                     run_in_process(index)
                 continue
-            while ready and len(in_flight) < slots:
-                index = ready.popleft()
+            busy = {slot for slot, _index in in_flight.values()}
+            for slot, pool in enumerate(pools):
+                if pool is None or slot in busy:
+                    continue
+                index = claim(slot)
+                if index is None:
+                    break
                 attempts[index] += 1
                 future = pool.submit(worker, payloads[index])
-                in_flight[future] = index
+                in_flight[future] = (slot, index)
                 deadlines[future] = (
                     time.monotonic() + policy.timeout if policy.timeout else None
                 )
@@ -326,56 +373,42 @@ def run_resilient(
             done, _ = wait(
                 list(in_flight), timeout=next_tick(), return_when=FIRST_COMPLETED
             )
-            crashed = False
             flow_error: BaseException | None = None
-            for future in sorted(done, key=in_flight.get):
-                index = in_flight.pop(future)
+            for future in sorted(done, key=lambda f: in_flight[f][1]):
+                slot, index = in_flight.pop(future)
                 deadlines.pop(future, None)
                 error = future.exception()
                 if error is None:
                     finish(index, future.result())
                 elif classify_exception(error) == CRASH:
-                    crashed = True
+                    # A single-worker slot: the crash lost only this job.
                     settle_failure(index, CRASH, str(error) or type(error).__name__)
+                    rebuild(slot)
                 else:
                     # A real job exception: fail fast, never retry.
                     flow_error = error
             if flow_error is not None:
                 raise flow_error
-            if crashed:
-                # The pool is broken; every other in-flight job died with it.
-                for future, index in sorted(in_flight.items(), key=lambda kv: kv[1]):
-                    settle_failure(
-                        index, CRASH, "worker pool broke while the job was in flight"
-                    )
-                in_flight.clear()
-                deadlines.clear()
-                rebuild_pool()
-                continue
             now = time.monotonic()
-            expired = {
-                future
-                for future, due in deadlines.items()
-                if due is not None and due <= now and not future.done()
-            }
-            if expired:
-                # A stuck worker can only be reclaimed by abandoning the
-                # pool.  Charge the timed-out jobs; the preempted bystanders
-                # re-dispatch without losing an attempt.
-                for future, index in sorted(in_flight.items(), key=lambda kv: kv[1]):
-                    if future in expired:
-                        settle_failure(
-                            index,
-                            TIMEOUT,
-                            f"job exceeded its {policy.timeout:.3g}s wall-clock budget",
-                        )
-                    else:
-                        attempts[index] -= 1
-                        ready.append(index)
-                in_flight.clear()
-                deadlines.clear()
-                rebuild_pool()
+            for future, due in list(deadlines.items()):
+                if due is not None and due <= now and not future.done():
+                    # A stuck worker can only be reclaimed by abandoning its
+                    # slot; the other slots keep running.
+                    slot, index = in_flight.pop(future)
+                    del deadlines[future]
+                    settle_failure(
+                        index,
+                        TIMEOUT,
+                        f"job exceeded its {policy.timeout:.3g}s wall-clock budget",
+                    )
+                    rebuild(slot)
+        completed = True
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        for pool in pools:
+            if pool is None:
+                continue
+            if completed:
+                pool.shutdown(wait=True)  # idle workers: join them
+            else:
+                _abandon(pool)
     return outcome

@@ -81,9 +81,8 @@ Scheduling goes through the parallel experiment engine
 
 ``--cache-stats``
     Print the robustness counters after the run as JSON: result-cache
-    hits/misses/corrupt-quarantines/evictions/puts, shared-memory
-    degradations, pool rebuilds, in-process degradations and the
-    crash/timeout failure classification.
+    hits/misses/corrupt-quarantines/evictions/puts, worker-slot rebuilds,
+    in-process degradations and the crash/timeout failure classification.
 
 ``--profile`` / ``--profile-out PATH``
     Emit per-stage wall-clock timing (``optimize`` / ``activity`` /

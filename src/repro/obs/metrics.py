@@ -162,7 +162,7 @@ def build_metrics(
     """The ``--metrics-out`` report from a merged trace.
 
     ``robustness`` is :meth:`ExperimentEngine.robustness_stats` when an
-    engine ran (cache hit rate, shm degradations, failure classification);
+    engine ran (cache hit rate, failure classification);
     pure-trace consumers may omit it.
     """
     job_latency = Histogram()

@@ -55,23 +55,23 @@ class AigArrays:
         return {node: int(count) for node, count in enumerate(self.fanout)}
 
 
-def arrays_from_parts(
-    fanin0: np.ndarray,
-    fanin1: np.ndarray,
-    level: np.ndarray,
-    po_literals: np.ndarray,
-) -> AigArrays:
-    """Assemble an :class:`AigArrays` from its irreducible arrays.
+def _build_arrays(aig: Aig) -> AigArrays:
+    num_nodes = aig.num_nodes
+    fanin0 = np.full(num_nodes, -1, dtype=np.int64)
+    fanin1 = np.full(num_nodes, -1, dtype=np.int64)
+    level = np.zeros(num_nodes, dtype=np.int64)
 
-    Everything else -- the AND/PI masks, fanout counts and level buckets --
-    is a pure function of the fanin literals and output literals, so
-    consumers that receive only the flat buffers (the shared-memory job
-    transport of :mod:`repro.experiments.shm`) rebuild the exact same view
-    without shipping the derived arrays.  Primary inputs are the non-zero
-    nodes without fanins (``Aig.add_pi`` appends them in id order, so the
-    ascending ids match the PI name order).
-    """
-    num_nodes = int(fanin0.shape[0])
+    nodes = aig._nodes  # flattening lives next to the Aig class
+    for index in range(1, num_nodes):
+        data = nodes[index]
+        if data.fanin0 >= 0:
+            fanin0[index] = data.fanin0
+            fanin1[index] = data.fanin1
+        level[index] = data.level
+
+    po_literals = np.asarray(aig.po_literals, dtype=np.int64)
+    # Primary inputs are the non-zero nodes without fanins (``Aig.add_pi``
+    # appends them in id order, so the ascending ids match the PI name order).
     is_and = fanin0 >= 0
     and_nodes = np.nonzero(is_and)[0].astype(np.int64)
     pi_mask = ~is_and
@@ -110,24 +110,6 @@ def arrays_from_parts(
         po_literals=po_literals,
         level_groups=tuple(groups),
     )
-
-
-def _build_arrays(aig: Aig) -> AigArrays:
-    num_nodes = aig.num_nodes
-    fanin0 = np.full(num_nodes, -1, dtype=np.int64)
-    fanin1 = np.full(num_nodes, -1, dtype=np.int64)
-    level = np.zeros(num_nodes, dtype=np.int64)
-
-    nodes = aig._nodes  # flattening lives next to the Aig class
-    for index in range(1, num_nodes):
-        data = nodes[index]
-        if data.fanin0 >= 0:
-            fanin0[index] = data.fanin0
-            fanin1[index] = data.fanin1
-        level[index] = data.level
-
-    po_literals = np.asarray(aig.po_literals, dtype=np.int64)
-    return arrays_from_parts(fanin0, fanin1, level, po_literals)
 
 
 def aig_arrays(aig: Aig) -> AigArrays:

@@ -189,12 +189,12 @@ def cut_cache_sizes() -> dict[str, int]:
     """Current entry counts of the registered caches, by name.
 
     Diagnostic counterpart of :func:`clear_cut_caches` -- the engine's
-    worker-cache regression test asserts these stay bounded across job
-    batches.  Registered entries expose ``lru_cache``'s ``cache_info``, a
-    custom scalar ``cache_size`` hook, or a ``cache_sizes`` hook returning a
-    per-memo breakdown (e.g. the matcher memo sweeper reporting its
-    positions / match / match-table memos separately); entries with none
-    count as zero.
+    worker-footprint regression test asserts that a pool worker holds one
+    subject's memos after it switches subjects.  Registered entries expose
+    ``lru_cache``'s ``cache_info``, a custom scalar ``cache_size`` hook, or
+    a ``cache_sizes`` hook returning a per-memo breakdown (e.g. the matcher
+    memo sweeper reporting its positions / match / match-table memos
+    separately); entries with none count as zero.
     """
     sizes: dict[str, int] = {}
     for cached in _CUT_PIPELINE_CACHES:

@@ -99,8 +99,8 @@ class CutFunctionTable:
     distinct ``(size, table)`` functions, each with its support positions,
     support-projected table and exact NPN canonicalization columns.
     ``inverse`` maps every flattened row back onto its distinct id.  Shared
-    by every (matcher, policy) pair of a mapping call, memoized on the cut
-    set, and shipped across processes by the shared-memory transport.
+    by every (matcher, policy) pair of a mapping call and memoized on the
+    cut set.
     """
 
     inverse: np.ndarray  #: (rows,) int64 flattened ranked cut -> distinct id
@@ -174,8 +174,7 @@ def build_function_table(
     ``reduced`` must already be the support-projected tables (the cut set's
     :meth:`~repro.synthesis.cuts.CutSet.projected_tables` column).  Every
     non-constant reduced function is canonicalized per reduced arity through
-    one batched orbit scan each.  Also the worker-side rebuild entry point
-    for function tables shipped over shared memory.
+    one batched orbit scan each.
     """
     positions, width = support_positions(supports)
     count = sizes.shape[0]
@@ -221,8 +220,7 @@ def cut_function_table(
     batched :meth:`~repro.synthesis.cuts.CutSet.projected_tables` column and
     canonicalizes every distinct reduced function through the columnar batch
     canonicalizer.  Memoized on the cut set per output-negation flag --
-    every library/policy pair of a mapping call shares one table, and the
-    shared-memory transport pre-installs it in worker processes.
+    every library/policy pair of a mapping call shares one table.
     """
     memo = cut_set.__dict__.get("_function_tables")
     if memo is None:

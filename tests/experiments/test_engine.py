@@ -1,6 +1,7 @@
 """Tests for the parallel, cache-aware experiment engine."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -386,136 +387,27 @@ class TestArtifacts:
             assert json.loads(json.dumps(payload)) == payload
 
 
-class TestSharedMemoryTransport:
-    """The shared-memory subject transport and the worker cache-epoch protocol."""
+class TestSubjectSchedule:
+    """Parallel map batches are scheduled by subject, each subject built in
+    the worker that claims it."""
 
-    def test_publish_resolve_roundtrip_through_attach_path(self):
-        """A handle resolved in a foreign process (simulated by clearing the
-        local registry) rebuilds a structurally identical subject with the
-        published arrays installed, and maps identically."""
-        import numpy as np
-
-        from repro.experiments import shm
-        from repro.flow import run_flow
-        from repro.synthesis.aig_array import aig_arrays
-        from repro.synthesis.cuts import cut_set_for
-        from repro.synthesis.mapper import technology_map
-        from repro.synthesis.matcher import matcher_for
-
-        aig = run_flow("resyn2rs", benchmark_by_name("add-16").build()).aig
-        arrays = aig_arrays(aig)
-        cut_set = cut_set_for(aig)
-        key = f"{aig_fingerprint(aig)}:{cut_set.max_inputs}:{cut_set.cut_limit}"
-        try:
-            handle = shm.publish_subject(key, aig, arrays, cut_set)
-        except OSError:
-            pytest.skip("no usable shared memory on this platform")
-        try:
-            assert shm.resolve_subject(handle) is aig  # publisher answers locally
-            shm._LOCAL.pop(key)  # simulate a worker: force the attach path
-            rebuilt = shm.resolve_subject(handle)
-            assert rebuilt is not aig
-            assert aig_fingerprint(rebuilt) == aig_fingerprint(aig)
-            assert rebuilt.pi_names == aig.pi_names
-            assert rebuilt.po_names == aig.po_names
-            r_arrays = aig_arrays(rebuilt)
-            assert np.array_equal(r_arrays.fanin0, arrays.fanin0)
-            assert np.array_equal(r_arrays.fanout, arrays.fanout)
-            r_cuts = cut_set_for(rebuilt)  # must hit the installed memo
-            assert np.array_equal(r_cuts.leaves, cut_set.leaves)
-            assert np.array_equal(r_cuts.table, cut_set.table)
-            library = build_library(LogicFamily.TG_STATIC)
-            original = technology_map(aig, library, matcher=matcher_for(library))
-            remapped = technology_map(rebuilt, library, matcher=matcher_for(library))
-            assert [
-                (g.output, g.cell_name, g.leaves, g.table, g.inverted)
-                for g in original.gates
-            ] == [
-                (g.output, g.cell_name, g.leaves, g.table, g.inverted)
-                for g in remapped.gates
-            ]
-            assert original.normalized_delay == remapped.normalized_delay
-        finally:
-            shm.drop_attachments()
-            shm.release_subjects()
-        assert shm.attachment_count() == 0
-        assert shm.published_count() == 0
-
-    def test_jobs2_shared_memory_smoke(self):
-        """Fast-lane transport smoke: a --jobs 2 run over two benchmarks must
-        publish subjects, drain the pool and stay bit-identical to jobs=1."""
-        from repro.experiments import shm
-
-        published = []
-        original_publish = shm.publish_subject
-
-        def counting_publish(key, aig, arrays, cut_set):
-            handle = original_publish(key, aig, arrays, cut_set)
-            published.append(key)
-            return handle
-
+    def test_jobs2_subject_schedule_smoke(self):
+        """Fast-lane smoke: a --jobs 2 run over two benchmarks stays
+        bit-identical to jobs=1 and joins its workers before returning."""
         names = ("add-16", "t481")
-        shm.publish_subject = counting_publish
-        try:
-            parallel = ExperimentEngine(jobs=2, use_cache=False).run_table3(
-                benchmark_names=names, families=FAMILIES
-            )
-        finally:
-            shm.publish_subject = original_publish
+        before = set(multiprocessing.active_children())
+        parallel = ExperimentEngine(jobs=2, use_cache=False).run_table3(
+            benchmark_names=names, families=FAMILIES
+        )
+        assert set(multiprocessing.active_children()) <= before
         sequential = ExperimentEngine(jobs=1, use_cache=False).run_table3(
             benchmark_names=names, families=FAMILIES
         )
         assert _stats_view(sequential) == _stats_view(parallel)
-        assert len(published) == len(names)  # one segment per distinct subject
-        assert shm.published_count() == 0  # released in the engine's finally
 
-    def test_published_handle_carries_match_index(self):
-        """Publishing ships the cut set's distinct-function match index
-        (``fn_*`` segments); a worker-side resolve pre-installs it so the
-        mapper never re-canonicalizes the subject's cut functions."""
-        import numpy as np
-
-        from repro.experiments import shm
-        from repro.flow import run_flow
-        from repro.synthesis.aig_array import aig_arrays
-        from repro.synthesis.cuts import cut_set_for
-        from repro.synthesis.matcher import cut_function_table
-
-        aig = run_flow("resyn2rs", benchmark_by_name("add-16").build()).aig
-        arrays = aig_arrays(aig)
-        cut_set = cut_set_for(aig)
-        key = f"{aig_fingerprint(aig)}:{cut_set.max_inputs}:{cut_set.cut_limit}"
-        try:
-            handle = shm.publish_subject(key, aig, arrays, cut_set)
-        except OSError:
-            pytest.skip("no usable shared memory on this platform")
-        try:
-            fields = {segment[0] for segment in handle.segments}
-            assert {"fn_inverse", "fn_canon", "fn_cut_perm"} <= fields
-            parent_table = cut_function_table(cut_set, arrays.and_nodes)
-            shm._LOCAL.pop(key)  # simulate a worker: force the attach path
-            rebuilt = shm.resolve_subject(handle)
-            rebuilt_cuts = cut_set_for(rebuilt)
-            installed = rebuilt_cuts.__dict__.get("_function_tables", {})
-            assert True in installed
-            worker_table = installed[True]
-            assert np.array_equal(worker_table.inverse, parent_table.inverse)
-            assert np.array_equal(worker_table.canon, parent_table.canon)
-            assert np.array_equal(worker_table.cut_perm, parent_table.cut_perm)
-            assert np.array_equal(worker_table.cut_phase, parent_table.cut_phase)
-            assert np.array_equal(worker_table.reduced, parent_table.reduced)
-            # The memoized entry is what the matcher consumes -- no rebuild.
-            assert (
-                cut_function_table(rebuilt_cuts, aig_arrays(rebuilt).and_nodes)
-                is worker_table
-            )
-        finally:
-            shm.drop_attachments()
-            shm.release_subjects()
-
-    def test_jobs4_with_match_index_is_byte_identical(self):
-        """jobs=4 mapping through the shm-published match index must produce
-        a byte-identical Table-3 artifact payload to the jobs=1 path."""
+    def test_jobs4_table3_payload_is_byte_identical(self):
+        """jobs=4 mapping must produce a byte-identical Table-3 artifact
+        payload to the jobs=1 path."""
         names = ("add-16", "t481")
         parallel = ExperimentEngine(jobs=4, use_cache=False).run_table3(
             benchmark_names=names, families=FAMILIES
@@ -527,53 +419,92 @@ class TestSharedMemoryTransport:
             table3_payload(sequential), indent=2, sort_keys=True
         ) == json.dumps(table3_payload(parallel), indent=2, sort_keys=True)
 
-    def test_worker_cache_epoch_keeps_memos_bounded(self):
-        """A long-lived worker must drop its per-process memos when the cache
-        epoch rolls over, instead of accumulating them across job batches."""
+    def test_batch_keys_hash_each_subject_once(self, monkeypatch):
+        """A batch's keys equal per-job map_job_key, with one AIG
+        fingerprint per subject instead of one per job."""
         import repro.experiments.engine as engine_module
-        from repro.experiments.engine import (
-            _run_map_job,
-            _worker_cache_footprint,
-        )
 
+        fingerprinted = []
+        original = engine_module.aig_fingerprint
+
+        def counting(aig):
+            fingerprinted.append(aig.name)
+            return original(aig)
+
+        monkeypatch.setattr(engine_module, "aig_fingerprint", counting)
+        names = ("add-16", "t481")
+        jobs = [
+            MapJob(name, family, objective=objective)
+            for name in names
+            for family in FAMILIES
+            for objective in ("delay", "area")
+        ]
+        engine = ExperimentEngine(use_cache=False)
+        keys, sources = engine._map_batch_keys(jobs)
+        assert len(fingerprinted) == len(names)
+        assert set(sources) == set(names)
+        assert keys == {job: engine.map_job_key(job) for job in jobs}
+
+    def test_subjects_are_claimed_largest_raw_aig_first(self, monkeypatch):
+        from repro.experiments import resilience
+
+        batches = []
+        original = resilience.run_resilient
+
+        def spy(worker, payloads, **kwargs):
+            batches.append((list(payloads), kwargs["subjects"]))
+            return original(worker, payloads, **kwargs)
+
+        monkeypatch.setattr(resilience, "run_resilient", spy)
+        names = ("add-16", "t481", "C1355")
+        jobs = [MapJob(name, family) for name in names for family in FAMILIES]
+        ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(jobs)
+
+        ((specs, subjects),) = batches
+        assert [spec[0] for spec in specs] == [job.benchmark for job in jobs]
+        sizes = {name: benchmark_by_name(name).build().num_ands for name in names}
+        claimed = [specs[group[0]][0] for group in subjects]
+        assert claimed == sorted(names, key=lambda name: -sizes[name])
+        for group in subjects:
+            assert len(group) == len(FAMILIES)
+            assert len({specs[index][0] for index in group}) == 1
+
+    def test_worker_holds_one_subject_after_a_switch(self, monkeypatch):
+        """A pool worker drops the previous subject's memos when it switches
+        subjects, and keeps them while it stays on one."""
+        import repro.experiments.engine as engine_module
+        from repro.experiments.engine import _run_map_job, _worker_cache_footprint
+        from repro.synthesis.cuts import clear_cut_caches
+
+        # A fresh pool worker, with private memos so the parent's stay intact.
+        monkeypatch.setattr(engine_module, "_WORKER_SUBJECT", ())
+        monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+        clear_cut_caches()
         job_a = MapJob("add-16", LogicFamily.TG_STATIC)
         job_b = MapJob("t481", LogicFamily.TG_STATIC)
-        saved_epoch = engine_module._WORKER_EPOCH
-        try:
-            # Simulate a pool worker initialized for epoch 1.
-            engine_module._reset_worker_state(1)
-            _run_map_job((job_a.spec(), 1, None))
-            _run_map_job((job_b.spec(), 1, None))
-            grown = _worker_cache_footprint()
-            assert grown["optimized_aigs"] == 2
-            assert grown["activity_reports"] == 2
-            assert grown["cut_cache_entries"] > 0
 
-            # Next batch: the epoch stamped on the job moves to 2; the
-            # worker-side memos must reset instead of accumulating.
-            _run_map_job((job_a.spec(), 2, None))
-            bounded = _worker_cache_footprint()
-            assert bounded["optimized_aigs"] == 1
-            assert bounded["activity_reports"] == 1
-            assert bounded["cut_cache_entries"] <= grown["cut_cache_entries"]
+        _run_map_job(job_b.spec())
+        alone = _worker_cache_footprint()
+        _run_map_job(job_a.spec())
+        _run_map_job(job_b.spec())
+        switched = _worker_cache_footprint()
+        assert switched["optimized_aigs"] == alone["optimized_aigs"] == 1
+        assert switched["activity_reports"] == alone["activity_reports"] == 1
+        assert switched["match_tables"] == alone["match_tables"] > 0
 
-            # Same epoch again: warm memos are kept (no churn within a batch).
-            _run_map_job((job_a.spec(), 2, None))
-            assert _worker_cache_footprint()["optimized_aigs"] == 1
-        finally:
-            engine_module._reset_worker_state(0)
-            engine_module._WORKER_EPOCH = saved_epoch
+        held = engine_module._OPTIMIZED_AIGS[("t481", "resyn2rs")]
+        _run_map_job(MapJob("t481", LogicFamily.CMOS).spec())
+        assert engine_module._OPTIMIZED_AIGS[("t481", "resyn2rs")] is held
 
-    def test_parent_in_process_jobs_do_not_reset_parent_memos(self):
-        """jobs=1 (and the pool-failure fallback) execute in the parent, where
-        _WORKER_EPOCH is None: the epoch check must never clear parent state."""
+    def test_parent_in_process_jobs_keep_every_subject(self):
+        """jobs=1 (and the in-process degradation path) run in the parent,
+        where _WORKER_SUBJECT is None: a subject switch never drops memos."""
         import repro.experiments.engine as engine_module
         from repro.experiments.engine import _run_map_job
 
-        assert engine_module._WORKER_EPOCH is None
-        job = MapJob("add-16", LogicFamily.TG_STATIC)
-        _run_map_job((job.spec(), 123456, None))
+        assert engine_module._WORKER_SUBJECT is None
+        _run_map_job(MapJob("add-16", LogicFamily.TG_STATIC).spec())
+        _run_map_job(MapJob("t481", LogicFamily.TG_STATIC).spec())
         assert ("add-16", "resyn2rs") in engine_module._OPTIMIZED_AIGS
-        # A second job with a different epoch still must not clear anything.
-        _run_map_job((job.spec(), 654321, None))
-        assert ("add-16", "resyn2rs") in engine_module._OPTIMIZED_AIGS
+        assert ("t481", "resyn2rs") in engine_module._OPTIMIZED_AIGS

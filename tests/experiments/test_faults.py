@@ -14,13 +14,12 @@ as JSON (the nightly CI lane uploads it as an artifact).
 import json
 import multiprocessing
 import os
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
 import pytest
 
 from repro.core.families import LogicFamily
-from repro.experiments import faults, shm
+from repro.experiments import faults
 from repro.experiments.engine import (
     ExperimentEngine,
     MapJob,
@@ -101,7 +100,7 @@ def arm(tmp_path, monkeypatch):
 class TestFaultPlanUnit:
     def test_json_round_trip(self, tmp_path):
         plan = FaultPlan(seed=3, kill_job=1, delay_job=2, delay_seconds=0.5,
-                         fail_shm_attach=True, once_dir=str(tmp_path))
+                         once_dir=str(tmp_path))
         assert FaultPlan.from_json(plan.to_json()) == plan
         with pytest.raises(ValueError):
             FaultPlan.from_json("[1, 2]")
@@ -245,98 +244,6 @@ class TestCacheCorruptionFault:
         )
 
 
-class TestSharedMemoryFaults:
-    def test_injected_attach_failure_raises_for_exactly_one_attempt(self, tmp_path):
-        from repro.bench.registry import benchmark_by_name
-        from repro.experiments.engine import aig_fingerprint
-        from repro.flow import run_flow
-        from repro.synthesis.aig_array import aig_arrays
-        from repro.synthesis.cuts import cut_set_for
-
-        aig = run_flow("resyn2rs", benchmark_by_name("add-16").build()).aig
-        arrays = aig_arrays(aig)
-        cut_set = cut_set_for(aig)
-        key = f"{aig_fingerprint(aig)}:{cut_set.max_inputs}:{cut_set.cut_limit}"
-        try:
-            handle = shm.publish_subject(key, aig, arrays, cut_set)
-        except OSError:
-            pytest.skip("no usable shared memory on this platform")
-        faults.install(FaultPlan(fail_shm_attach=True, once_dir=str(tmp_path)))
-        try:
-            shm._LOCAL.pop(key)  # force the attach path, as in a worker
-            with pytest.raises(OSError, match="injected"):
-                shm.resolve_subject(handle)
-            # The latch admits one failure per subject; the retry attaches.
-            rebuilt = shm.resolve_subject(handle)
-            assert rebuilt.pi_names == aig.pi_names
-        finally:
-            faults.install(None)
-            shm.drop_attachments()
-            shm.release_subjects()
-
-    def test_engine_survives_attach_failures_bit_identically(self, arm):
-        jobs = _jobs4()
-        baseline = ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(jobs)
-        arm(fail_shm_attach=True)
-        engine = ExperimentEngine(jobs=2, use_cache=False, retry_policy=FAST_POLICY)
-        chaotic = engine.run_map_jobs(jobs)
-        assert _result_view(chaotic) == _result_view(baseline)
-        # Attach failures degrade to recompute-from-spec, never to retries.
-        assert [f for f in engine.failures if f.kind == CRASH] == []
-        _classify("shm_attach_failure_jobs2", engine)
-
-
-class TestSegmentLifecycle:
-    FOREIGN = "reprofeedface0001"  # matches the name pattern, foreign nonce
-
-    def test_stale_segment_of_crashed_publisher_is_reaped(self):
-        if not shm._SHM_DIR.is_dir():
-            pytest.skip("no /dev/shm on this platform")
-        assert not self.FOREIGN.startswith(f"repro{shm._RUN_NONCE}")
-        process = multiprocessing.get_context("fork").Process(
-            target=_publish_and_crash, args=(self.FOREIGN,)
-        )
-        process.start()
-        process.join(timeout=30)
-        assert process.exitcode == 1  # died without running cleanup
-        assert (shm._SHM_DIR / self.FOREIGN).exists()  # the leak
-
-        reaped = shm.reap_stale_segments(max_age=-1.0)
-        assert reaped >= 1
-        assert not (shm._SHM_DIR / self.FOREIGN).exists()
-
-    def test_reaping_never_touches_the_current_run(self):
-        if not shm._SHM_DIR.is_dir():
-            pytest.skip("no /dev/shm on this platform")
-        segment = shm._create_segment(64)
-        try:
-            shm.reap_stale_segments(max_age=-1.0)
-            assert (shm._SHM_DIR / segment.name).exists()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_fresh_engine_reaps_at_startup(self, tmp_path):
-        if not shm._SHM_DIR.is_dir():
-            pytest.skip("no /dev/shm on this platform")
-        process = multiprocessing.get_context("fork").Process(
-            target=_publish_and_crash, args=(self.FOREIGN,)
-        )
-        process.start()
-        process.join(timeout=30)
-        assert (shm._SHM_DIR / self.FOREIGN).exists()
-        reap_age = os.environ.get("REPRO_SHM_REAP_AGE")
-        os.environ["REPRO_SHM_REAP_AGE"] = "-1"
-        try:
-            ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        finally:
-            if reap_age is None:
-                del os.environ["REPRO_SHM_REAP_AGE"]
-            else:  # pragma: no cover - nested override
-                os.environ["REPRO_SHM_REAP_AGE"] = reap_age
-        assert not (shm._SHM_DIR / self.FOREIGN).exists()
-
-
 class TestConcurrentRunners:
     def test_two_runners_sharing_a_cache_produce_no_corruption(self, tmp_path):
         """Satellite acceptance: concurrent runners over one cache directory
@@ -367,19 +274,6 @@ class TestConcurrentRunners:
             assert validator.get(entry.stem) is not None
         assert validator.stats.corrupt == 0
         assert validator.stats.hits == len(entries)
-
-
-def _publish_and_crash(name: str) -> None:
-    """Child-process body: leak a foreign-nonce segment like a crashed run."""
-    try:
-        segment = shared_memory.SharedMemory(create=True, name=name, size=64)
-    except FileExistsError:
-        segment = shared_memory.SharedMemory(name=name)
-    try:  # the parent's reaper owns the cleanup; silence this process's tracker
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-    os._exit(1)  # skips atexit: exactly how a crashed publisher leaks
 
 
 def _runner_process(cache_dir, rank: int, queue) -> None:

@@ -152,13 +152,18 @@ class TestRecoveryVariants:
 
 
 class TestDeterminism:
-    def test_jobs4_front_bit_identical_to_jobs1(self):
-        kwargs = dict(benchmark_names=SUBSET, families=FAMILIES)
+    @pytest.mark.parametrize(
+        "jobs, names",
+        [(2, ("add-16", "t481", "C1355")), (4, SUBSET)],
+        ids=["jobs2", "jobs4"],
+    )
+    def test_parallel_front_bit_identical_to_jobs1(self, jobs, names):
+        kwargs = dict(benchmark_names=names, families=FAMILIES)
         sequential = run_pareto(
             engine=ExperimentEngine(jobs=1, use_cache=False), **kwargs
         )
         parallel = run_pareto(
-            engine=ExperimentEngine(jobs=4, use_cache=False), **kwargs
+            engine=ExperimentEngine(jobs=jobs, use_cache=False), **kwargs
         )
         assert json.dumps(pareto_payload(sequential), sort_keys=True) == json.dumps(
             pareto_payload(parallel), sort_keys=True

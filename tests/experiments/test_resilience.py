@@ -6,6 +6,7 @@ check the parent pid or a cross-process once-latch), so the deterministic
 in-process degrade path stays safe to run in the test process.
 """
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import BrokenExecutor
@@ -52,6 +53,11 @@ def _sleep_first_job_once(payload):
     if seconds and claim_once(spool, f"sleep-{value}"):
         time.sleep(seconds)
     return value + 100
+
+
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _record_then_raise(payload):
@@ -193,3 +199,63 @@ class TestRunResilient:
     def test_single_job_batches_still_work(self):
         outcome = run_resilient(_square, [6], jobs=4, policy=FAST)
         assert outcome.results == [36]
+
+    def test_successful_batch_joins_its_workers(self):
+        before = set(multiprocessing.active_children())
+        outcome = run_resilient(_square, list(range(8)), jobs=2, policy=FAST)
+        assert outcome.results == [value * value for value in range(8)]
+        assert set(multiprocessing.active_children()) <= before
+
+
+class TestSubjectDispatch:
+    def test_every_job_of_a_subject_runs_in_one_pid(self):
+        """More subjects than workers: one slot holds the long subject 0
+        while the other claims and drains subjects 1 and 2, so no slot is
+        ever idle while another subject has jobs queued."""
+        subjects = [[0], [1, 2, 3], [4, 5, 6]]
+        payloads = [1.0, 0, 0, 0, 0, 0, 0]
+        outcome = run_resilient(
+            _pid_after, payloads, jobs=2, policy=FAST, subjects=subjects
+        )
+        pids = outcome.results
+        for group in subjects:
+            assert len({pids[index] for index in group}) == 1
+        assert pids[0] != pids[1]
+
+    def test_subjects_are_claimed_in_the_given_order(self):
+        finished = []
+        outcome = run_resilient(
+            _square,
+            [1, 2, 3, 4],
+            jobs=1,
+            policy=FAST,
+            subjects=[[2, 3], [0, 1]],
+            on_result=lambda index, payload: finished.append(index),
+        )
+        assert finished == [2, 3, 0, 1]
+        assert outcome.results == [1, 4, 9, 16]  # payload order
+
+    def test_failure_index_names_the_payload_position(self, tmp_path):
+        """Payload 0 crashes once; it is dispatched last, yet its failure
+        names position 0 in the caller's list."""
+        payloads = [(value, str(tmp_path)) for value in range(4)]
+        outcome = run_resilient(
+            _crash_first_job_once,
+            payloads,
+            jobs=2,
+            policy=FAST,
+            subjects=[[3, 2], [1, 0]],
+        )
+        assert outcome.results == [0, 10, 20, 30]
+        assert [(f.index, f.kind) for f in outcome.failures] == [(0, CRASH)]
+        assert outcome.rebuilds == 1
+
+    def test_one_subject_batch_runs_on_every_slot(self):
+        outcome = run_resilient(
+            _pid_after, [0, 0, 0, 0], jobs=2, policy=FAST, subjects=[[0, 1, 2, 3]]
+        )
+        assert len(set(outcome.results)) == 2
+
+    def test_subjects_must_cover_every_payload_once(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            run_resilient(_square, [1, 2], jobs=2, policy=FAST, subjects=[[0, 0]])
