@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.delay import _PULL_DOWN_ROLES, _effective_resistances, _output_value
-from repro.circuits.netlist import OUTPUT, VSS, CellNetlist
+from repro.circuits.netlist import OUTPUT, CellNetlist
 from repro.circuits.sizing import PSEUDO_LOAD_WIDTH, PSEUDO_PULL_DOWN_TARGET
-from repro.devices.transistor import DeviceRole, Literal
+from repro.circuits.switch_sim import iter_bits
+from repro.devices.transistor import Literal
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,8 @@ class PowerReport:
 
 def characterize_power(netlist: CellNetlist) -> PowerReport:
     """Compute the power report of a cell netlist (see module docstring)."""
-    technology = netlist.technology
-    c_unit = technology.inverter_input_capacitance
-    weak = technology.weak_direction_factor
-    pseudo = any(d.role is DeviceRole.PSEUDO_LOAD for d in netlist.devices)
+    c_unit = netlist.technology.inverter_input_capacitance
+    states = netlist.switch_states
 
     literal_capacitance = {
         literal: netlist.signal_capacitance(literal) / c_unit
@@ -125,31 +123,19 @@ def characterize_power(netlist: CellNetlist) -> PowerReport:
     static_current_low = 0.0
     static_current_average = 0.0
     low_state_fraction = 0.0
-    if pseudo:
+    if states.pseudo:
         load_resistance = 1.0 / PSEUDO_LOAD_WIDTH
-        pd_devices = [d for d in netlist.devices if d.role in _PULL_DOWN_ROLES]
-        order = netlist.input_signals
-        num_states = 1 << len(order)
         low_currents: list[float] = []
-        for minterm in range(num_states):
-            assignment = {
-                name: bool((minterm >> i) & 1) for i, name in enumerate(order)
-            }
-            if _output_value(netlist, assignment) is not False:
-                continue
-            resistances = _effective_resistances(
-                pd_devices, assignment, VSS, False, weak
-            )
-            pd_resistance = (
-                resistances[OUTPUT]
-                if resistances is not None
-                else PSEUDO_PULL_DOWN_TARGET
-            )
+        # The pull-down networks solved here are the ones the delay model
+        # solves on falling transitions, so most come from the memo.
+        for state in iter_bits(states.driven & ~states.high):
+            drive = states.drive(state, False)
+            pd_resistance = drive[0] if drive is not None else PSEUDO_PULL_DOWN_TARGET
             low_currents.append(1.0 / (load_resistance + pd_resistance))
         if low_currents:
             static_current_low = sum(low_currents) / len(low_currents)
-            static_current_average = sum(low_currents) / num_states
-            low_state_fraction = len(low_currents) / num_states
+            static_current_average = sum(low_currents) / states.num_states
+            low_state_fraction = len(low_currents) / states.num_states
 
     return PowerReport(
         literal_capacitance=literal_capacitance,

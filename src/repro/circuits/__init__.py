@@ -11,8 +11,10 @@ networks of ambipolar CNTFETs, CNTFET transmission gates and pass transistors
   transistors sized 2x, pseudo pull-downs up-sized 4/3 with a 1/3 load);
 * :mod:`repro.circuits.netlist` -- construction of complete cell netlists for
   each logic style (static, pseudo, CMOS, pass-transistor variants);
-* :mod:`repro.circuits.switch_sim` -- switch-level functional and full-swing
-  verification of a cell netlist;
+* :mod:`repro.circuits.switch_sim` -- the switch-level model of a cell
+  netlist over all input states at once (bitmasks plus a memo of solved
+  conducting networks), read by functional and full-swing verification and
+  by the delay and power models;
 * :mod:`repro.circuits.delay` -- the switch-level RC / logical-effort FO4
   delay model of Sec. 4.3;
 * :mod:`repro.circuits.area` -- the normalized area model (sum of W/L).

@@ -15,7 +15,8 @@ mentions:
   is scaled by the actual drive resistance;
 * for the *worst-case* column the charging of internal stack nodes is added
   as an Elmore term, computed on the conducting resistor network of the worst
-  transition (effective resistances solved exactly via the network Laplacian).
+  transition (effective resistances solved exactly via the network Laplacian,
+  :meth:`repro.circuits.switch_sim.SwitchStates.drive`).
 
 Capacitances follow the paper's normalizations: the gate capacitance of a
 device equals its width, the drain/source parasitic capacitance equals the
@@ -27,14 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.circuits.netlist import OUTPUT, VDD, VSS, CellNetlist
+from repro.circuits.netlist import OUTPUT, CellNetlist
 from repro.circuits.sizing import PSEUDO_LOAD_WIDTH, PSEUDO_PULL_DOWN_TARGET
-from repro.devices.transistor import Device, DeviceRole, Literal
-
-_PULL_DOWN_ROLES = (DeviceRole.PULL_DOWN,)
-_PULL_UP_ROLES = (DeviceRole.PULL_UP, DeviceRole.PSEUDO_LOAD)
+from repro.circuits.switch_sim import iter_bits
+from repro.devices.transistor import Literal
 
 #: Load presented by one fanout copy, in multiples of the switching input's
 #: own capacitance (FO4 = fanout of four).
@@ -60,103 +57,11 @@ class DelayReport:
         return self.fo4_average * tau_ps
 
 
-def _conductance(device: Device, rail_value: bool, assignment: dict[str, bool],
-                 weak_factor: float) -> float:
-    """Channel conductance of a conducting device passing ``rail_value``."""
-    if device.passes_strongly(rail_value, assignment):
-        return device.width
-    return device.width / weak_factor
-
-
-def _effective_resistances(
-    devices: list[Device],
-    assignment: dict[str, bool],
-    rail: str,
-    rail_value: bool,
-    weak_factor: float,
-) -> dict[str, float] | None:
-    """Effective resistance from ``rail`` to every reachable node.
-
-    Builds the conductance Laplacian of the conducting subnetwork and solves
-    for node potentials with one ampere injected at each node of interest.
-    Returns ``None`` when the output is not connected to the rail.
-    """
-    conducting = [d for d in devices if d.conducts(assignment)]
-    if not conducting:
-        return None
-    nodes: list[str] = []
-    index: dict[str, int] = {}
-    for device in conducting:
-        for node in (device.node_a, device.node_b):
-            if node not in index:
-                index[node] = len(nodes)
-                nodes.append(node)
-    if rail not in index or OUTPUT not in index:
-        return None
-    n = len(nodes)
-    laplacian = np.zeros((n, n))
-    for device in conducting:
-        g = _conductance(device, rail_value, assignment, weak_factor)
-        a, b = index[device.node_a], index[device.node_b]
-        laplacian[a, a] += g
-        laplacian[b, b] += g
-        laplacian[a, b] -= g
-        laplacian[b, a] -= g
-    # Ground the rail node and solve for the others.
-    rail_idx = index[rail]
-    keep = [i for i in range(n) if i != rail_idx]
-    reduced = laplacian[np.ix_(keep, keep)]
-    resistances: dict[str, float] = {rail: 0.0}
-    try:
-        inv = np.linalg.inv(reduced)
-    except np.linalg.LinAlgError:
-        return None
-    for pos, i in enumerate(keep):
-        resistances[nodes[i]] = float(inv[pos, pos])
-    if OUTPUT not in resistances or not np.isfinite(resistances[OUTPUT]):
-        return None
-    return resistances
-
-
-def _output_value(netlist: CellNetlist, assignment: dict[str, bool]) -> bool | None:
-    """Logic value at the output node, or ``None`` when floating/contending."""
-    pd = [d for d in netlist.devices if d.role in _PULL_DOWN_ROLES]
-    pu = [d for d in netlist.devices if d.role in _PULL_UP_ROLES]
-    pseudo = any(d.role is DeviceRole.PSEUDO_LOAD for d in netlist.devices)
-
-    def connected(devices: list[Device], rail: str) -> bool:
-        adjacency: dict[str, list[str]] = {}
-        for device in devices:
-            if device.conducts(assignment):
-                adjacency.setdefault(device.node_a, []).append(device.node_b)
-                adjacency.setdefault(device.node_b, []).append(device.node_a)
-        stack = [OUTPUT]
-        seen = {OUTPUT}
-        while stack:
-            node = stack.pop()
-            if node == rail:
-                return True
-            for neighbour in adjacency.get(node, ()):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return False
-
-    pd_on = connected(pd, VSS)
-    if pseudo:
-        return not pd_on
-    pu_on = connected(pu, VDD)
-    if pd_on == pu_on:
-        return None
-    return pu_on
-
-
 def characterize_delay(netlist: CellNetlist) -> DelayReport:
     """Compute the FO4 delay report of a cell netlist."""
     technology = netlist.technology
     c_unit = technology.inverter_input_capacitance
-    weak = technology.weak_direction_factor
-    pseudo = any(d.role is DeviceRole.PSEUDO_LOAD for d in netlist.devices)
+    states = netlist.switch_states
 
     # Input capacitance per literal wire and per signal (max over polarities).
     literal_caps = {
@@ -172,55 +77,35 @@ def characterize_delay(netlist: CellNetlist) -> DelayReport:
     parasitic_output = c_out / c_unit
 
     # Nominal drive resistance per transition direction, from the sizing targets.
-    if pseudo:
+    if states.pseudo:
         rise_resistance = 1.0 / PSEUDO_LOAD_WIDTH
         fall_resistance = PSEUDO_PULL_DOWN_TARGET
     else:
         rise_resistance = 1.0
         fall_resistance = 1.0
 
-    order = netlist.input_signals
-    num_vars = len(order)
     fo4_per_signal: dict[str, float] = {}
     fo4_worst = 0.0
 
-    pd_devices = [d for d in netlist.devices if d.role in _PULL_DOWN_ROLES]
-    pu_devices = [d for d in netlist.devices if d.role in _PULL_UP_ROLES]
-
-    for signal in order:
+    for position, signal in enumerate(netlist.input_signals):
         cap_in = signal_cap.get(signal, 0.0)
         load = FANOUT * cap_in
         transition_delays: list[float] = []
         worst_for_signal = 0.0
-        for minterm in range(1 << num_vars):
-            assignment = {
-                name: bool((minterm >> i) & 1) for i, name in enumerate(order)
-            }
-            before = _output_value(netlist, assignment)
-            toggled = dict(assignment)
-            toggled[signal] = not toggled[signal]
-            after = _output_value(netlist, toggled)
-            if before is None or after is None or before == after:
-                continue
-            rail_value = after
-            rail = VDD if rail_value else VSS
+        # Every state whose driven output flips when ``signal`` toggles; the
+        # transition settles in the toggled state, driven by its rail.
+        for state in iter_bits(states.toggles(position)):
+            toggled = state ^ (1 << position)
+            rail_value = bool(states.high >> toggled & 1)
             nominal_r = rise_resistance if rail_value else fall_resistance
             simple = nominal_r * (c_out + load) / c_unit
             transition_delays.append(simple)
 
-            devices = pu_devices if rail_value else pd_devices
-            resistances = _effective_resistances(
-                devices, toggled, rail, rail_value, weak
-            )
-            if resistances is None:
+            drive = states.drive(toggled, rail_value)
+            if drive is None:
                 elmore = simple
             else:
-                r_drive = resistances[OUTPUT]
-                internal = 0.0
-                for node, r_node in resistances.items():
-                    if node in (rail, OUTPUT, VDD, VSS):
-                        continue
-                    internal += r_node * netlist.node_capacitance(node)
+                r_drive, internal = drive
                 elmore = (internal + r_drive * (c_out + load)) / c_unit
             worst_for_signal = max(worst_for_signal, elmore, simple)
         if transition_delays:

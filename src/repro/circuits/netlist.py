@@ -23,9 +23,10 @@ CMOS static                        complementary PU, XOR terms not available
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.circuits.sizing import (
     PSEUDO_LOAD_WIDTH,
@@ -53,6 +54,9 @@ from repro.devices.transmission_gate import (
     pass_transistor_device,
     transmission_gate_devices,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.circuits.switch_sim import SwitchStates
 
 VDD = "VDD"
 VSS = "VSS"
@@ -140,6 +144,16 @@ class CellNetlist:
         for device in self.devices:
             literals.update(device.signal_loads())
         return tuple(sorted(literals, key=lambda lit: (lit.name, lit.negated)))
+
+    @cached_property
+    def switch_states(self) -> "SwitchStates":
+        """Switch-level behaviour in every input state, built on first use
+        and shared by simulation, delay and power characterization (the
+        import is local because :mod:`repro.circuits.switch_sim` builds on
+        this module)."""
+        from repro.circuits.switch_sim import SwitchStates
+
+        return SwitchStates(self)
 
 
 class _NodeNamer:

@@ -170,8 +170,14 @@ def library_fingerprint(library: GateLibrary) -> str:
 
 @lru_cache(maxsize=None)
 def _family_fingerprint(family: LogicFamily) -> str:
-    """Per-family memo of :func:`library_fingerprint` (libraries are cached)."""
-    return library_fingerprint(build_library(family))
+    """Per-family memo of :func:`library_fingerprint` (libraries are cached).
+
+    The first call per family builds and power-characterizes its library,
+    so it runs under a ``library`` span: a run's first cache key otherwise
+    hides that set-up work outside every span.
+    """
+    with obs.span("library", category="setup", family=family.value):
+        return library_fingerprint(build_library(family))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class LiveProgress:
         self.retried = 0
         self.failed = 0
         self.degraded = 0
-        self._last_render = 0.0
+        self._last_render = float("-inf")  # never rendered
         self._dirty = False
 
     # -- feed ---------------------------------------------------------------

@@ -10,11 +10,14 @@ CLI exporters write valid files while leaving the artifacts byte-identical.
 
 import json
 import os
+from functools import lru_cache
 
 import pytest
 
 from repro import obs, profiling
 from repro.core.families import LogicFamily
+from repro.core.library import build_library
+from repro.experiments import engine as engine_module
 from repro.experiments import faults
 from repro.experiments.engine import ExperimentEngine, MapJob
 from repro.experiments.faults import FaultPlan
@@ -118,6 +121,38 @@ class TestCrossProcessTrace:
         obs.enable_tracing()
         traced = ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(jobs)
         assert _result_view(traced) == _result_view(plain)
+
+    def test_library_builds_are_spanned_under_the_caller(self, monkeypatch):
+        # A fresh build_library memo stands in for a cleared one, so the
+        # libraries other tests already hold stay the process's libraries.
+        monkeypatch.setattr(
+            engine_module,
+            "build_library",
+            lru_cache(maxsize=None)(build_library.__wrapped__),
+        )
+        engine_module._family_fingerprint.cache_clear()
+        obs.enable_tracing()
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        with obs.span("caller"):
+            traced = engine.run_table2()
+            # Table 2 has no pass-static column; a map key builds that one.
+            engine.map_job_key(MapJob("add-16", LogicFamily.PASS_STATIC))
+        spans = obs.spans()
+        caller = next(s for s in spans if s.name == "caller")
+        libraries = [s for s in spans if s.name == "library"]
+        assert len(libraries) == 5
+        assert {s.category for s in libraries} == {"setup"}
+        assert {s.parent_id for s in libraries} == {caller.span_id}
+        assert sorted(s.attributes["family"] for s in libraries) == sorted(
+            family.value for family in LogicFamily
+        )
+        # Table 2's keys, and so its builds, come before its own span opens.
+        table2 = next(s for s in spans if s.name == "run_table2")
+        assert sum(s.start_us <= table2.start_us for s in libraries) == 4
+
+        obs.disable_tracing()
+        engine_module._family_fingerprint.cache_clear()
+        assert ExperimentEngine(jobs=1, use_cache=False).run_table2() == traced
 
 
 class TestProfileMerge:

@@ -89,7 +89,10 @@ class TestRendering:
         progress.clear()
         assert stream.getvalue().endswith("\r\x1b[K")
 
-    def test_throttle_suppresses_intermediate_renders(self):
+    def test_throttle_suppresses_intermediate_renders(self, monkeypatch):
+        # A clock that reads less than ``min_interval`` (a host booted under
+        # an hour ago) must not swallow the first render.
+        monkeypatch.setattr("repro.obs.live.time.monotonic", lambda: 5.0)
         stream = io.StringIO()
         progress = LiveProgress(stream=stream, min_interval=3600.0)
         progress.start_batch(3)  # first render goes through
