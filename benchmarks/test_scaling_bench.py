@@ -5,8 +5,11 @@ bigger instances of the same generator families -- a 16-bit array multiplier,
 a 32-bit dedicated ALU and a two-round DES block -- at K=4 and K=6 so the
 nightly ``scaling_bench.json`` artifact tracks how the vectorized cut
 pipeline and the mapping DP behave as node count and cut pressure grow.
-Each mapping is additionally spot-verified against the subject AIG on a
-deterministic packed pattern set.
+A recovery lane maps the multiplier and the DES block at K=6 with one
+required-time recovery round and a warm cut memo, so it times the DP
+solves and the covers with their static timing.  Each mapping is
+additionally spot-verified against the subject AIG on a deterministic
+packed pattern set.
 """
 
 import random
@@ -17,7 +20,7 @@ from repro.bench.generators.alu import dedicated_alu_circuit
 from repro.bench.generators.des import des_round_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily
-from repro.synthesis.mapper import technology_map, verify_mapping
+from repro.synthesis.mapper import map_rounds, technology_map, verify_mapping
 
 pytestmark = pytest.mark.slow
 
@@ -45,6 +48,14 @@ def _cold_map(aig, library, matcher, objective, max_inputs):
     )
 
 
+def _verify(aig, mapped, label):
+    seed = random.Random(f"scaling:{label}")
+    patterns = {
+        pi: [seed.getrandbits(64) for _ in range(2)] for pi in aig.pi_names
+    }
+    assert verify_mapping(mapped, aig, patterns)
+
+
 @pytest.mark.parametrize("name", sorted(SCALING_CIRCUITS))
 @pytest.mark.parametrize("max_inputs", [4, 6])
 def test_bench_scaling_map(benchmark, libraries, matchers, scaling_aigs, name, max_inputs):
@@ -61,8 +72,23 @@ def test_bench_scaling_map(benchmark, libraries, matchers, scaling_aigs, name, m
     )
     assert mapped.gate_count > 0
     assert mapped.levels > 0
-    seed = random.Random(f"scaling:{name}:{max_inputs}")
-    patterns = {
-        pi: [seed.getrandbits(64) for _ in range(2)] for pi in aig.pi_names
-    }
-    assert verify_mapping(mapped, aig, patterns)
+    _verify(aig, mapped, f"{name}:{max_inputs}")
+
+
+@pytest.mark.parametrize("name", ["des-2r", "mult-16"])
+def test_bench_scaling_recovery(benchmark, libraries, matchers, scaling_aigs, name):
+    """One recovery round at K=6 on an oversized circuit, cut memo warm (the
+    warm-up round fills it): the DP solves plus every cover and its timing."""
+    aig = scaling_aigs[name]
+    family = LogicFamily.TG_STATIC
+    result = benchmark.pedantic(
+        map_rounds,
+        args=(aig, libraries[family]),
+        kwargs={"matcher": matchers[family], "max_inputs": 6, "rounds": 1},
+        rounds=3,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert len(result.rounds) == 2
+    assert result.final.normalized_delay <= result.rounds[0].normalized_delay + 1e-9
+    _verify(aig, result.final, f"{name}:recovery")

@@ -2,8 +2,9 @@
 
 The runner's ``--profile`` flag enables a process-global accumulator; the
 pipeline stages -- ``optimize`` (technology-independent flow), ``cuts``
-(enumeration), ``match`` (forward DP), ``cover`` (covering + timing) and
-``verify`` (mapped-netlist equivalence check) -- wrap their hot sections in
+(enumeration), ``match`` (candidate tables and prices), ``dp`` (one DP
+solve), ``cover`` (one cover with its timing, cost and reference counts)
+and ``verify`` (mapped-netlist equivalence check) -- wrap their hot sections in
 :func:`stage`, which is a no-op costing one attribute read when profiling is
 disabled.  :func:`snapshot` returns the accumulated seconds and entry counts
 for the JSON report, so future performance work can attribute wins per stage.

@@ -34,7 +34,8 @@ elementwise IEEE-754 operations in the same order as the scalar code, no
 reassociating reductions -- because the ``1e-9`` tie-breaks are not
 transitive: a reordered comparison sequence can select a different (equally
 "best") cell and change downstream artifacts.  Third-party models registered
-without the hooks simply keep the scalar DP path.
+without the hooks map through an adapter that calls their scalar
+``gate_cost``/``better`` once per row (``repro.synthesis.mapper._RowwiseHooks``).
 
 Models are stateless singletons looked up by objective name
 (:func:`cost_model_for`); the per-mapping context (activities, resolved pin
@@ -130,8 +131,8 @@ class CostModel(Protocol):
         :meth:`gate_cost` would return for the equivalent
         :class:`MatchCandidate` (same operations in the same order).  The
         returned array may alias table storage and must not be mutated by
-        callers.  Optional: the mapper falls back to the scalar DP for
-        models that do not provide it.
+        callers.  Optional: for models that do not provide it the mapper
+        calls :meth:`gate_cost` once per row instead.
         """
         ...  # pragma: no cover - protocol stub
 

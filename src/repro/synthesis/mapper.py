@@ -1,35 +1,41 @@
 """Cut-based technology mapping onto a characterized gate library.
 
-The mapper is a layered engine in the spirit of ABC's ``map`` command:
+The mapper is a layered engine in the spirit of ABC's ``map`` command; each
+layer has one production path over struct-of-arrays tables:
 
 1. **Matching.**  Priority cuts are enumerated for every AND node and matched
    against the library through the NPN-canonical index
    (:class:`~repro.synthesis.matcher.LibraryMatcher`).  The matches are
-   assembled once per mapping call into a per-node candidate table
-   (:class:`~repro.synthesis.cost.MatchCandidate`) read straight off the
-   :class:`~repro.synthesis.cuts.CutSet` arrays, so re-pricing the same
-   matches across recovery rounds costs nothing.
+   assembled once per cut set and cell policy into a :class:`CandidateTable`
+   (one row per matched cut, read straight off the
+   :class:`~repro.synthesis.cuts.CutSet` arrays) and priced once per cost
+   model into a per-row price array, so re-pricing the same matches across
+   recovery rounds costs nothing.
 2. **Dynamic programming.**  A forward pass computes, for every node, the
    best arrival time and cost flow over its candidates.  The objective
    policy -- local gate cost, arrival/flow tie-break, preferred cell per
    canonical class -- is owned entirely by the
    :class:`~repro.synthesis.cost.CostModel` (``delay``/``area``/``power``);
-   the DP itself is objective agnostic.  For models providing the batch
-   hooks (all built-ins) the pass runs vectorized over a
-   :class:`CandidateTable`: nodes are processed one AIG level at a time
-   (``aig_array`` level buckets) and the per-node candidate scan becomes a
-   slot-indexed incumbent update across the whole level, bitwise identical
-   to the scalar scan (see :func:`_dp_round_batched`); the scalar
-   :func:`_dp_round` is retained as the oracle and as the fallback for
-   third-party cost models without the hooks.  Recovery re-solves are
-   *incremental*: only nodes whose required time, reference count or leaf
-   arrivals/flows actually changed since the previous round are re-chosen
-   (:class:`_DpState` carries the previous solution).
-3. **Covering.**  A backward traversal from the primary outputs selects the
-   chosen cut of every required node and instantiates one library gate per
-   selected cut.
+   the DP itself is objective agnostic.  Nodes are processed one AIG level
+   at a time (``aig_array`` level buckets) and the per-node candidate scan
+   is a slot-indexed incumbent update across the whole level, decision for
+   decision the scalar scan (see :func:`_dp_round_batched`).  A cost model
+   registered without the batch hooks is wrapped in an elementwise adapter
+   (:class:`_RowwiseHooks`) that calls its ``gate_cost`` and ``better`` per
+   row.  Recovery re-solves are *incremental*: only nodes whose required
+   time, reference count or leaf arrivals/flows actually changed since the
+   previous round are re-chosen (:class:`_DpState` carries the previous
+   solution).
+3. **Covering.**  :func:`_cover_rows` marks the nodes the primary outputs
+   need, one AIG level at a time from the top, gathers the chosen rows'
+   columns and builds one library gate per live node in ascending output
+   order, resolving cell attributes and pin loads once per distinct match.
+   The cover is timed by the array STA core of :mod:`repro.analysis.timing`
+   (:func:`~repro.analysis.timing.static_timing`), priced by summing the
+   DP's price array at its rows, and its exact reference counts come from
+   the STA's load count.
 4. **Required-time recovery** (``rounds > 0``).  Round 0 maps under the
-   requested objective exactly as above; each recovery round then computes
+   requested objective exactly as above; each recovery round then takes
    required times against the round-0 deadline over the previous cover and
    re-runs the DP under the recovery cost model (area or power flow with
    exact per-cover reference counts), accepting per node only candidates
@@ -38,15 +44,18 @@ The mapper is a layered engine in the spirit of ABC's ``map`` command:
    round so far, so recovery can only improve the recovered axis at equal
    worst delay.
 
+Under ``--profile``/``--trace`` the layers are the stages ``match``
+(candidate tables and prices), ``dp`` (every DP solve) and ``cover`` (every
+cover with its timing, cost and reference counts).
+
 Input and output polarities are free: every library cell carries an output
 inverter providing both polarities, and the XOR transmission gates accept both
 literal polarities directly (paper Secs. 3.1 and 4.3); the CMOS reference
 library is mapped under exactly the same convention so that the comparison is
-fair.  Circuit-level timing is computed on the mapped netlist by the
-arrival/required/slack engine of :mod:`repro.analysis.timing` with the
-paper's load assumption (every fanout charges one standard input capacitance
-per switching event) and normalized to the technology intrinsic delay
-``tau`` to produce the Table-3 "Norm." and "Abs." columns.
+fair.  Circuit-level timing uses the paper's load assumption (every fanout
+charges one standard input capacitance per switching event) and is
+normalized to the technology intrinsic delay ``tau`` to produce the Table-3
+"Norm." and "Abs." columns.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ import numpy as np
 
 from repro import obs, profiling
 from repro.core.library import GateLibrary
-from repro.synthesis.aig import Aig, lit_node
+from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cost import (
     EPSILON,
@@ -80,6 +89,7 @@ from repro.synthesis.matcher import CellMatch, _MatcherBase, matcher_for
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.activity import ActivityReport
     from repro.analysis.power import NetlistPower
+    from repro.analysis.timing import TimingArrays
 
 
 @dataclass(frozen=True)
@@ -230,193 +240,7 @@ def _pin_bindings(match: CellMatch) -> tuple[tuple[str, bool], ...]:
     )
 
 
-def _candidates_for(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
-) -> list[list[MatchCandidate]]:
-    """The (memoized) candidate table of a cut set under one matcher/policy.
-
-    The memo lives on the :class:`CutSet` (which is itself memoized per AIG
-    structure) keyed by matcher identity and preferred-cell policy, so the
-    repeated mappings of one subject -- the three objectives of a Pareto
-    sweep, the rounds of a recovery run, re-maps after the cut memo warmed
-    -- pay for matching and candidate construction once.  The matcher is
-    stored in the entry to keep the identity key valid.
-    """
-    memo = cut_set.__dict__.get("_match_tables")
-    if memo is None:
-        memo = {}
-        object.__setattr__(cut_set, "_match_tables", memo)
-        _track_cutset_memo(cut_set)
-    key = (id(matcher), prefer)
-    entry = memo.get(key)
-    if entry is None or entry[0] is not matcher:
-        memo[key] = entry = (
-            matcher,
-            _build_candidates(arrays, cut_set, matcher, prefer),
-        )
-    return entry[1]
-
-
-def _build_candidates(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
-) -> list[list[MatchCandidate]]:
-    """Per-node candidate table: every matched ranked cut of every AND node.
-
-    Reads the :class:`CutSet` struct-of-arrays directly -- the valid
-    ``(node, slot)`` pairs are flattened with one ``repeat``/``arange`` pass
-    and only those compact rows are converted to Python scalars, instead of
-    materializing the full padded ``as_python`` view.  Candidate order per
-    node is slot order (the cut ranking), nodes in topological order, so the
-    DP sees exactly the sequence the historical single-pass mapper saw.
-    """
-    candidates: list[list[MatchCandidate]] = [[] for _ in range(arrays.num_nodes)]
-    and_nodes = arrays.and_nodes
-    if and_nodes.size == 0:
-        return candidates
-    # Ranked cuts only: the last valid slot of every node is the trivial
-    # ``{node}`` cut, which participates in fanout merging but is never
-    # matched on its own.
-    per_node = cut_set.count[and_nodes] - 1
-    total = int(per_node.sum())
-    if total == 0:
-        return candidates
-    nodes_rep = np.repeat(and_nodes, per_node)
-    starts = np.concatenate(([0], np.cumsum(per_node)[:-1]))
-    slots = np.arange(total) - np.repeat(starts, per_node)
-
-    node_list = nodes_rep.tolist()
-    size_list = cut_set.size[nodes_rep, slots].tolist()
-    table_list = cut_set.table[nodes_rep, slots].tolist()
-    support_list = cut_set.support[nodes_rep, slots].tolist()
-    leaves_rows = cut_set.leaves[nodes_rep, slots].tolist()
-
-    match_positions = matcher.match_positions
-    for index in range(total):
-        found = match_positions(
-            size_list[index],
-            table_list[index],
-            prefer=prefer,
-            support_mask=support_list[index],
-        )
-        if found is None:
-            continue
-        match, positions, table = found
-        row = leaves_rows[index]
-        cell = match.cell
-        fo4 = cell.delay.fo4_average
-        parasitic = cell.delay.parasitic_output
-        candidates[node_list[index]].append(
-            MatchCandidate(
-                leaves=tuple(row[p] for p in positions),
-                table=table,
-                match=match,
-                delay=fo4,
-                area=cell.area,
-                parasitic=parasitic,
-                effort=max(fo4 - parasitic, 0.0) / 4.0,
-            )
-        )
-    return candidates
-
-
-def _price_candidates(
-    and_node_list: list[int],
-    candidates: list[list[MatchCandidate]],
-    model: CostModel,
-    context: MappingContext,
-) -> list[list[float]]:
-    """Per-candidate local gate costs under one cost model.
-
-    Computed once per (model, mapping call) and reused by every round that
-    prices under that model -- the costs are round-invariant, only the flow
-    normalization and the required-time constraints change between rounds.
-    """
-    gate_cost = model.gate_cost
-    prices: list[list[float]] = [[] for _ in range(len(candidates))]
-    for node in and_node_list:
-        prices[node] = [gate_cost(cand, node, context) for cand in candidates[node]]
-    return prices
-
-
-_DELAY_TIEBREAK = cost_model_for("delay")
-
-
-def _dp_round(
-    aig: Aig,
-    library: GateLibrary,
-    and_node_list: list[int],
-    candidates: list[list[MatchCandidate]],
-    prices: list[list[float]],
-    model: CostModel,
-    references: list[float],
-    required: list[float] | None = None,
-    load_aware: bool = False,
-) -> tuple[dict[int, MatchCandidate], list[float], list[float]]:
-    """One forward DP pass: best candidate, arrival and flow per node.
-
-    Without ``required`` this is the classical single-pass mapping under
-    ``model`` with FO4 cell delays (round 0).  With ``required`` only
-    candidates meeting their node's deadline compete under ``model``; if
-    none does, the arrival-optimal candidate is chosen instead so arrivals
-    degrade as little as possible.  ``load_aware`` switches the arrival
-    model to the timing engine's ``parasitic + effort * loads`` using the
-    per-node reference estimate as the load -- the recovery rounds use it
-    so the DP's deadlines line up with the re-timed circuit.
-    """
-    num_nodes = len(candidates)
-    arrival_list = [0.0] * num_nodes
-    flow_list = [0.0] * num_nodes
-    choices: dict[int, MatchCandidate] = {}
-    better = model.better
-    fallback_better = _DELAY_TIEBREAK.better
-
-    for node in and_node_list:
-        best: MatchCandidate | None = None
-        best_arrival = best_flow = 0.0
-        fallback: MatchCandidate | None = None
-        fallback_arrival = fallback_flow = 0.0
-        node_required = required[node] if required is not None else None
-        node_references = references[node]
-        for candidate, cost in zip(candidates[node], prices[node]):
-            leaves = candidate.leaves
-            gate_delay = (
-                candidate.parasitic + candidate.effort * node_references
-                if load_aware
-                else candidate.delay
-            )
-            arrival = (
-                max((arrival_list[leaf] for leaf in leaves), default=0.0)
-                + gate_delay
-            )
-            flow = (
-                cost + sum(flow_list[leaf] for leaf in leaves)
-            ) / node_references
-            if node_required is not None:
-                if fallback is None or fallback_better(
-                    arrival, flow, fallback_arrival, fallback_flow
-                ):
-                    fallback = candidate
-                    fallback_arrival, fallback_flow = arrival, flow
-                if arrival > node_required + EPSILON:
-                    continue
-            if best is None or better(arrival, flow, best_arrival, best_flow):
-                best = candidate
-                best_arrival, best_flow = arrival, flow
-        if best is None:
-            if fallback is None:
-                raise MappingError(
-                    f"node {node} of {aig.name!r} has no matching cell in library "
-                    f"{library.name!r}"
-                )
-            best = fallback
-            best_arrival, best_flow = fallback_arrival, fallback_flow
-        choices[node] = best
-        arrival_list[node] = best_arrival
-        flow_list[node] = best_flow
-    return choices, arrival_list, flow_list
-
-
-# -- vectorized DP ------------------------------------------------------------
+# -- candidate table ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -425,7 +249,7 @@ class CandidateTable:
 
     Rows are grouped contiguously per node in ascending node id (which is
     also topological order for an :class:`Aig`), each node's rows in cut
-    slot order -- exactly the candidate sequence the scalar DP iterates.
+    slot order -- the order the DP's incumbent scan visits them in.
     ``leaves`` rows are the support-reduced cut leaves in cell input order,
     padded with node 0 (whose arrival and flow are exactly ``0.0``, so
     padded slots are no-ops in the max/sum kernels).  ``matches`` holds the
@@ -459,12 +283,9 @@ class CandidateTable:
         return int(self.node.shape[0])
 
     def candidate(self, row: int) -> MatchCandidate:
-        """Materialize one row as a :class:`MatchCandidate` (cover phase).
-
-        Object construction dominates the scalar table build, so the batched
-        path only pays it here -- for the few hundred rows a cover actually
-        selects, not the tens of thousands the DP scans.
-        """
+        """Materialize one row as a :class:`MatchCandidate`: the argument of
+        a cost model's scalar :meth:`~repro.synthesis.cost.CostModel.gate_cost`
+        (see :class:`_RowwiseHooks`)."""
         width = int(self.width[row])
         return MatchCandidate(
             leaves=tuple(int(leaf) for leaf in self.leaves[row, :width]),
@@ -555,19 +376,20 @@ def _build_candidate_table(
 ) -> CandidateTable:
     """Vectorized candidate-table construction (batched Boolean matching).
 
-    The valid ``(node, slot)`` pairs are flattened as in
-    :func:`_build_candidates` and the matcher is consulted once per
-    *distinct* ``(size, table)`` function.  With a matcher exposing the
-    columnar batch API (:meth:`LibraryMatcher.match_table`) the whole match
-    resolution is a handful of vector passes -- batched canonicalization,
-    one ``searchsorted`` per arity, vectorized transform composition -- and
-    the candidate columns are gathered straight out of the
+    The valid ``(node, slot)`` pairs of the ranked cuts are flattened with
+    one ``repeat``/``arange`` pass (the last valid slot of every node is the
+    trivial ``{node}`` cut, which is never matched on its own) and the
+    matcher is consulted once per *distinct* ``(size, table)`` function.
+    With a matcher exposing the columnar batch API
+    (:meth:`LibraryMatcher.match_table`) the whole match resolution is a
+    handful of vector passes -- batched canonicalization, one
+    ``searchsorted`` per arity, vectorized transform composition -- and the
+    candidate columns are gathered straight out of the
     :class:`~repro.synthesis.matcher.MatchTable`.  Other matchers (and
     ``REPRO_SCALAR_MATCH=1``) fall back to the per-distinct-function scalar
-    ``match_positions`` loop, which is the pinned oracle.  Row order is
-    identical to the scalar build (nodes ascending, slot order within a
-    node), and no :class:`MatchCandidate` objects are created -- see
-    :meth:`CandidateTable.candidate`.
+    ``match_positions`` loop, which is the pinned oracle.  Rows are ordered
+    nodes ascending, slot order within a node, and no
+    :class:`MatchCandidate` objects are created.
     """
     and_nodes = arrays.and_nodes
     max_inputs = cut_set.max_inputs
@@ -691,14 +513,21 @@ def _build_candidate_table(
 def _candidate_table_for(
     arrays, cut_set, matcher: _MatcherBase, prefer: str
 ) -> CandidateTable:
-    """Memoized :func:`_build_candidate_table` (same scheme as
-    :func:`_candidates_for`, distinct memo key space)."""
+    """The (memoized) candidate table of a cut set under one matcher/policy.
+
+    The memo lives on the :class:`CutSet` (which is itself memoized per AIG
+    structure) keyed by matcher identity and preferred-cell policy, so the
+    repeated mappings of one subject -- the three objectives of a Pareto
+    sweep, the rounds of a recovery run, re-maps after the cut memo warmed
+    -- pay for matching and table construction once.  The matcher is
+    stored in the entry to keep the identity key valid.
+    """
     memo = cut_set.__dict__.get("_match_tables")
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_match_tables", memo)
         _track_cutset_memo(cut_set)
-    key = ("batched", id(matcher), prefer)
+    key = ("candidates", id(matcher), prefer)
     entry = memo.get(key)
     if entry is None or entry[0] is not matcher:
         memo[key] = entry = (
@@ -713,9 +542,10 @@ def _concat_candidate_tables(
 ) -> tuple[CandidateTable, np.ndarray, np.ndarray]:
     """Merge two tables per node: ``base`` rows first, then ``extra`` rows.
 
-    Reproduces the scalar recovery merge (``base + extra`` candidate lists).
-    Also returns the destination row indices of both inputs so per-row
-    companions (the price arrays) can be permuted instead of re-priced.
+    Each node's candidate sequence is its ``base`` rows followed by its
+    ``extra`` rows.  Also returns the destination row indices of both
+    inputs so per-row companions (the price arrays) can be permuted instead
+    of re-priced.
     """
     count = base.count + extra.count
     start = np.concatenate(([0], np.cumsum(count)[:-1]))
@@ -787,34 +617,66 @@ class _DpState:
     choice: np.ndarray
 
 
-class _BatchedChoices:
-    """Lazy node -> :class:`MatchCandidate` view over a DP solution.
-
-    Supports the mapping interface the cover phase and the recovery cost
-    accounting need (``choices[node]``) while materializing candidate
-    objects only for the nodes actually requested.
-    """
-
-    def __init__(self, table: CandidateTable, choice_rows: np.ndarray) -> None:
-        self._table = table
-        self._rows = choice_rows
-        self._memo: dict[int, MatchCandidate] = {}
-
-    def __getitem__(self, node: int) -> MatchCandidate:
-        cached = self._memo.get(node)
-        if cached is None:
-            row = int(self._rows[node])
-            if row < 0:
-                raise KeyError(node)
-            cached = self._memo[node] = self._table.candidate(row)
-        return cached
-
-
 def _supports_batch(model: CostModel) -> bool:
     """Whether a cost model implements the vectorized DP hooks."""
     return callable(getattr(model, "price_batch", None)) and callable(
         getattr(model, "better_batch", None)
     )
+
+
+class _RowwiseHooks:
+    """Batch hooks for a cost model that defines only the scalar ones.
+
+    ``price_batch`` calls the model's ``gate_cost`` on every candidate row
+    and ``better_batch`` calls its ``better`` on every element, so the DP's
+    incumbent scan makes exactly the comparisons the model defines, one row
+    at a time.  Third-party models registered without the vectorized hooks
+    map through this adapter.
+    """
+
+    def __init__(self, model: CostModel) -> None:
+        self.model = model
+        self.name = model.name
+        self.prefer = model.prefer
+
+    def price_batch(self, table: CandidateTable, context: MappingContext) -> np.ndarray:
+        gate_cost = self.model.gate_cost
+        return np.array(
+            [
+                gate_cost(table.candidate(row), node, context)
+                for row, node in enumerate(table.node.tolist())
+            ],
+            dtype=np.float64,
+        )
+
+    def better_batch(
+        self,
+        arrival: np.ndarray,
+        flow: np.ndarray,
+        best_arrival: np.ndarray,
+        best_flow: np.ndarray,
+    ) -> np.ndarray:
+        better = self.model.better
+        return np.array(
+            [
+                better(*values)
+                for values in zip(
+                    arrival.tolist(),
+                    flow.tolist(),
+                    best_arrival.tolist(),
+                    best_flow.tolist(),
+                )
+            ],
+            dtype=bool,
+        )
+
+
+def _with_batch_hooks(model: CostModel) -> CostModel:
+    """The model itself if it has the vectorized hooks, else its adapter."""
+    return model if _supports_batch(model) else _RowwiseHooks(model)
+
+
+_DELAY_TIEBREAK = cost_model_for("delay")
 
 
 def _dp_round_batched(
@@ -828,18 +690,27 @@ def _dp_round_batched(
     load_aware: bool = False,
     state: _DpState | None = None,
 ) -> _DpState:
-    """Vectorized :func:`_dp_round`: level-batched, bitwise-identical scan.
+    """One forward DP pass: best candidate row, arrival and flow per node.
+
+    Without ``required`` this is the classical single-pass mapping under
+    ``model`` with FO4 cell delays (round 0).  With ``required`` only
+    candidates meeting their node's deadline compete under ``model``; if
+    none does, the arrival-optimal candidate is chosen instead so arrivals
+    degrade as little as possible.  ``load_aware`` switches the arrival
+    model to the timing engine's ``parasitic + effort * loads`` using the
+    per-node reference estimate as the load -- the recovery rounds use it
+    so the DP's deadlines line up with the re-timed circuit.
 
     Nodes are processed one AIG level at a time (every ranked-cut leaf lives
     on a strictly lower level than its node, so a level's inputs are final
-    when it is reached).  Per level the scalar candidate loop becomes a scan
-    over candidate *slots*: slot ``s`` of every node in the level is
+    when it is reached).  Per level the per-node candidate loop becomes a
+    scan over candidate *slots*: slot ``s`` of every node in the level is
     evaluated with one elementwise incumbent update.  Because the epsilon
     tie-breaks are not transitive, a plain argmin could pick a different
-    (equally "best") candidate than the scalar incumbent scan; iterating
-    slots in cut-rank order reproduces the scalar comparison sequence
-    exactly, so the selected rows -- and all downstream artifacts -- are
-    bit-identical.
+    (equally "best") candidate than a per-node incumbent scan; iterating
+    slots in cut-rank order reproduces the per-node comparison sequence
+    exactly (pinned against the scalar oracle DP), so the selected rows --
+    and all downstream artifacts -- are bit-identical.
 
     When ``state`` holds a previous solve of the same configuration (same
     table, prices, model, arrival model, constraint shape), the pass is
@@ -985,52 +856,113 @@ def _dp_round_batched(
     return state
 
 
-def _cover(
+@dataclass(frozen=True)
+class _Cover:
+    """One cover of the DP's chosen rows, with what the recovery loop reads.
+
+    ``timing`` is the STA core's view over the AIG's node ids, ``cost`` the
+    sum of the pricing array at the cover's rows (in ascending output order)
+    and ``references`` the exact per-node reference counts of the cover:
+    one per gate pin reading the node plus one per primary output it
+    drives, the structural fanout estimate elsewhere.
+    """
+
+    mapped: MappedCircuit
+    timing: TimingArrays
+    cost: float
+    references: np.ndarray
+
+
+def _gate_attributes(match: CellMatch, pin_capacitances) -> tuple:
+    """The :class:`MappedGate` fields one match fixes: the cell name and
+    function id, then every field after the truth table, in field order."""
+    cell = match.cell
+    fo4 = cell.delay.fo4_average
+    parasitic = cell.delay.parasitic_output
+    return (
+        cell.name,
+        cell.function_id,
+        (
+            cell.area,
+            fo4,
+            parasitic,
+            max(fo4 - parasitic, 0.0) / 4.0,
+            pin_capacitances(match),
+            match.match.output_negated,
+        ),
+    )
+
+
+def _cover_rows(
     aig: Aig,
     library: GateLibrary,
-    choices: dict[int, MatchCandidate],
+    arrays,
+    table: CandidateTable,
+    choice: np.ndarray,
     pin_capacitances,
-):
-    """Backward covering: instantiate one gate per selected cut and time it.
+    prices: np.ndarray,
+) -> _Cover:
+    """Cover the rows the DP chose (``choice[node]``, ``-1`` if none).
 
-    Returns the circuit together with its
-    :class:`~repro.analysis.timing.TimingReport` so the recovery driver can
-    reuse the arrival/required view without re-timing.
+    Nodes the primary outputs need are marked one AIG level at a time from
+    the top (a chosen cut's leaves sit on strictly lower levels), and the
+    live AND nodes' rows become one :class:`MappedGate` each, in ascending
+    output order.  The netlist is then timed by the STA core
+    (:func:`~repro.analysis.timing.static_timing`), whose load count also
+    gives the cover's reference counts, and priced as ``sum`` of ``prices``
+    at its rows.
     """
-    required: list[int] = []
-    seen: set[int] = set()
-    stack = [lit_node(literal) for literal in aig.po_literals]
-    while stack:
-        node = stack.pop()
-        if node in seen or node == 0 or aig.is_pi(node):
+    # Local import: the analysis package layers above synthesis.
+    from repro.analysis.timing import static_timing
+
+    po_nodes = arrays.po_literals >> 1
+    live = np.zeros(table.num_nodes, dtype=bool)
+    live[po_nodes] = True
+    for nodes in reversed(table.level_nodes):
+        nodes = nodes[live[nodes]]
+        if not nodes.size:
             continue
-        seen.add(node)
-        required.append(node)
-        for leaf in choices[node].leaves:
-            stack.append(leaf)
-
-    gates: list[MappedGate] = []
-    for node in sorted(required):
-        choice = choices[node]
-        cell = choice.match.cell
-        effort = max(cell.delay.fo4_average - cell.delay.parasitic_output, 0.0) / 4.0
-        leaf_loads = pin_capacitances(choice.match)
-        gates.append(
-            MappedGate(
-                output=node,
-                cell_name=cell.name,
-                function_id=cell.function_id,
-                leaves=choice.leaves,
-                table=choice.table,
-                area=cell.area,
-                intrinsic_delay=cell.delay.fo4_average,
-                parasitic_delay=cell.delay.parasitic_output,
-                effort_delay=effort,
-                leaf_loads=leaf_loads,
-                inverted=choice.match.match.output_negated,
+        rows = choice[nodes]
+        if rows.min() < 0:
+            node = int(nodes[rows < 0][0])
+            raise MappingError(
+                f"node {node} of {aig.name!r} has no chosen match in library "
+                f"{library.name!r}"
             )
-        )
+        # Padded leaf slots are node 0, the constant, which is never a gate.
+        live[table.leaves[rows]] = True
+    outputs = table.and_nodes[live[table.and_nodes]]
+    rows = choice[outputs]
+    leaves = table.leaves[rows]
+    width = table.width[rows]
 
+    distinct, local = np.unique(table.match_index[rows], return_inverse=True)
+    attributes = [
+        _gate_attributes(table.matches[index], pin_capacitances)
+        for index in distinct.tolist()
+    ]
+    gates = [
+        MappedGate(output, name, function_id, tuple(leaf_row[:count]), bits, *rest)
+        for output, leaf_row, count, bits, (name, function_id, rest) in zip(
+            outputs.tolist(),
+            leaves.tolist(),
+            width.tolist(),
+            table.table_bits[rows].tolist(),
+            [attributes[index] for index in local.tolist()],
+        )
+    ]
+
+    # The table's delay columns hold the matched cells' own figures, the
+    # ones the gates carry.
+    timing = static_timing(
+        outputs,
+        leaves,
+        width,
+        table.parasitic[rows],
+        table.effort[rows],
+        po_nodes,
+        table.num_nodes,
+    )
     mapped = MappedCircuit(
         name=aig.name,
         library_name=library.name,
@@ -1038,57 +970,30 @@ def _cover(
         gates=gates,
         primary_inputs=aig.pi_names,
         primary_outputs=aig.po_names,
-        po_nodes=tuple(lit_node(literal) for literal in aig.po_literals),
+        po_nodes=tuple(po_nodes.tolist()),
+        levels=timing.levels,
+        normalized_delay=timing.normalized_delay,
+        worst_slack=timing.worst_slack(),
     )
-    # Static timing on the mapped netlist is owned by the analysis engine
-    # (local import: the analysis package layers above synthesis).
-    from repro.analysis.timing import compute_timing
-
-    report = compute_timing(mapped)
-    mapped.normalized_delay = report.normalized_delay
-    mapped.levels = report.levels
-    mapped.worst_slack = report.worst_slack()
-    return mapped, report
+    references = np.where(
+        timing.loads > 0, timing.loads, np.maximum(arrays.fanout, 1)
+    ).astype(np.float64)
+    return _Cover(mapped, timing, sum(prices[rows].tolist()), references)
 
 
-def _cover_references(mapped: MappedCircuit, fanout: list[int]) -> list[float]:
-    """Exact per-node reference counts of a cover (recovery-round flows).
-
-    A node selected by the previous round is referenced once per cover gate
-    reading it as a leaf plus once per primary output it drives -- the exact
-    sharing the area/power flow normalizes by, and the load estimate of the
-    recovery rounds' arrival model.  Nodes outside the cover keep their
-    structural fanout estimate.
-    """
-    counts: dict[int, int] = {}
-    for gate in mapped.gates:
-        for leaf in gate.leaves:
-            counts[leaf] = counts.get(leaf, 0) + 1
-    for node in mapped.po_nodes:
-        counts[node] = counts.get(node, 0) + 1
-    references = [max(count, 1.0) for count in fanout]
-    for node, count in counts.items():
-        references[node] = float(max(count, 1))
-    return references
-
-
-def _required_times(num_nodes: int, report, deadline: float) -> list[float]:
+def _required_times(timing: TimingArrays, deadline: float) -> np.ndarray:
     """Per-node required times of a cover, re-anchored at ``deadline``.
 
-    The timing report's required times are computed against the previous
-    round's own worst arrival; shifting them onto the requested deadline
-    hands every net its recoverable slack (a deadline *below* the report's
-    worst arrival tightens every net -- the recovery driver uses that to
-    compensate load-estimate drift).  Nodes outside the cover are
-    unconstrained (``+inf``): their arrival only matters through covered
-    sinks, which enforce their own deadlines against actual leaf arrivals.
+    The STA's required times are computed against the cover's own worst
+    arrival; shifting them onto the requested deadline hands every net its
+    recoverable slack (a deadline *below* the worst arrival tightens every
+    net -- the recovery loop uses that to compensate load-estimate
+    drift).  Nodes outside the cover are unconstrained (``+inf``): their
+    arrival only matters through covered sinks, which enforce their own
+    deadlines against actual leaf arrivals.
     """
-    shift = deadline - report.normalized_delay
-    required = [float("inf")] * num_nodes
-    for net, value in report.required.items():
-        if 0 <= net < num_nodes:
-            required[net] = value + shift
-    return required
+    shift = deadline - timing.normalized_delay
+    return np.where(timing.nets, timing.required + shift, np.inf)
 
 
 def map_rounds(
@@ -1122,10 +1027,12 @@ def map_rounds(
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    model = cost_model_for(objective)
+    model = _with_batch_hooks(cost_model_for(objective))
     recovery_model: CostModel | None = None
     if rounds > 0:
-        recovery_model = cost_model_for(resolve_recovery(objective, recovery))
+        recovery_model = _with_batch_hooks(
+            cost_model_for(resolve_recovery(objective, recovery))
+        )
     if matcher is None:
         matcher = matcher_for(library)
 
@@ -1163,88 +1070,79 @@ def map_rounds(
         cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
         arrays = aig_arrays(aig)
 
-    # The batched DP engine needs the vectorized cost hooks on every model
-    # that will price candidates this call; a third-party model without them
-    # keeps the scalar oracle path for the whole run.
-    batched = _supports_batch(model) and (
-        recovery_model is None or _supports_batch(recovery_model)
-    )
-
-    and_node_list = arrays.and_nodes.tolist()
-    fanout = arrays.fanout.tolist()
-    structural_references = [max(count, 1.0) for count in fanout]
-
     # Candidate tables are keyed by the preferred-cell policy (delay-optimal
     # vs area-optimal cell per canonical class) and shared between models;
     # prices are keyed by (model, policy).  Both are built at most once per
-    # call.
-    candidate_tables: dict[str, object] = {}
-    price_tables: dict[tuple[str, str], object] = {}
+    # call, each build under its own ``match`` stage.
+    candidate_tables: dict[str, CandidateTable] = {}
+    price_tables: dict[tuple[str, str], np.ndarray] = {}
 
     def tables_for(which: CostModel, prefer: str | None = None):
-        prefer = which.prefer if prefer is None else prefer
-        table = candidate_tables.get(prefer)
-        if table is None:
-            table = candidate_tables[prefer] = (
-                _candidate_table_for(arrays, cut_set, matcher, prefer)
-                if batched
-                else _candidates_for(arrays, cut_set, matcher, prefer)
-            )
-            rows = (
-                table.num_rows
-                if batched
-                else sum(len(node_rows) for node_rows in table)
-            )
-            obs.count("mapper.candidate_rows", rows)
-            obs.annotate(candidate_rows=rows)
-        prices = price_tables.get((which.name, prefer))
-        if prices is None:
-            prices = price_tables[(which.name, prefer)] = (
-                which.price_batch(table, context)
-                if batched
-                else _price_candidates(and_node_list, table, which, context)
-            )
-        return table, prices
+        with profiling.stage("match"):
+            prefer = which.prefer if prefer is None else prefer
+            table = candidate_tables.get(prefer)
+            if table is None:
+                table = candidate_tables[prefer] = _candidate_table_for(
+                    arrays, cut_set, matcher, prefer
+                )
+                obs.count("mapper.candidate_rows", table.num_rows)
+                obs.annotate(candidate_rows=table.num_rows)
+            prices = price_tables.get((which.name, prefer))
+            if prices is None:
+                prices = price_tables[(which.name, prefer)] = which.price_batch(
+                    table, context
+                )
+            return table, prices
 
-    dp_state: _DpState | None = None
+    def cover(table: CandidateTable, choice: np.ndarray, prices: np.ndarray) -> _Cover:
+        with profiling.stage("cover"):
+            return _cover_rows(
+                aig, library, arrays, table, choice, pin_capacitances, prices
+            )
+
     with obs.span(
         "map-round", category="round", round=0, objective=model.name
     ) as round_span:
-        with profiling.stage("match"):
-            candidates, prices = tables_for(model)
-            if batched:
-                dp_state = _dp_round_batched(
-                    aig,
-                    library,
-                    candidates,
-                    prices,
-                    model,
-                    np.maximum(arrays.fanout, 1).astype(np.float64),
+        table, prices = tables_for(model)
+        # A cover is priced under the model whose keep-best check reads the
+        # cost: the recovery model once recovery runs.
+        cost_prices = prices
+        if recovery_model is not None:
+            recovery_table, recovery_prices = tables_for(recovery_model)
+            _, cost_prices = tables_for(recovery_model, model.prefer)
+            if recovery_model.prefer != model.prefer:
+                # Widen the recovery DP's choice set with the round-0
+                # policy's candidates (e.g. the delay-preferred cell of every
+                # canonical class): timing-critical nodes can then keep the
+                # fast cells round 0 used instead of degrading to the
+                # cheapest cell of the class.
+                recovery_table, dest_base, dest_extra = _concat_candidate_tables(
+                    recovery_table, table
                 )
-                choices = _BatchedChoices(candidates, dp_state.choice.copy())
-            else:
-                choices, _, _ = _dp_round(
-                    aig,
-                    library,
-                    and_node_list,
-                    candidates,
-                    prices,
-                    model,
-                    structural_references,
-                )
-
-        with profiling.stage("cover"):
-            mapped, report = _cover(aig, library, choices, pin_capacitances)
-        round_span.set("gates", len(mapped.gates))
-        round_span.set("delay", mapped.normalized_delay)
+                merged_prices = np.empty(recovery_table.num_rows, dtype=np.float64)
+                merged_prices[dest_base] = recovery_prices
+                merged_prices[dest_extra] = cost_prices
+                recovery_prices = merged_prices
+        with profiling.stage("dp"):
+            dp_state = _dp_round_batched(
+                aig,
+                library,
+                table,
+                prices,
+                model,
+                np.maximum(arrays.fanout, 1).astype(np.float64),
+            )
+        best = cover(table, dp_state.choice, cost_prices)
+        round_span.set("gates", len(best.mapped.gates))
+        round_span.set("delay", best.mapped.normalized_delay)
 
     result = MappingResult(
         objective=model.name,
         recovery=recovery_model.name if recovery_model is not None else None,
-        rounds=[mapped],
+        rounds=[best.mapped],
         accepted=[True],
     )
-    if rounds == 0 or not mapped.gates:
+    if rounds == 0 or not best.mapped.gates:
         return result
 
     # Recovery: the DP re-chooses matches under the recovery cost model,
@@ -1253,42 +1151,7 @@ def map_rounds(
     # counts as both the flow normalization and the arrival-model load
     # estimate.  A keep-best check over the re-timed circuit makes the
     # no-worse-delay / no-worse-cost guarantee unconditional.
-    baseline_delay = mapped.normalized_delay
-    recovery_candidates, recovery_prices = tables_for(recovery_model)
-    if recovery_model.prefer != model.prefer:
-        # Widen the recovery DP's choice set with the round-0 policy's
-        # candidates (e.g. the delay-preferred cell of every canonical
-        # class): timing-critical nodes can then keep the fast cells round 0
-        # used instead of degrading to the cheapest cell of the class.
-        extra_candidates, extra_prices = tables_for(recovery_model, model.prefer)
-        if batched:
-            recovery_candidates, dest_base, dest_extra = _concat_candidate_tables(
-                recovery_candidates, extra_candidates
-            )
-            merged_prices = np.empty(
-                recovery_candidates.num_rows, dtype=np.float64
-            )
-            merged_prices[dest_base] = recovery_prices
-            merged_prices[dest_extra] = extra_prices
-            recovery_prices = merged_prices
-        else:
-            recovery_candidates = [
-                base + extra
-                for base, extra in zip(recovery_candidates, extra_candidates)
-            ]
-            recovery_prices = [
-                base + extra for base, extra in zip(recovery_prices, extra_prices)
-            ]
-
-    def cover_cost(mapped_round: MappedCircuit, round_choices) -> float:
-        price = recovery_model.gate_cost
-        return sum(
-            price(round_choices[gate.output], gate.output, context)
-            for gate in mapped_round.gates
-        )
-
-    best_cost = cover_cost(mapped, choices)
-    best_mapped, best_report = mapped, report
+    baseline_delay = best.mapped.normalized_delay
 
     # The DP estimates each candidate's load from the previous cover; when
     # the re-timed circuit overshoots the deadline because the new cover's
@@ -1297,80 +1160,56 @@ def map_rounds(
     # across rounds -- drift learned once stays compensated).
     margin = 0.0
 
-    with profiling.stage("recover"):
-        for round_index in range(rounds):
-            with obs.span(
-                "map-round",
-                category="round",
-                round=round_index + 1,
-                objective=recovery_model.name,
-            ) as round_span:
-                attempts = _RECOVERY_RETRIES
-                while True:
-                    required = _required_times(
-                        arrays.num_nodes, best_report, baseline_delay - margin
+    for round_index in range(rounds):
+        with obs.span(
+            "map-round",
+            category="round",
+            round=round_index + 1,
+            objective=recovery_model.name,
+        ) as round_span:
+            attempts = _RECOVERY_RETRIES
+            while True:
+                with profiling.stage("dp"):
+                    # Incremental re-solve: between rounds (and deadline
+                    # retries) only the required/reference inputs move, so
+                    # the DP diffs against the previous solution and
+                    # re-chooses the affected cone only.
+                    dp_state = _dp_round_batched(
+                        aig,
+                        library,
+                        recovery_table,
+                        recovery_prices,
+                        recovery_model,
+                        best.references,
+                        required=_required_times(
+                            best.timing, baseline_delay - margin
+                        ),
+                        load_aware=True,
+                        state=dp_state if incremental else None,
                     )
-                    references = _cover_references(best_mapped, fanout)
-                    if batched:
-                        # Incremental re-solve: between rounds (and deadline
-                        # retries) only the required/reference inputs move, so
-                        # the DP diffs against the previous solution and
-                        # re-chooses the affected cone only.
-                        dp_state = _dp_round_batched(
-                            aig,
-                            library,
-                            recovery_candidates,
-                            recovery_prices,
-                            recovery_model,
-                            np.asarray(references, dtype=np.float64),
-                            required=np.asarray(required, dtype=np.float64),
-                            load_aware=True,
-                            state=dp_state if incremental else None,
-                        )
-                        round_choices = _BatchedChoices(
-                            recovery_candidates, dp_state.choice.copy()
-                        )
-                    else:
-                        round_choices, _, _ = _dp_round(
-                            aig,
-                            library,
-                            and_node_list,
-                            recovery_candidates,
-                            recovery_prices,
-                            recovery_model,
-                            references,
-                            required=required,
-                            load_aware=True,
-                        )
-                    round_mapped, round_report = _cover(
-                        aig, library, round_choices, pin_capacitances
-                    )
-                    overshoot = round_mapped.normalized_delay - baseline_delay
-                    if overshoot > EPSILON and attempts > 0:
-                        attempts -= 1
-                        margin += overshoot
-                        continue
-                    break
-                round_cost = cover_cost(round_mapped, round_choices)
-                accepted = (
-                    overshoot <= EPSILON and round_cost <= best_cost + EPSILON
-                )
-                round_span.set("accepted", accepted)
-                round_span.set("overshoot", overshoot)
-                round_span.set("retries", _RECOVERY_RETRIES - attempts)
-                result.rounds.append(round_mapped)
-                result.accepted.append(accepted)
-                if not accepted:
-                    # The driver is deterministic: re-running from the same
-                    # accepted cover would reproduce the same rejected round.
-                    break
-                improved = round_cost < best_cost - EPSILON or round_mapped.area < (
-                    best_mapped.area - EPSILON
-                )
-                best_cost = round_cost
-                best_mapped, best_report = round_mapped, round_report
-                if not improved:
-                    break  # fixpoint: further rounds cannot find new slack
+                candidate = cover(recovery_table, dp_state.choice, recovery_prices)
+                overshoot = candidate.mapped.normalized_delay - baseline_delay
+                if overshoot > EPSILON and attempts > 0:
+                    attempts -= 1
+                    margin += overshoot
+                    continue
+                break
+            accepted = overshoot <= EPSILON and candidate.cost <= best.cost + EPSILON
+            round_span.set("accepted", accepted)
+            round_span.set("overshoot", overshoot)
+            round_span.set("retries", _RECOVERY_RETRIES - attempts)
+            result.rounds.append(candidate.mapped)
+            result.accepted.append(accepted)
+            if not accepted:
+                # Recovery is deterministic: re-running from the same
+                # accepted cover would reproduce the same rejected round.
+                break
+            improved = candidate.cost < best.cost - EPSILON or (
+                candidate.mapped.area < best.mapped.area - EPSILON
+            )
+            best = candidate
+            if not improved:
+                break  # fixpoint: further rounds cannot find new slack
     return result
 
 

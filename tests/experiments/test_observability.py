@@ -173,7 +173,7 @@ class TestProfileMerge:
         # One entry per job for the per-job stages, both ways.  (optimize /
         # activity memoize per process, so their entry counts legitimately
         # differ between one process and four.)
-        for stage in ("cuts", "match", "cover", "power", "verify"):
+        for stage in ("cuts", "match", "dp", "cover", "power", "verify"):
             assert parallel["entries"][stage] == sequential["entries"][stage], stage
 
     def test_parallel_profile_reports_nonzero_stage_seconds(self):
@@ -181,6 +181,39 @@ class TestProfileMerge:
         assert parallel["total_seconds"] > 0
         assert parallel["stages"]["match"] > 0
         assert parallel["stages"]["cover"] > 0
+
+
+class TestMapperStages:
+    """Each mapper stage name means one thing: ``dp`` is one DP solve,
+    ``cover`` one cover with its timing, cost and reference counts."""
+
+    def test_recovery_job_records_one_dp_and_one_cover_per_built_cover(
+        self, monkeypatch
+    ):
+        from repro.synthesis import mapper
+
+        built = []
+        original = mapper._cover_rows
+
+        def counting(*args):
+            cover = original(*args)
+            built.append(cover)
+            return cover
+
+        monkeypatch.setattr(mapper, "_cover_rows", counting)
+        profiling.enable()
+        try:
+            ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(
+                [MapJob("add-16", LogicFamily.TG_STATIC, rounds=2)]
+            )
+            report = profiling.snapshot()
+        finally:
+            profiling.disable()
+        entries = report["entries"]
+        assert len(built) >= 2  # round 0 plus at least one recovery attempt
+        assert entries["cover"] == entries["dp"] == len(built)
+        assert entries["match"] >= 2  # round-0 and recovery candidate tables
+        assert "recover" not in entries
 
 
 class TestFailureTelemetry:

@@ -1,4 +1,4 @@
-"""Vectorized mapper DP vs the retained scalar oracle.
+"""Vectorized mapper DP vs the scalar oracle in ``tests/oracles/mapper.py``.
 
 The batched DP of :mod:`repro.synthesis.mapper` must reproduce the scalar
 incumbent scan *decision for decision*: the ``1e-9`` epsilon tie-breaks are
@@ -7,14 +7,15 @@ different (equally "best") cell and silently change downstream artifacts.
 These tests pin that contract:
 
 * choice streams -- the selected candidate of every AND node, in order --
-  compared node-for-node between ``_dp_round`` and ``_dp_round_batched``,
-  on fixed benchmarks and hypothesis-generated random AIGs, for all three
-  objectives, with and without required-time constraints;
-* ``_required_times`` edge cases (deadline below the worst arrival, nets
-  outside the node range, empty covers);
+  compared node-for-node between the oracle ``dp_round`` and
+  ``_dp_round_batched``, on fixed benchmarks and hypothesis-generated
+  random AIGs, for all three objectives, with and without required-time
+  constraints;
+* ``_required_times`` edge cases (deadline below the worst arrival, values
+  off the cover's nets, empty covers);
 * the incremental recovery re-solve against the full re-solve
   (``map_rounds(incremental=True)`` == ``incremental=False``), and the
-  scalar fallback for cost models without batch hooks.
+  row-wise hook adapter for cost models without batch hooks.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timing import TimingReport
+from repro.analysis.timing import TimingArrays
 from repro.bench.registry import benchmark_by_name
 from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
@@ -33,20 +34,25 @@ from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cost import MappingContext, cost_model_for
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import (
-    _BatchedChoices,
     _candidate_table_for,
-    _candidates_for,
-    _cover,
-    _cover_references,
-    _dp_round,
     _dp_round_batched,
     _pin_bindings,
-    _price_candidates,
     _required_times,
+    _RowwiseHooks,
     _supports_batch,
+    _with_batch_hooks,
     map_rounds,
 )
 from repro.synthesis.matcher import matcher_for
+from tests.oracles.mapper import (
+    BatchedChoices,
+    build_candidates,
+    cover,
+    cover_references,
+    dp_round,
+    price_candidates,
+    required_times,
+)
 
 FAST_BENCHMARKS = ("add-16", "t481")
 
@@ -125,8 +131,8 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
     and_node_list = arrays.and_nodes.tolist()
     num_nodes = arrays.num_nodes
 
-    candidates = _candidates_for(arrays, cut_set, _MATCHER, model.prefer)
-    prices = _price_candidates(and_node_list, candidates, model, context)
+    candidates = build_candidates(arrays, cut_set, _MATCHER, model.prefer)
+    prices = price_candidates(and_node_list, candidates, model, context)
     table = _candidate_table_for(arrays, cut_set, _MATCHER, model.prefer)
     batch_prices = model.price_batch(table, context)
 
@@ -137,17 +143,17 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
     if constrained:
         # Derive realistic constraints from the round-0 cover, exactly the
         # way the recovery driver does.
-        choices, _arr, _flow = _dp_round(
+        choices, _arr, _flow = dp_round(
             aig, _LIBRARY, and_node_list, candidates, prices, model, references
         )
-        mapped, report = _cover(aig, _LIBRARY, choices, context.pin_capacitances)
-        references = _cover_references(mapped, arrays.fanout.tolist())
+        mapped, report = cover(aig, _LIBRARY, choices, context.pin_capacitances)
+        references = cover_references(mapped, arrays.fanout.tolist())
         references_np = np.asarray(references, dtype=np.float64)
-        required = _required_times(num_nodes, report, report.normalized_delay)
+        required = required_times(num_nodes, report, report.normalized_delay)
         required_np = np.asarray(required, dtype=np.float64)
         load_aware = True
 
-    scalar_choices, scalar_arrival, scalar_flow = _dp_round(
+    scalar_choices, scalar_arrival, scalar_flow = dp_round(
         aig,
         _LIBRARY,
         and_node_list,
@@ -168,7 +174,7 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
         required=required_np,
         load_aware=load_aware,
     )
-    batched_choices = _BatchedChoices(table, state.choice)
+    batched_choices = BatchedChoices(table, state.choice)
 
     for node in and_node_list:
         assert _candidate_key(batched_choices[node]) == _candidate_key(
@@ -203,53 +209,60 @@ class TestChoiceStreamParity:
         _compare_streams(aig, objective, constrained)
 
 
+def _timing(normalized_delay, nets, arrival, required) -> TimingArrays:
+    """STA arrays for ``_required_times`` (the fields it does not read are
+    placeholders)."""
+    return TimingArrays(
+        normalized_delay=normalized_delay,
+        levels=0,
+        nets=np.asarray(nets, dtype=bool),
+        loads=np.zeros(len(nets), dtype=np.int64),
+        arrival=np.asarray(arrival, dtype=np.float64),
+        required=np.asarray(required, dtype=np.float64),
+        slack=np.asarray(required, dtype=np.float64)
+        - np.asarray(arrival, dtype=np.float64),
+        gate_delay=np.zeros(0, dtype=np.float64),
+    )
+
+
 class TestRequiredTimesEdges:
     """Shift/clip behaviour of the per-node required times."""
 
     def test_deadline_below_worst_arrival_tightens_every_net(self):
-        report = TimingReport(
-            normalized_delay=10.0,
-            levels=3,
-            arrival={1: 4.0, 2: 10.0},
-            required={1: 6.0, 2: 10.0},
-            slack={1: 2.0, 2: 0.0},
-            critical_path=(2,),
+        timing = _timing(
+            10.0,
+            nets=[False, True, True, False],
+            arrival=[0.0, 4.0, 10.0, 0.0],
+            required=[0.0, 6.0, 10.0, 0.0],
         )
-        required = _required_times(4, report, deadline=7.0)
+        required = _required_times(timing, deadline=7.0)
         # Every covered net shifts by deadline - normalized_delay = -3.
         assert required[1] == 3.0
         assert required[2] == 7.0
         # Net 2's requirement is now below its arrival: all-negative slack
         # is representable, the DP's fallback scan handles infeasibility.
-        assert required[2] - report.arrival[2] < 0.0
+        assert required[2] - timing.arrival[2] < 0.0
         # Uncovered nodes stay unconstrained.
         assert required[0] == float("inf")
         assert required[3] == float("inf")
 
-    def test_nets_outside_node_range_are_ignored(self):
-        report = TimingReport(
-            normalized_delay=5.0,
-            levels=1,
-            arrival={},
-            required={-1: 1.0, 2: 5.0, 7: 2.0},
-            slack={},
-            critical_path=(),
+    def test_values_off_the_cover_nets_are_ignored(self):
+        timing = _timing(
+            5.0,
+            nets=[False, False, True, False],
+            arrival=[1.0, 2.0, 3.0, 4.0],
+            required=[1.0, 2.0, 5.0, 2.0],
         )
-        required = _required_times(4, report, deadline=5.0)
+        required = _required_times(timing, deadline=5.0)
         assert required[2] == 5.0
         assert [required[i] for i in (0, 1, 3)] == [float("inf")] * 3
         assert len(required) == 4
 
     def test_empty_cover_leaves_everything_unconstrained(self):
-        report = TimingReport(
-            normalized_delay=0.0,
-            levels=0,
-            arrival={},
-            required={},
-            slack={},
-            critical_path=(),
+        timing = _timing(
+            0.0, nets=[False] * 3, arrival=[0.0] * 3, required=[0.0] * 3
         )
-        assert _required_times(3, report, deadline=1.0) == [float("inf")] * 3
+        assert _required_times(timing, deadline=1.0).tolist() == [float("inf")] * 3
 
 
 def _round_digests(result) -> list[str]:
@@ -312,7 +325,7 @@ class TestIncrementalEquivalence:
 
 
 class _ScalarOnlyDelay:
-    """DelayCost semantics without the batch hooks: must take the scalar path."""
+    """DelayCost semantics without the batch hooks."""
 
     name = "delay-scalar-test"
     prefer = "delay"
@@ -326,18 +339,58 @@ class _ScalarOnlyDelay:
         )
 
 
-def test_models_without_batch_hooks_fall_back_to_scalar_path():
-    """A third-party model lacking price_batch/better_batch still maps, and
-    (with DelayCost's semantics) reproduces the batched delay mapping."""
+class _ScalarOnlyArea:
+    """AreaFlowCost semantics without the batch hooks."""
+
+    name = "area-scalar-test"
+    prefer = "area"
+
+    def gate_cost(self, candidate, node, context):
+        return candidate.area
+
+    def better(self, arrival, flow, best_arrival, best_flow):
+        return flow < best_flow - 1e-9 or (
+            abs(flow - best_flow) <= 1e-9 and arrival < best_arrival - 1e-9
+        )
+
+
+def test_models_without_batch_hooks_map_through_the_adapter():
+    """Third-party models lacking price_batch/better_batch still map, through
+    the row-wise adapter, and (with DelayCost's and AreaFlowCost's semantics)
+    reproduce the built-in models' round digests, recovery included."""
     from repro.synthesis.cost import _COST_MODELS
 
-    model = _ScalarOnlyDelay()
-    assert not _supports_batch(model)
-    _COST_MODELS[model.name] = model
+    delay, area = _ScalarOnlyDelay(), _ScalarOnlyArea()
+    assert not _supports_batch(delay) and not _supports_batch(area)
+    adapted = _with_batch_hooks(delay)
+    assert isinstance(adapted, _RowwiseHooks) and _supports_batch(adapted)
+    assert _with_batch_hooks(cost_model_for("delay")) is cost_model_for("delay")
+    for model in (delay, area):
+        _COST_MODELS[model.name] = model
     try:
         aig = _subject("add-16")
-        scalar = map_rounds(aig, _LIBRARY, matcher=_MATCHER, objective=model.name)
-        batched = map_rounds(aig, _LIBRARY, matcher=_MATCHER, objective="delay")
+        scalar = map_rounds(
+            aig,
+            _LIBRARY,
+            matcher=_MATCHER,
+            objective=delay.name,
+            rounds=2,
+            recovery=area.name,
+        )
+        batched = map_rounds(
+            aig, _LIBRARY, matcher=_MATCHER, objective="delay", rounds=2
+        )
+        assert scalar.accepted == batched.accepted
+        assert len(scalar.rounds) > 1
         assert _round_digests(scalar) == _round_digests(batched)
+        # The adapter prices exactly like the built-in hook.
+        arrays = aig_arrays(aig)
+        table = _candidate_table_for(arrays, cut_set_for(aig), _MATCHER, "delay")
+        context = _context(aig, "delay")
+        assert (
+            adapted.price_batch(table, context).tolist()
+            == cost_model_for("delay").price_batch(table, context).tolist()
+        )
     finally:
-        _COST_MODELS.pop(model.name, None)
+        for model in (delay, area):
+            _COST_MODELS.pop(model.name, None)
