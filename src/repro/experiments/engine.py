@@ -84,12 +84,7 @@ from repro import obs, profiling
 from repro.experiments import faults, resilience
 from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
 from repro.synthesis.aig import Aig
-from repro.synthesis.cuts import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_MAX_INPUTS,
-    clear_cut_caches,
-    cut_cache_sizes,
-)
+from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS
 from repro.synthesis.mapper import technology_map, verify_mapping
 from repro.synthesis.matcher import matcher_for
 
@@ -463,7 +458,12 @@ def _resolve_cases(benchmark_names: tuple[str, ...] | None):
 
 
 # Per-process memo of flow-optimized benchmark AIGs so the jobs of one
-# subject that run in the same process run the flow only once.
+# subject that run in the same process run the flow only once.  Every derived
+# memo -- array view, cut sets, projected, function, match and candidate
+# tables -- hangs off the optimized AIG it was computed from and dies with it,
+# so this dict (with _ACTIVITY_REPORTS) owns all subject state: a pool worker
+# drops it on a subject switch (_hold_subject), the parent keeps its subjects
+# for the life of the process, and every batch of a run reuses them.
 _OPTIMIZED_AIGS: dict[tuple[str, str], Aig] = {}
 
 # Per-process memo of activity reports: the signal statistics depend only on
@@ -508,22 +508,6 @@ def _pool_initializer(obs_config: dict | None = None) -> None:
     _WORKER_SUBJECT = ()
     obs.activate_worker(obs_config)
     faults.install_from_env()
-
-
-def _worker_cache_footprint() -> dict[str, int]:
-    """Sizes of every per-process memo (cache-boundedness diagnostics)."""
-    sizes = cut_cache_sizes()
-    return {
-        "optimized_aigs": len(_OPTIMIZED_AIGS),
-        "activity_reports": len(_ACTIVITY_REPORTS),
-        "cut_cache_entries": sum(sizes.values()),
-        "matcher_memos": (
-            sizes.get("matcher_positions_memo", 0)
-            + sizes.get("matcher_match_memo", 0)
-            + sizes.get("npn_batch_memo", 0)
-        ),
-        "match_tables": sizes.get("cutset_memos", 0),
-    }
 
 
 def _subject_aig(benchmark: str, flow: str) -> Aig:
@@ -926,27 +910,15 @@ class ExperimentEngine:
                     matcher_for(build_library(family))
             return _subject_schedule(pending, sources)
 
-        try:
-            with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
-                raw = self._run_jobs(
-                    _run_map_job,
-                    list(jobs),
-                    keys,
-                    prepare_parallel=prepare_parallel,
-                    initializer=_pool_initializer,
-                    initargs=(obs.worker_config(),),
-                )
-        finally:
-            # Bound per-process memory across repeated large-benchmark runs:
-            # the scalar table and matcher caches regrow cheaply, and the
-            # cut-set memos (the largest per-run allocations) are stripped
-            # from the optimized AIGs pinned by _OPTIMIZED_AIGS -- the AIGs
-            # themselves stay cached, only their cut arrays are released.
-            clear_cut_caches()
-            _ACTIVITY_REPORTS.clear()
-            for aig in _OPTIMIZED_AIGS.values():
-                aig.__dict__.pop("_cut_sets", None)
-                aig.__dict__.pop("_array_view", None)
+        with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
+            raw = self._run_jobs(
+                _run_map_job,
+                list(jobs),
+                keys,
+                prepare_parallel=prepare_parallel,
+                initializer=_pool_initializer,
+                initargs=(obs.worker_config(),),
+            )
         results: dict[MapJob, MapJobResult] = {}
         for job, (payload, cached) in raw.items():
             results[job] = MapJobResult(

@@ -133,7 +133,7 @@ from dataclasses import replace
 
 from repro import obs, profiling
 from repro.analysis.activity import DEFAULT_SEED, DEFAULT_VECTORS
-from repro.bench.registry import register_blif_benchmark
+from repro.bench.registry import all_benchmarks, register_blif_benchmark
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.resilience import RetryPolicy
 from repro.flow import DEFAULT_FLOW, available_flows, get_flow
@@ -320,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     get_flow(args.flow)  # reject unknown flows before doing any work
     if args.map_rounds < 0:
         parser.error("--map-rounds must be non-negative")
+    if args.json is not None and os.path.isfile(args.json):
+        parser.error(f"--json {args.json}: is a file, not a directory")
 
     extra_names = []
     for path in args.extra_benchmark:
@@ -332,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         extra_names.append(case.name)
     if extra_names:
         print(f"[extra benchmarks: {', '.join(extra_names)}]")
+    unknown = sorted(set(args.benchmarks) - {case.name for case in all_benchmarks()})
+    if unknown:
+        parser.error(f"unknown benchmarks: {', '.join(unknown)}")
 
     # Tracing first: enable_profile() preserves a live trace buffer, so the
     # order makes --profile --trace share one coherent recording.

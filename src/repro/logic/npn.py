@@ -320,21 +320,16 @@ def canonicalize_bits(
 #: Per-``(num_vars, include_output_negation)`` memo of the columnar batch
 #: canonicalizer: raw bits -> ``(canonical, permutation, phase, negated)``
 #: exactly as :func:`canonicalize_bits` returns them.  Kept separate from the
-#: scalar ``lru_cache`` (which cannot be populated externally) but cleared by
-#: the same between-batch sweep (see the matcher's cache sweeper) and bounded
-#: by :data:`_COLUMN_MEMO_LIMIT`.
+#: scalar ``lru_cache`` (which cannot be populated externally); it lives for
+#: the whole process and is bounded by :data:`_COLUMN_MEMO_LIMIT`.
 _COLUMN_MEMO: dict[tuple[int, bool], dict[int, tuple[int, tuple[int, ...], int, bool]]] = {}
 _COLUMN_MEMO_LIMIT = 1 << 16
 
 
 def clear_canonicalizer_memo() -> None:
-    """Drop the batch canonicalizer's cross-call memo."""
+    """Drop the batch canonicalizer's cross-call memo (cold-start hook for
+    benchmarks)."""
     _COLUMN_MEMO.clear()
-
-
-def canonicalizer_memo_size() -> int:
-    """Entries in the batch canonicalizer's memo (diagnostics)."""
-    return sum(len(memo) for memo in _COLUMN_MEMO.values())
 
 
 def canonicalize_bits_batch_columns(

@@ -29,7 +29,6 @@ keys on demand.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -159,115 +158,6 @@ def _expand_at_positions(table: int, insert_positions: tuple[int, ...]) -> int:
     return table
 
 
-#: The bounded per-process caches of the cut pipeline, in one place so
-#: :func:`clear_cut_caches` (called by the experiment engine between job
-#: batches) can release them without reaching into function attributes.
-#: Other modules (e.g. the SOP cache of :mod:`repro.synthesis.optimize`)
-#: join via :func:`register_cut_cache`.
-_CUT_PIPELINE_CACHES: list = [table_support, project_table, _expand_at_positions]
-
-
-def register_cut_cache(cached) -> None:
-    """Register an ``lru_cache``-decorated helper with the cache clearer."""
-    _CUT_PIPELINE_CACHES.append(cached)
-
-
-def clear_cut_caches() -> None:
-    """Drop the memoized table transforms and their high-water memory.
-
-    The caches are already bounded (``1 << 16`` entries each), but a long
-    sequence of large-benchmark runs in one process would otherwise keep
-    several full caches of big-int tables alive indefinitely; the experiment
-    engine calls this hook between job batches.  Per-AIG :class:`CutSet`
-    memos are unaffected -- they are garbage-collected with their AIG.
-    """
-    for cached in _CUT_PIPELINE_CACHES:
-        cached.cache_clear()
-
-
-def cut_cache_sizes() -> dict[str, int]:
-    """Current entry counts of the registered caches, by name.
-
-    Diagnostic counterpart of :func:`clear_cut_caches` -- the engine's
-    worker-footprint regression test asserts that a pool worker holds one
-    subject's memos after it switches subjects.  Registered entries expose
-    ``lru_cache``'s ``cache_info``, a custom scalar ``cache_size`` hook, or
-    a ``cache_sizes`` hook returning a per-memo breakdown (e.g. the matcher
-    memo sweeper reporting its positions / match / match-table memos
-    separately); entries with none count as zero.
-    """
-    sizes: dict[str, int] = {}
-    for cached in _CUT_PIPELINE_CACHES:
-        name = getattr(cached, "__name__", type(cached).__name__)
-        info = getattr(cached, "cache_info", None)
-        if info is not None:
-            sizes[name] = int(info().currsize)
-            continue
-        breakdown = getattr(cached, "cache_sizes", None)
-        if breakdown is not None:
-            for sub_name, size in breakdown().items():
-                sizes[sub_name] = int(size)
-            continue
-        size_of = getattr(cached, "cache_size", None)
-        sizes[name] = int(size_of()) if size_of is not None else 0
-    return sizes
-
-
-# -- per-CutSet memo registry -------------------------------------------------
-
-#: Live :class:`CutSet` objects that have lazily attached memos (projected
-#: tables, match/function tables).  The memos normally die with their AIG,
-#: but a long-lived worker process pins optimized AIGs across jobs, so the
-#: engine's between-batch sweep also walks this registry; a ``WeakSet`` keeps
-#: the registry itself from pinning anything.
-_CUTSET_MEMOS: "weakref.WeakValueDictionary[int, CutSet]" = (
-    weakref.WeakValueDictionary()
-)
-
-#: The lazily attached per-:class:`CutSet` attributes the sweeper owns.
-_CUTSET_MEMO_FIELDS = ("_match_tables", "_function_tables", "_projected")
-
-
-def _track_cutset_memo(cut_set: "CutSet") -> None:
-    """Register a cut set that grew a lazily attached memo.
-
-    Keyed by ``id`` because cut sets (frozen dataclasses over arrays) are
-    unhashable; the weak values keep the registry from pinning them and drop
-    the entry when the cut set dies.
-    """
-    _CUTSET_MEMOS[id(cut_set)] = cut_set
-
-
-class _CutSetMemoSweeper:
-    """Folds the per-:class:`CutSet` memos into the cut-cache registry.
-
-    ``cache_clear`` drops the attached match/function/projected-table memos
-    of every live cut set; ``cache_sizes`` reports how many entries they
-    currently hold (the worker-footprint regression test reads these through
-    :func:`cut_cache_sizes`).
-    """
-
-    __name__ = "cutset_memos"
-
-    def cache_clear(self) -> None:
-        for cut_set in list(_CUTSET_MEMOS.values()):
-            for field_name in _CUTSET_MEMO_FIELDS:
-                cut_set.__dict__.pop(field_name, None)
-
-    def cache_size(self) -> int:
-        total = 0
-        for cut_set in list(_CUTSET_MEMOS.values()):
-            for field_name in _CUTSET_MEMO_FIELDS:
-                value = cut_set.__dict__.get(field_name)
-                if value is None:
-                    continue
-                total += len(value) if isinstance(value, dict) else 1
-        return total
-
-
-register_cut_cache(_CutSetMemoSweeper())
-
-
 @lru_cache(maxsize=1 << 16)
 def _expand_table(table: int, leaves: tuple[int, ...], merged: tuple[int, ...]) -> int:
     """Re-express ``table`` (over ``leaves``) over the superset ``merged``."""
@@ -281,9 +171,6 @@ def _expand_table(table: int, leaves: tuple[int, ...], merged: tuple[int, ...]) 
         else:
             inserts.append(position)
     return _expand_at_positions(table, tuple(inserts))
-
-
-_CUT_PIPELINE_CACHES.append(_expand_table)
 
 
 def _merge_leaves(a: tuple[int, ...], b: tuple[int, ...], limit: int) -> tuple[int, ...] | None:
@@ -364,7 +251,6 @@ class CutSet:
             cached[rows] = project_table_batch(self.table[rows], self.support[rows])
             cached.flags.writeable = False
             object.__setattr__(self, "_projected", cached)
-            _track_cutset_memo(self)
         return cached
 
     def cuts_of(self, node: int) -> list[Cut]:

@@ -60,7 +60,6 @@ normalized to the technology intrinsic delay ``tau`` to produce the Table-3
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -78,12 +77,7 @@ from repro.synthesis.cost import (
     cost_model_for,
     resolve_recovery,
 )
-from repro.synthesis.cuts import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_MAX_INPUTS,
-    _track_cutset_memo,
-    cut_set_for,
-)
+from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS, cut_set_for
 from repro.synthesis.matcher import CellMatch, _MatcherBase, matcher_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -365,12 +359,6 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
     )
 
 
-def _scalar_match_forced() -> bool:
-    """Whether ``REPRO_SCALAR_MATCH`` pins the per-function scalar matcher
-    loop (parity/debugging escape hatch for the batched match pipeline)."""
-    return os.environ.get("REPRO_SCALAR_MATCH", "") not in ("", "0")
-
-
 def _build_candidate_table(
     arrays, cut_set, matcher: _MatcherBase, prefer: str
 ) -> CandidateTable:
@@ -385,10 +373,10 @@ def _build_candidate_table(
     handful of vector passes -- batched canonicalization, one
     ``searchsorted`` per arity, vectorized transform composition -- and the
     candidate columns are gathered straight out of the
-    :class:`~repro.synthesis.matcher.MatchTable`.  Other matchers (and
-    ``REPRO_SCALAR_MATCH=1``) fall back to the per-distinct-function scalar
-    ``match_positions`` loop, which is the pinned oracle.  Rows are ordered
-    nodes ascending, slot order within a node, and no
+    :class:`~repro.synthesis.matcher.MatchTable`.  Matchers without that
+    API (e.g. :class:`~repro.synthesis.matcher.ExhaustiveLibraryMatcher`)
+    fall back to the per-distinct-function ``match_positions`` loop.  Rows
+    are ordered nodes ascending, slot order within a node, and no
     :class:`MatchCandidate` objects are created.
     """
     and_nodes = arrays.and_nodes
@@ -404,7 +392,7 @@ def _build_candidate_table(
     slots = np.arange(total) - np.repeat(starts, per_node)
     cut_leaves = cut_set.leaves[nodes_rep, slots]
 
-    if hasattr(matcher, "match_table") and not _scalar_match_forced():
+    if hasattr(matcher, "match_table"):
         match_table = matcher.match_table(cut_set, and_nodes, prefer)
         inverse = match_table.inverse
         matched = match_table.matched
@@ -526,7 +514,6 @@ def _candidate_table_for(
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_match_tables", memo)
-        _track_cutset_memo(cut_set)
     key = ("candidates", id(matcher), prefer)
     entry = memo.get(key)
     if entry is None or entry[0] is not matcher:

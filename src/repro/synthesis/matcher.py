@@ -42,8 +42,6 @@ from repro.logic.npn import (
     InputMatch,
     canonicalize_bits,
     canonicalize_bits_batch_columns,
-    canonicalizer_memo_size,
-    clear_canonicalizer_memo,
     compose_matches,
     invert_match,
 )
@@ -52,12 +50,7 @@ from repro.synthesis.cut_kernels import (
     support_positions,
     table_support_batch,
 )
-from repro.synthesis.cuts import (
-    _track_cutset_memo,
-    project_table,
-    register_cut_cache,
-    table_support,
-)
+from repro.synthesis.cuts import project_table, table_support
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,6 @@ def cut_function_table(
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_function_tables", memo)
-        _track_cutset_memo(cut_set)
     cached = memo.get(include_output_negation)
     if cached is not None:
         return cached
@@ -260,8 +252,7 @@ class _MatcherBase:
     library: GateLibrary
 
     def cache_clear(self) -> None:
-        """Drop the per-matcher match memos (kept bounded between engine
-        batches through :func:`repro.synthesis.cuts.clear_cut_caches`)."""
+        """Drop the per-matcher match memos (cold-start hook for benchmarks)."""
         self.__dict__.pop("_positions_memo", None)
         memo = getattr(self, "_match_memo", None)
         if memo is not None:
@@ -561,7 +552,6 @@ class LibraryMatcher(_MatcherBase):
         if memo is None:
             memo = {}
             object.__setattr__(cut_set, "_match_tables", memo)
-            _track_cutset_memo(cut_set)
         key = ("match", id(self), prefer)
         cached = memo.get(key)
         if cached is not None:
@@ -739,41 +729,6 @@ def matcher_for(
         cached = factory(library, allow_output_negation=allow_output_negation)
         _MATCHER_CACHE[key] = cached
     return cached
-
-
-class _MatcherMemoSweeper:
-    """Clears the match memos of every cached matcher.
-
-    Matchers live in :data:`_MATCHER_CACHE` for the whole process, so their
-    per-function memos would otherwise grow without bound across repeated
-    large-benchmark runs; registering this sweeper folds them into the
-    engine's between-batch :func:`repro.synthesis.cuts.clear_cut_caches`.
-    """
-
-    def cache_clear(self) -> None:
-        for matcher in _MATCHER_CACHE.values():
-            matcher.cache_clear()
-        clear_canonicalizer_memo()
-
-    def cache_size(self) -> int:
-        """Total memoized matches across the cached matchers (diagnostics)."""
-        return sum(self.cache_sizes().values())
-
-    def cache_sizes(self) -> dict[str, int]:
-        """Per-memo breakdown surfaced by ``cut_cache_sizes`` (diagnostics)."""
-        positions_total = 0
-        match_total = 0
-        for matcher in _MATCHER_CACHE.values():
-            positions_total += len(matcher.__dict__.get("_positions_memo") or ())
-            match_total += len(getattr(matcher, "_match_memo", None) or ())
-        return {
-            "matcher_positions_memo": positions_total,
-            "matcher_match_memo": match_total,
-            "npn_batch_memo": canonicalizer_memo_size(),
-        }
-
-
-register_cut_cache(_MatcherMemoSweeper())
 
 
 def _depends_on(table: int, num_vars: int, position: int) -> bool:

@@ -34,9 +34,9 @@ for itself through template reuse for canonical members, compression
 statistics, and the template-instantiation API (property-tested for
 functional equivalence in ``tests/synthesis/test_optimize_vectorized.py``).
 
-The library and the ISOP memo register with
-:func:`repro.synthesis.cuts.register_cut_cache` so the experiment engine's
-between-batch cache clearing bounds them like every other cut-pipeline memo.
+The library and the ISOP memo live for the whole process: both are keyed by
+the rewrite pass's cut functions, of at most four inputs in every registered
+flow.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.logic.npn import (
 )
 from repro.synthesis.aig import AigLiteral, CONST0, CONST1
 from repro.synthesis.cut_kernels import VAR_PERIOD_MASKS
-from repro.synthesis.cuts import register_cut_cache
 
 __all__ = [
     "CoverProgram",
@@ -113,9 +112,8 @@ def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
     Each cube is a pair ``(care_mask, value_mask)``: variable *i* appears
     positively when bit *i* is set in both masks, negatively when set in
     ``care_mask`` only.  Uses a simple expand-greedy cover; optimality is not
-    required, only irredundancy.  Memoized (and registered with
-    :func:`repro.synthesis.cuts.clear_cut_caches`): the rewrite pass asks for
-    the cover of both polarities of every cut function, and distinct K<=4
+    required, only irredundancy.  Memoized: the rewrite pass asks for the
+    cover of both polarities of every cut function, and distinct K<=4
     functions are few across a whole flow.
     """
     size = 1 << num_vars
@@ -147,9 +145,6 @@ def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
         if index in kept and not (coverage[index] & ~others):
             kept.remove(index)
     return tuple(cubes[i] for i in kept)
-
-
-register_cut_cache(_isop)
 
 
 class CoverProgram(NamedTuple):
@@ -240,8 +235,7 @@ def compile_ops(
     scan with no per-cube list churn.  Compiled by running
     :func:`replay_cover` symbolically (operand codes survive ``^ 1``
     unchanged in meaning), so the schedule is the reference gate stream by
-    construction.  Memoized on the (hashable) program and registered with
-    the cut-cache clearer.
+    construction.  Memoized on the (hashable) program.
     """
     ops: list[tuple[int, int]] = []
 
@@ -252,9 +246,6 @@ def compile_ops(
     leaf_codes = [((index + 1) << 2) for index in range(64)]
     result = replay_cover(record, leaf_codes, program)
     return tuple(ops), result
-
-
-register_cut_cache(compile_ops)
 
 
 def replay_ops(
@@ -301,8 +292,7 @@ class RewriteLibrary:
     canonical form); ``instantiate`` replays the class template under the
     member's composed transform instead -- functionally equivalent, one
     compile per *class* (see the module docstring for why the pinned pass
-    cannot use it).  Registered with the cut-cache clearer so engine job
-    batches bound its footprint like every other memo.
+    cannot use it).  Lives for the whole process, like the ISOP memo.
     """
 
     __slots__ = ("_programs", "_templates", "_class_of")
@@ -403,7 +393,7 @@ class RewriteLibrary:
         literal = replay_cover(aig.and_gate, remapped, template.program)
         return literal ^ 1 if negated else literal
 
-    # -- statistics / cache protocol -------------------------------------
+    # -- statistics ------------------------------------------------------
 
     @property
     def class_count(self) -> int:
@@ -415,10 +405,8 @@ class RewriteLibrary:
         """Distinct (arity, table) members registered."""
         return len(self._programs)
 
-    def cache_size(self) -> int:
-        return len(self._programs)
-
     def cache_clear(self) -> None:
+        """Forget every program (cold-start hook for tests and benchmarks)."""
         self._programs.clear()
         self._templates.clear()
         self._class_of.clear()
@@ -426,4 +414,3 @@ class RewriteLibrary:
 
 #: The process-wide library shared by every rewrite invocation.
 REWRITE_LIBRARY = RewriteLibrary()
-register_cut_cache(REWRITE_LIBRARY)

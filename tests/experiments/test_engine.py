@@ -469,33 +469,66 @@ class TestSubjectSchedule:
             assert len(group) == len(FAMILIES)
             assert len({specs[index][0] for index in group}) == 1
 
-    def test_worker_holds_one_subject_after_a_switch(self, monkeypatch):
-        """A pool worker drops the previous subject's memos when it switches
-        subjects, and keeps them while it stays on one."""
+
+class TestSubjectLifetime:
+    """Subject state has one lifetime: every derived memo hangs off the
+    optimized AIG held by the engine's per-process dicts.  The parent keeps
+    its subjects across batches; a pool worker drops them on a switch."""
+
+    def test_in_process_batches_reuse_subject_state(self, monkeypatch):
+        """An in-process Pareto batch after Table 3 maps the same optimized
+        AIG, cut set and activity reports that Table 3 built."""
         import repro.experiments.engine as engine_module
-        from repro.experiments.engine import _run_map_job, _worker_cache_footprint
-        from repro.synthesis.cuts import clear_cut_caches
+        from repro.synthesis.cuts import cut_set_for
+
+        monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+
+        def subject_state():
+            aig = engine_module._OPTIMIZED_AIGS[("add-16", "resyn2rs")]
+            return aig, cut_set_for(aig), dict(engine_module._ACTIVITY_REPORTS)
+
+        engine.run_table3(("add-16",))
+        aig, cut_set, activities = subject_state()
+        assert activities
+        engine.run_pareto(("add-16",))
+        again_aig, again_cut_set, again_activities = subject_state()
+        assert again_aig is aig
+        assert again_cut_set is cut_set
+        assert again_activities.keys() == activities.keys()
+        for key, report in activities.items():
+            assert again_activities[key] is report
+
+    def test_worker_holds_one_subject_after_a_switch(self, monkeypatch):
+        """A pool worker keeps its subject while it stays on it, and the
+        previous subject's AIG and cut set are freed once it switches."""
+        import gc
+        import weakref
+
+        import repro.experiments.engine as engine_module
+        from repro.experiments.engine import _run_map_job
+        from repro.synthesis.cuts import cut_set_for
 
         # A fresh pool worker, with private memos so the parent's stay intact.
         monkeypatch.setattr(engine_module, "_WORKER_SUBJECT", ())
         monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
         monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
-        clear_cut_caches()
-        job_a = MapJob("add-16", LogicFamily.TG_STATIC)
-        job_b = MapJob("t481", LogicFamily.TG_STATIC)
 
-        _run_map_job(job_b.spec())
-        alone = _worker_cache_footprint()
-        _run_map_job(job_a.spec())
-        _run_map_job(job_b.spec())
-        switched = _worker_cache_footprint()
-        assert switched["optimized_aigs"] == alone["optimized_aigs"] == 1
-        assert switched["activity_reports"] == alone["activity_reports"] == 1
-        assert switched["match_tables"] == alone["match_tables"] > 0
-
+        _run_map_job(MapJob("t481", LogicFamily.TG_STATIC).spec())
         held = engine_module._OPTIMIZED_AIGS[("t481", "resyn2rs")]
         _run_map_job(MapJob("t481", LogicFamily.CMOS).spec())
         assert engine_module._OPTIMIZED_AIGS[("t481", "resyn2rs")] is held
+        aig_ref = weakref.ref(held)
+        cut_set_ref = weakref.ref(cut_set_for(held))
+        del held
+
+        _run_map_job(MapJob("add-16", LogicFamily.TG_STATIC).spec())
+        gc.collect()
+        assert aig_ref() is None
+        assert cut_set_ref() is None
+        assert list(engine_module._OPTIMIZED_AIGS) == [("add-16", "resyn2rs")]
+        assert len(engine_module._ACTIVITY_REPORTS) == 1
 
     def test_parent_in_process_jobs_keep_every_subject(self):
         """jobs=1 (and the in-process degradation path) run in the parent,

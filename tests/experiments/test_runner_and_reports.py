@@ -57,9 +57,26 @@ class TestRunnerCli:
         assert (artifacts / "table2.json").exists()
         assert not (artifacts / "table3.json").exists()
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["not-a-benchmark", "--no-cache"])
+    def test_unknown_benchmark_raises(self, capsys):
+        # Rejected as a usage error before Table 2 (or anything else) runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["add-16", "not-a-benchmark", "--no-cache"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "not-a-benchmark" in captured.err
+        assert "add-16" not in captured.err
+        assert "Table 2" not in captured.out
+
+    def test_json_target_that_is_a_file_is_rejected(self, capsys, tmp_path):
+        target = tmp_path / "artifacts"
+        target.write_text("not a directory\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--skip-table3", "--no-cache", "--json", str(target)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--json" in captured.err
+        assert "Table 2" not in captured.out
+        assert target.read_text() == "not a directory\n"
 
     def test_list_flows(self, capsys):
         exit_code = main(["--list-flows"])

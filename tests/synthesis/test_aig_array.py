@@ -6,7 +6,7 @@ import pytest
 from repro.synthesis import CircuitBuilder
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cuts import clear_cut_caches, cut_set_for, table_support
+from repro.synthesis.cuts import cut_set_for
 
 
 def _sample_aig() -> Aig:
@@ -117,9 +117,3 @@ class TestCutSetMemo:
         x = aig.pi_literal("a")
         aig.add_po("z", x)
         assert cut_set_for(aig, max_inputs=4, cut_limit=4) is not first
-
-    def test_clear_cut_caches_resets_scalar_memos(self):
-        table_support(0b0110, 2)
-        assert table_support.cache_info().currsize > 0
-        clear_cut_caches()
-        assert table_support.cache_info().currsize == 0

@@ -6,8 +6,9 @@ The batched pipeline (``canonicalize_bits_batch_columns`` ->
 the same cut functions match, the same cells win, the composed pin
 assignments are *tuple-equal* (not merely equivalent), and the candidate
 tables the mapper builds from either path produce byte-identical mappings.
-The scalar ``match_positions`` (and ``REPRO_SCALAR_MATCH=1`` at the mapper
-level) is the pinned oracle throughout.
+The scalar ``match_positions`` (and, at the mapper level, its
+per-distinct-function candidate-table branch) is the pinned oracle
+throughout.
 """
 
 import numpy as np
@@ -21,12 +22,7 @@ from repro.flow import run_flow
 from repro.logic.npn import canonicalize_bits, canonicalize_bits_batch_columns
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import project_table_batch, table_support_batch
-from repro.synthesis.cuts import (
-    cut_cache_sizes,
-    cut_set_for,
-    project_table,
-    table_support,
-)
+from repro.synthesis.cuts import cut_set_for, project_table, table_support
 from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import (
     LibraryMatcher,
@@ -173,14 +169,10 @@ class TestCutFunctionTable:
             table.tables[table.inverse], cut_set.table[nodes_rep, slots]
         )
 
-    def test_function_table_is_memoized_and_swept(self, subject):
+    def test_function_table_is_memoized(self, subject):
         aig, arrays, cut_set = subject
         first = cut_function_table(cut_set, arrays.and_nodes)
         assert cut_function_table(cut_set, arrays.and_nodes) is first
-        sizes = cut_cache_sizes()
-        assert sizes.get("cutset_memos", 0) > 0
-        assert "matcher_positions_memo" in sizes
-        assert "npn_batch_memo" in sizes
 
     def test_match_table_counters_and_span(self, subject, tg_library):
         from repro import obs
@@ -211,23 +203,34 @@ class TestCutFunctionTable:
             obs.disable_tracing()
 
 
+class _PerFunctionMatcher:
+    """The same matcher without the batch API (no ``match_table``), so the
+    mapper builds its candidate table through the per-distinct-function
+    ``match_positions`` branch."""
+
+    def __init__(self, matcher):
+        self.library = matcher.library
+        self.match_positions = matcher.match_positions
+
+
 class TestMapperPathParity:
     @pytest.mark.parametrize("max_inputs", [4, 6])
-    def test_scalar_forced_mapping_is_identical(
-        self, monkeypatch, tg_library, max_inputs
-    ):
-        """``REPRO_SCALAR_MATCH=1`` must reproduce the batched mapping
-        gate-for-gate at every cut width (the mapper-level parity pin)."""
+    def test_scalar_forced_mapping_is_identical(self, tg_library, max_inputs):
+        """The per-function candidate-table branch must reproduce the batched
+        mapping gate-for-gate at every cut width (the mapper-level parity
+        pin)."""
         aig = run_flow("resyn2rs", benchmark_by_name("t481").build()).aig
         matcher = matcher_for(tg_library)
         batched = technology_map(
             aig, tg_library, matcher=matcher, max_inputs=max_inputs
         )
-        monkeypatch.setenv("REPRO_SCALAR_MATCH", "1")
-        # Fresh cut set state so the scalar run rebuilds its own tables.
-        scalar_aig = run_flow("resyn2rs", benchmark_by_name("t481").build()).aig
+        # A distinct matcher object, so the candidate-table memo on the
+        # shared cut set misses and the table is rebuilt per function.
         scalar = technology_map(
-            scalar_aig, tg_library, matcher=matcher, max_inputs=max_inputs
+            aig,
+            tg_library,
+            matcher=_PerFunctionMatcher(matcher),
+            max_inputs=max_inputs,
         )
         assert [
             (g.output, g.cell_name, g.leaves, g.table, g.inverted)
