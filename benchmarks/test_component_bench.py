@@ -8,7 +8,7 @@ in any one stage are visible in isolation.
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
 from repro.bench.generators.adders import ripple_adder_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily, build_family_cells
@@ -137,14 +137,14 @@ def test_bench_obs_disabled_overhead(benchmark):
     each) must stay effectively free -- this pins it in seconds per 1000
     stage+span+count triples.
     """
-    obs.reset()  # both modes off: measure the path production runs on
-    assert not obs.tracing_active() and not profiling.active()
+    obs.reset()  # tracing off: measure the path production runs on
+    assert not obs.tracing_active()
 
     def hot_loop():
         for _ in range(1000):
-            with profiling.stage("bench-stage"):
+            with obs.stage("bench-stage"):
                 with obs.span("bench-span", category="task"):
-                    profiling.count("bench-counter")
+                    obs.count("bench-counter")
 
     benchmark(hot_loop)
     assert obs.spans() == []  # disabled: nothing may have been recorded

@@ -80,12 +80,12 @@ from repro.experiments.table3 import (
     Table3Row,
     _paper_row,
 )
-from repro import obs, profiling
+from repro import obs
 from repro.experiments import faults, resilience
 from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS
-from repro.synthesis.mapper import technology_map, verify_mapping
+from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import matcher_for
 
 #: Bump when the meaning of cached payloads changes; old entries are then
@@ -285,8 +285,8 @@ class ResultCache:
     not corrupt, and are overwritten in place by the next put.  With a
     size budget (``max_bytes`` or ``REPRO_CACHE_MAX_BYTES``) puts evict
     least-recently-used entries (hits refresh mtime) back under budget.
-    All traffic is tallied in :attr:`stats` and mirrored to the profiler's
-    event counters.
+    All traffic is tallied in :attr:`stats` and mirrored to the tracer's
+    ``cache.*`` counters.
     """
 
     def __init__(self, directory: Path, max_bytes: int | None = None) -> None:
@@ -310,7 +310,7 @@ class ResultCache:
                 entry = json.load(handle)
         except (FileNotFoundError, NotADirectoryError):
             self.stats.misses += 1
-            profiling.count("cache.miss")
+            obs.count("cache.miss")
             return None
         except (OSError, ValueError):
             self._quarantine(path)
@@ -319,7 +319,7 @@ class ResultCache:
             # Foreign or older-schema content is stale, not corrupt; the
             # next put overwrites it in place.
             self.stats.misses += 1
-            profiling.count("cache.miss")
+            obs.count("cache.miss")
             return None
         payload = entry.get("payload")
         if (
@@ -330,7 +330,7 @@ class ResultCache:
             self._quarantine(path)
             return None
         self.stats.hits += 1
-        profiling.count("cache.hit")
+        obs.count("cache.hit")
         try:
             os.utime(path)  # LRU recency for size-based eviction
         except OSError:  # pragma: no cover - raced with an eviction
@@ -363,7 +363,7 @@ class ResultCache:
                     pass
                 raise
         self.stats.puts += 1
-        profiling.count("cache.put")
+        obs.count("cache.put")
         if self.max_bytes is not None:
             self._evict_to_budget()
 
@@ -394,7 +394,7 @@ class ResultCache:
     def _quarantine(self, path: Path) -> None:
         """Move a damaged entry aside (counted) instead of dropping it."""
         self.stats.corrupt += 1
-        profiling.count("cache.corrupt")
+        obs.count("cache.corrupt")
         quarantine = self.quarantine_dir()
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
@@ -427,7 +427,7 @@ class ResultCache:
                 continue
             total -= size
             self.stats.evicted += 1
-            profiling.count("cache.evict")
+            obs.count("cache.evict")
 
 
 def _job_label(job) -> str:
@@ -527,7 +527,7 @@ def _subject_aig(benchmark: str, flow: str) -> Aig:
                 "use jobs=1) for parallel runs on spawn-based platforms"
             ) from error
         try:
-            with profiling.stage("optimize"):
+            with obs.stage("optimize"):
                 result = run_flow(flow, case.build())
         except KeyError as error:
             # Same re-import caveat for flows registered at run time.
@@ -593,7 +593,7 @@ def _run_map_job(spec: tuple) -> dict:
         activity_key = (benchmark, flow, power_vectors, power_seed)
         activities = _ACTIVITY_REPORTS.get(activity_key)
         if activities is None:
-            with profiling.stage("activity"):
+            with obs.stage("activity"):
                 activities = compute_activities(
                     aig, vectors=power_vectors, seed=power_seed
                 )
@@ -609,24 +609,8 @@ def _run_map_job(spec: tuple) -> dict:
             rounds=rounds,
             recovery=recovery,
         )
-        with profiling.stage("power"):
+        with obs.stage("power"):
             power = analyze_power(mapped, aig, library, activities)
-        if profiling.active():
-            # Attribution-only stage: check the mapped netlist against the
-            # subject AIG on a deterministic packed pattern set so
-            # ``--profile`` reports where verification time would go.
-            import random
-
-            seed = random.Random(f"profile:{aig.name}")
-            patterns = {
-                name: [seed.getrandbits(64) for _ in range(2)]
-                for name in aig.pi_names
-            }
-            with profiling.stage("verify"):
-                if not verify_mapping(mapped, aig, patterns):  # pragma: no cover
-                    raise RuntimeError(
-                        f"mapped netlist of {aig.name!r} failed verification"
-                    )
         payload = {
             "stats": asdict(MappingStats.from_mapped(mapped)),
             "power": asdict(PowerStats.from_analysis(power)),

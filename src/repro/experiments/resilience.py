@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Sequence
 
-from repro import obs, profiling
+from repro import obs
 
 #: Failure kinds recorded in :class:`JobFailure` (the taxonomy).
 CRASH = "crash"
@@ -232,10 +232,10 @@ def run_resilient(
     Exceptions raised *by* a job propagate unchanged after the workers are
     killed; crashes and timeouts are retried per ``policy`` and degrade to
     the in-process path once exhausted.  Every failure is mirrored to the
-    profiler/tracer event counters (``jobs.crash`` / ``jobs.timeout`` /
-    ``jobs.retry`` / ``jobs.degraded_inprocess`` and the
-    ``jobs.backoff_seconds`` total) and recorded as a tracer event, so
-    ``--profile`` and ``--trace`` both see the failure-path traffic.
+    tracer's counters (``jobs.crash`` / ``jobs.timeout`` / ``jobs.retry`` /
+    ``jobs.degraded_inprocess`` and the ``jobs.backoff_seconds`` total) and
+    recorded as a tracer event, so every telemetry exporter sees the
+    failure-path traffic.
     """
     policy = policy or RetryPolicy()
     payloads = list(payloads)
@@ -297,11 +297,11 @@ def run_resilient(
 
     def settle_failure(index: int, kind: str, message: str) -> None:
         attempt = attempts[index]
-        profiling.count(f"jobs.{kind}")
+        obs.count(f"jobs.{kind}")
         if attempt >= policy.max_attempts:
             failure = JobFailure(index, kind, attempt, message, "in-process")
             outcome.failures.append(failure)
-            profiling.count("jobs.degraded_inprocess")
+            obs.count("jobs.degraded_inprocess")
             obs.event(f"job.{kind}", index=index, attempt=attempt,
                       resolution="in-process")
             if on_failure is not None:
@@ -312,8 +312,8 @@ def run_resilient(
             failure = JobFailure(index, kind, attempt, message, "retry")
             outcome.failures.append(failure)
             delay = backoff_delay(policy, index, attempt)
-            profiling.count("jobs.retry")
-            profiling.count("jobs.backoff_seconds", delay)
+            obs.count("jobs.retry")
+            obs.count("jobs.backoff_seconds", delay)
             obs.event(f"job.{kind}", index=index, attempt=attempt,
                       resolution="retry", backoff_seconds=delay)
             if on_failure is not None:

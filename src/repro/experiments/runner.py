@@ -86,25 +86,23 @@ Scheduling goes through the parallel experiment engine
 
 ``--profile`` / ``--profile-out PATH``
     Emit per-stage wall-clock timing (``optimize`` / ``activity`` /
-    ``cuts`` / ``match`` / ``cover`` / ``recover`` / ``power`` /
-    ``verify``) as JSON -- to
-    stdout with ``--profile``, to PATH with ``--profile-out`` (which implies
-    ``--profile``) -- so performance work can attribute wins per pipeline
-    stage.  Profiling disables the result cache (cached jobs skip every
-    stage, so a warm run would produce no attributable numbers) but works
-    at any ``--jobs`` count: workers ship their per-stage snapshots back
-    inside the job payloads and the parent merges them, so a ``--jobs 4``
-    profile reports the same stage entries as a sequential one.
+    ``cuts`` / ``match`` / ``dp`` / ``cover`` / ``power``) and the run's
+    counters as JSON -- to stdout with ``--profile``, to PATH with
+    ``--profile-out`` (which implies ``--profile``) -- so performance work
+    can attribute wins per pipeline stage.  The report is summed from the
+    ``stage`` spans of the run's trace, so it profiles exactly the run it
+    rides on: at any ``--jobs`` count (worker spans come home inside the
+    job payloads) and with the result cache as configured.  Cached jobs
+    run no stage, so pass ``--no-cache`` for a cold profile.
 
 ``--trace PATH``
     Record the run through the hierarchical span tracer
     (:mod:`repro.obs`) and export it as a Chrome trace-event JSON file --
     load PATH in Perfetto or ``about:tracing`` to see the run laid out as
     one track per process: the parent's scheduling/cache spans plus every
-    worker's job -> pass -> round -> stage hierarchy.  Unlike
-    ``--profile``, tracing composes with the cache (hits appear as
-    synthesized ``cache-hit`` spans) and with ``--jobs N``, and never
-    changes the computed artifacts.
+    worker's job -> pass -> round -> stage hierarchy.  Tracing composes
+    with the cache (hits appear as synthesized ``cache-hit`` spans) and
+    with ``--jobs N``, and never changes the computed artifacts.
 
 ``--metrics-out PATH``
     Write the run metrics report (implies tracing): log-bucketed latency
@@ -131,7 +129,7 @@ import sys
 import time
 from dataclasses import replace
 
-from repro import obs, profiling
+from repro import obs
 from repro.analysis.activity import DEFAULT_SEED, DEFAULT_VECTORS
 from repro.bench.registry import all_benchmarks, register_blif_benchmark
 from repro.experiments.engine import ExperimentEngine
@@ -275,8 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="emit per-stage timing JSON (optimize/cuts/match/cover/verify) "
-        "to stdout; implies --no-cache, works at any --jobs count",
+        help="emit per-stage timing JSON (optimize/activity/cuts/match/dp/"
+        "cover/power) to stdout; cached jobs run no stage, so pass "
+        "--no-cache for a cold profile",
     )
     parser.add_argument(
         "--profile-out",
@@ -322,6 +321,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--map-rounds must be non-negative")
     if args.json is not None and os.path.isfile(args.json):
         parser.error(f"--json {args.json}: is a file, not a directory")
+    for flag, path in (
+        ("--profile-out", args.profile_out),
+        ("--trace", args.trace),
+        ("--metrics-out", args.metrics_out),
+        ("--events-out", args.events_out),
+    ):
+        # Reported now: the file is only opened after the whole run.
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            parser.error(f"{flag} {path}: is a directory, not a file")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"{flag} {path}: parent directory does not exist")
 
     extra_names = []
     for path in args.extra_benchmark:
@@ -338,13 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown benchmarks: {', '.join(unknown)}")
 
-    # Tracing first: enable_profile() preserves a live trace buffer, so the
-    # order makes --profile --trace share one coherent recording.
     trace_run_id = None
-    if args.trace or args.metrics_out or args.events_out:
+    if args.profile or args.trace or args.metrics_out or args.events_out:
         trace_run_id = obs.enable_tracing()
-    if args.profile:
-        profiling.enable()
 
     retry_policy = RetryPolicy.from_env()
     if args.job_timeout is not None:
@@ -362,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     engine = ExperimentEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        use_cache=False if args.profile else not args.no_cache,
+        use_cache=not args.no_cache,
         retry_policy=retry_policy,
         progress=progress,
     )
@@ -442,21 +450,21 @@ def main(argv: list[str] | None = None) -> int:
         print("\nrobustness counters:")
         print(json.dumps(engine.robustness_stats(), indent=2, sort_keys=True))
 
-    if args.profile:
-        report = profiling.snapshot()
-        profiling.disable()
-        rendered = json.dumps(report, indent=2, sort_keys=True)
-        if args.profile_out is None:
-            print("\nper-stage profile:")
-            print(rendered)
-        else:
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-            print(f"\nwrote per-stage profile to {args.profile_out}")
-
     if trace_run_id is not None:
         recorded = obs.spans()
         counter_totals = obs.counters()
+        obs.disable_tracing()
+        if args.profile:
+            rendered = json.dumps(
+                obs.stage_report(recorded, counter_totals), indent=2, sort_keys=True
+            )
+            if args.profile_out is None:
+                print("\nper-stage profile:")
+                print(rendered)
+            else:
+                with open(args.profile_out, "w", encoding="utf-8") as handle:
+                    handle.write(rendered + "\n")
+                print(f"\nwrote per-stage profile to {args.profile_out}")
         written = []
         if args.trace is not None:
             path = obs.write_chrome_trace(
@@ -482,8 +490,8 @@ def main(argv: list[str] | None = None) -> int:
                 counters=counter_totals,
             )
             written.append(str(path))
-        obs.disable_tracing()
-        print(f"\n[trace {trace_run_id}] wrote {', '.join(written)}")
+        if written:
+            print(f"\n[trace {trace_run_id}] wrote {', '.join(written)}")
 
     print(f"\ntotal runtime: {time.time() - start:.1f} s")
     return 0

@@ -8,11 +8,13 @@ relative quantile error is bounded by the bucket width (2^(1/4) ~ 19%),
 which is plenty for latency reporting, and the representation serializes to
 a compact ``{bucket_floor: count}`` map whatever the value range.
 
-:func:`build_metrics` folds the merged trace (spans + counters) and the
-engine's robustness stats into the JSON report behind the runner's
-``--metrics-out``: per-job latency percentiles (p50/p90/p99), per-stage and
-per-pass time totals, cache hit rate, retry/crash/timeout counts and the
-top spans by self time.
+:func:`stage_report` sums the ``stage`` spans of a merged trace into the
+per-stage seconds and entry counts behind the runner's ``--profile``.
+:func:`build_metrics` folds the same trace (spans + counters) and the
+engine's robustness stats into the JSON report behind ``--metrics-out``:
+per-job latency percentiles (p50/p90/p99), per-stage totals (from
+:func:`stage_report`), pass latencies, cache hit rate, retry/crash/timeout
+counts and the top spans by self time.
 """
 
 from __future__ import annotations
@@ -153,6 +155,30 @@ def top_spans(spans: Sequence[SpanRecord], limit: int = 5) -> list[dict]:
     ]
 
 
+def stage_report(spans: Sequence[SpanRecord], counters: dict[str, float]) -> dict:
+    """The ``--profile`` report: seconds and entries per ``stage`` span name.
+
+    Keys: ``stages`` (seconds), ``entries`` (span count), ``counters``
+    (integral values as ints) and ``total_seconds``; every map is sorted.
+    """
+    micros: dict[str, int] = {}
+    entries: dict[str, int] = {}
+    for record in spans:
+        if record.category == "stage":
+            micros[record.name] = micros.get(record.name, 0) + record.duration_us
+            entries[record.name] = entries.get(record.name, 0) + 1
+    stages = {name: micros[name] / 1e6 for name in sorted(micros)}
+    return {
+        "stages": stages,
+        "entries": {name: entries[name] for name in sorted(entries)},
+        "counters": {
+            name: int(value) if float(value).is_integer() else value
+            for name, value in sorted(counters.items())
+        },
+        "total_seconds": sum(stages.values()),
+    }
+
+
 def build_metrics(
     spans: Sequence[SpanRecord],
     counters: dict[str, float],
@@ -165,9 +191,9 @@ def build_metrics(
     engine ran (cache hit rate, failure classification);
     pure-trace consumers may omit it.
     """
+    profile = stage_report(spans, counters)
     job_latency = Histogram()
     pass_latency = Histogram()
-    stage_totals_ms: dict[str, float] = {}
     category_counts: dict[str, int] = {}
     jobs_cached = 0
     candidate_rows = 0
@@ -183,10 +209,6 @@ def build_metrics(
             jobs_cached += 1
         elif record.category == "pass":
             pass_latency.add(record.duration_us / 1000.0)
-        elif record.category == "stage":
-            stage_totals_ms[record.name] = (
-                stage_totals_ms.get(record.name, 0.0) + record.duration_us / 1000.0
-            )
         candidate_rows += int(record.attributes.get("candidate_rows", 0))
     cache = (robustness or {}).get("cache") or {}
     hits = int(cache.get("hits", counters.get("cache.hit", 0)))
@@ -218,12 +240,11 @@ def build_metrics(
             "job_latency_ms": job_latency.as_dict(),
             "pass_latency_ms": pass_latency.as_dict(),
         },
-        "stage_totals_ms": dict(sorted(stage_totals_ms.items())),
-        "mapper": {"candidate_rows": candidate_rows},
-        "counters": {
-            name: int(value) if float(value).is_integer() else value
-            for name, value in sorted(counters.items())
+        "stage_totals_ms": {
+            name: seconds * 1000 for name, seconds in profile["stages"].items()
         },
+        "mapper": {"candidate_rows": candidate_rows},
+        "counters": profile["counters"],
         "top_spans_by_self_time": top_spans(spans),
     }
     if robustness is not None:

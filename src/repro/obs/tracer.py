@@ -11,21 +11,15 @@ Every span carries monotonic-quality timestamps (epoch-anchored start,
 ``perf_counter``-measured duration), the recording ``pid``/``tid``, free-form
 key/value attributes (node counts, cache keys, retry attempts) and a list
 of point-in-time *events* (retries, crashes, degradations).  Alongside the
-spans the tracer keeps named counters and the legacy per-stage second
-accumulators, which is what lets :mod:`repro.profiling` stay a thin shim:
-``profiling.stage``/``profiling.count`` delegate here, and the disabled
-path remains a single module-attribute read (pinned by the component
-micro-benchmark).
+spans the tracer keeps named counters.  A pipeline stage (``cuts``,
+``match``, ``dp``, ...) is a span of category ``stage`` and nothing else:
+the ``--profile`` report and the metrics' stage totals are both derived
+from those spans (:func:`repro.obs.metrics.stage_report`).
 
-Two independent switches share the machinery:
-
-* **profile mode** (:func:`enable_profile`) -- the historical ``--profile``
-  accounting: per-stage seconds/entries plus counters.
-* **trace mode** (:func:`enable_tracing`) -- full span recording for the
-  Chrome-trace/metrics/JSONL exporters, tagged with a run id.
-
-Either one flips the module-level ``ENABLED`` fast-path flag; both off is
-the default and costs nothing on the hot paths.
+:func:`enable_tracing` is the one switch.  It flips the module-level
+``ENABLED`` flag that every hot call site reads; off is the default, and
+the disabled path is a single module-attribute read (pinned by the
+component micro-benchmark).
 
 **Cross-process protocol.**  Worker processes never ship the global buffer
 wholesale: the engine's pool initializer calls :func:`activate_worker` with
@@ -43,17 +37,14 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-#: Fast-path switch: True when either profile or trace mode is on.  Hot
-#: call sites (``stage``/``span``/``count``/``event``/``annotate``) read
-#: this one attribute and return immediately when it is False.
+#: Fast-path switch: True while tracing is on.  Hot call sites
+#: (``stage``/``span``/``count``/``event``/``annotate``) read this one
+#: attribute and return immediately when it is False.
 ENABLED = False
-
-_PROFILE = False
-_TRACE = False
 
 #: True in pool workers activated via :func:`activate_worker`: spans and
 #: counters buffer locally and are shipped back per job instead of being
@@ -62,19 +53,14 @@ _REMOTE = False
 
 _RUN_ID: str | None = None
 
-# Span storage (completed spans, in completion order) plus the legacy
-# per-stage accumulators the profiling shim reports.
+# Span storage (completed spans, in completion order) plus named counters.
 _SPANS: list["SpanRecord"] = []
 _COUNTERS: dict[str, float] = {}
-_STAGE_SECONDS: dict[str, float] = {}
-_STAGE_ENTRIES: dict[str, int] = {}
 
 # Worker-side drain cursor: index into _SPANS of the first span not yet
 # shipped, so each job blob carries only its own spans.
 _DRAINED_SPANS = 0
 _DRAINED_COUNTERS: dict[str, float] = {}
-_DRAINED_STAGE_SECONDS: dict[str, float] = {}
-_DRAINED_STAGE_ENTRIES: dict[str, int] = {}
 
 _NEXT_SPAN_ID = 0
 _LOCK = threading.Lock()
@@ -160,76 +146,42 @@ def _stack() -> list:
     return stack
 
 
-def _refresh_enabled() -> None:
-    global ENABLED
-    ENABLED = _PROFILE or _TRACE
-
-
 def _reset_buffers() -> None:
     global _DRAINED_SPANS, _NEXT_SPAN_ID
     _SPANS.clear()
     _COUNTERS.clear()
-    _STAGE_SECONDS.clear()
-    _STAGE_ENTRIES.clear()
     _DRAINED_COUNTERS.clear()
-    _DRAINED_STAGE_SECONDS.clear()
-    _DRAINED_STAGE_ENTRIES.clear()
     _DRAINED_SPANS = 0
     _NEXT_SPAN_ID = 0
     _STACK.spans = []
 
 
-# -- mode switches -----------------------------------------------------------
+# -- the switch --------------------------------------------------------------
 
 
-def enable_profile(reset: bool = True) -> None:
-    """Turn on per-stage accounting (the historical ``--profile`` mode).
-
-    ``reset`` clears the previous figures -- unless trace mode is live, in
-    which case the already-recorded spans (and the counters the metrics
-    exporter shares) must survive a later ``--profile`` activation.
-    """
-    global _PROFILE
-    if reset and not _TRACE:
-        _reset_buffers()
-    _PROFILE = True
-    _refresh_enabled()
-
-
-def disable_profile() -> None:
-    global _PROFILE
-    _PROFILE = False
-    _refresh_enabled()
-
-
-def profile_active() -> bool:
-    return _PROFILE
-
-
-def enable_tracing(run_id: str | None = None, reset: bool = True) -> str:
+def enable_tracing(run_id: str | None = None) -> str:
     """Turn on span recording; returns the run id tagged onto the exporters.
 
-    ``run_id`` defaults to ``$REPRO_RUN_ID`` or a fresh UUID hex string.
+    Clears the previous recording unless tracing is already on.  ``run_id``
+    defaults to ``$REPRO_RUN_ID`` or a fresh UUID hex string.
     """
-    global _TRACE, _RUN_ID
-    if reset and not ENABLED:
+    global ENABLED, _RUN_ID
+    if not ENABLED:
         _reset_buffers()
     if run_id is None:
         run_id = os.environ.get("REPRO_RUN_ID") or uuid.uuid4().hex
     _RUN_ID = run_id
-    _TRACE = True
-    _refresh_enabled()
+    ENABLED = True
     return run_id
 
 
 def disable_tracing() -> None:
-    global _TRACE
-    _TRACE = False
-    _refresh_enabled()
+    global ENABLED
+    ENABLED = False
 
 
 def tracing_active() -> bool:
-    return _TRACE
+    return ENABLED
 
 
 def run_id() -> str | None:
@@ -283,10 +235,9 @@ def span(name: str, category: str = "task", **attributes) -> Iterator[SpanHandle
     """Record a nested span around the enclosed work.
 
     Yields a :class:`SpanHandle` for mid-span attributes/events.  One
-    attribute read and a no-op handle when tracing is disabled (profile
-    mode alone does not record spans).
+    attribute read and a no-op handle when tracing is disabled.
     """
-    if not _TRACE:
+    if not ENABLED:
         yield _NOOP_HANDLE
         return
     record = _open_span(name, category, attributes)
@@ -297,28 +248,13 @@ def span(name: str, category: str = "task", **attributes) -> Iterator[SpanHandle
         _close_span(record, started)
 
 
-@contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Accumulate the wall-clock time of a pipeline stage.
+def stage(name: str) -> AbstractContextManager[SpanHandle]:
+    """Time one pipeline stage: a :func:`span` of category ``stage``.
 
-    The unit behind ``repro.profiling.stage``: always feeds the per-stage
-    seconds/entries accumulators, and additionally records a ``stage``
-    category span when trace mode is on.  One attribute read when disabled.
+    Stage totals (``--profile``, the metrics' ``stage_totals_ms``) are sums
+    over these spans; see :func:`repro.obs.metrics.stage_report`.
     """
-    if not ENABLED:
-        yield
-        return
-    record = _open_span(name, "stage", {}) if _TRACE else None
-    started = time.perf_counter_ns()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter_ns() - started
-        if record is not None:
-            _close_span(record, started)
-        with _LOCK:
-            _STAGE_SECONDS[name] = _STAGE_SECONDS.get(name, 0.0) + elapsed / 1e9
-            _STAGE_ENTRIES[name] = _STAGE_ENTRIES.get(name, 0) + 1
+    return span(name, "stage")
 
 
 def count(name: str, value: float = 1) -> None:
@@ -331,7 +267,7 @@ def count(name: str, value: float = 1) -> None:
 
 def annotate(**attributes) -> None:
     """Set attributes on the innermost open span of this thread (if any)."""
-    if not _TRACE:
+    if not ENABLED:
         return
     stack = _stack()
     if stack:
@@ -345,7 +281,7 @@ def event(name: str, **attributes) -> None:
     is never silently dropped (crash/retry markers must survive even when
     they fire outside any instrumented region).
     """
-    if not _TRACE:
+    if not ENABLED:
         return
     stack = _stack()
     if stack:
@@ -367,7 +303,7 @@ def add_span(
     Used by the parent to materialize work that had no traced execution:
     cache hits, in-process fallbacks of jobs whose retries were exhausted.
     """
-    if not _TRACE:
+    if not ENABLED:
         return
     record = _open_span(name, category, dict(attributes))
     if start_us is not None:
@@ -394,35 +330,12 @@ def counters() -> dict[str, float]:
         return dict(_COUNTERS)
 
 
-def profile_snapshot() -> dict:
-    """The accumulated per-stage figures (stable key order).
-
-    The exact shape :func:`repro.profiling.snapshot` has always returned;
-    integral counters are emitted as ints so existing JSON consumers see
-    unchanged payloads.
-    """
-    with _LOCK:
-        return {
-            "stages": {name: _STAGE_SECONDS[name] for name in sorted(_STAGE_SECONDS)},
-            "entries": {name: _STAGE_ENTRIES[name] for name in sorted(_STAGE_ENTRIES)},
-            "counters": {
-                name: int(value) if float(value).is_integer() else value
-                for name, value in sorted(_COUNTERS.items())
-            },
-            "total_seconds": sum(_STAGE_SECONDS.values()),
-        }
-
-
 # -- cross-process protocol --------------------------------------------------
 
 
 def worker_config() -> dict:
     """Picklable activation state shipped to pool workers via initargs."""
-    return {
-        "profile": _PROFILE,
-        "trace": _TRACE,
-        "run_id": _RUN_ID,
-    }
+    return {"trace": ENABLED, "run_id": _RUN_ID}
 
 
 def activate_worker(config: dict | None) -> None:
@@ -432,17 +345,11 @@ def activate_worker(config: dict | None) -> None:
     be reported exactly once, by the parent) and flips the remote flag so
     this process buffers per job instead of exporting.
     """
-    global _PROFILE, _TRACE, _REMOTE, _RUN_ID
+    global ENABLED, _REMOTE, _RUN_ID
     _reset_buffers()
-    if not config:
-        _PROFILE = _TRACE = _REMOTE = False
-        _refresh_enabled()
-        return
-    _PROFILE = bool(config.get("profile"))
-    _TRACE = bool(config.get("trace"))
-    _RUN_ID = config.get("run_id")
-    _REMOTE = _PROFILE or _TRACE
-    _refresh_enabled()
+    ENABLED = _REMOTE = bool(config and config.get("trace"))
+    if config:
+        _RUN_ID = config.get("run_id")
 
 
 def remote_active() -> bool:
@@ -451,12 +358,12 @@ def remote_active() -> bool:
 
 
 def drain_worker_blob() -> dict | None:
-    """Spans/counters/stages accumulated since the previous drain.
+    """Spans and counters recorded since the previous drain.
 
     Called at the end of each worker-side job; the blob travels back inside
     the job payload.  Returns ``None`` when there is nothing to ship (the
-    disabled path).  Counters and stage figures ship as deltas so a blob
-    merge is a plain addition on the parent side.
+    disabled path).  Counters ship as deltas so a blob merge is a plain
+    addition on the parent side.
     """
     global _DRAINED_SPANS
     if not ENABLED:
@@ -470,24 +377,10 @@ def drain_worker_blob() -> dict | None:
             if value != _DRAINED_COUNTERS.get(name, 0)
         }
         _DRAINED_COUNTERS.update(_COUNTERS)
-        second_delta = {
-            name: value - _DRAINED_STAGE_SECONDS.get(name, 0.0)
-            for name, value in _STAGE_SECONDS.items()
-            if value != _DRAINED_STAGE_SECONDS.get(name, 0.0)
-        }
-        _DRAINED_STAGE_SECONDS.update(_STAGE_SECONDS)
-        entry_delta = {
-            name: value - _DRAINED_STAGE_ENTRIES.get(name, 0)
-            for name, value in _STAGE_ENTRIES.items()
-            if value != _DRAINED_STAGE_ENTRIES.get(name, 0)
-        }
-        _DRAINED_STAGE_ENTRIES.update(_STAGE_ENTRIES)
     return {
         "pid": os.getpid(),
         "spans": [record.as_dict() for record in fresh],
         "counters": counter_delta,
-        "stage_seconds": second_delta,
-        "stage_entries": entry_delta,
     }
 
 
@@ -505,16 +398,11 @@ def merge_blob(blob: dict | None) -> None:
             _SPANS.append(SpanRecord.from_dict(data))
         for name, value in blob.get("counters", {}).items():
             _COUNTERS[name] = _COUNTERS.get(name, 0) + value
-        for name, value in blob.get("stage_seconds", {}).items():
-            _STAGE_SECONDS[name] = _STAGE_SECONDS.get(name, 0.0) + value
-        for name, value in blob.get("stage_entries", {}).items():
-            _STAGE_ENTRIES[name] = _STAGE_ENTRIES.get(name, 0) + value
 
 
 def reset() -> None:
-    """Full reset: both modes off, buffers cleared (test isolation)."""
-    global _PROFILE, _TRACE, _REMOTE, _RUN_ID
-    _PROFILE = _TRACE = _REMOTE = False
+    """Full reset: tracing off, buffers cleared (test isolation)."""
+    global ENABLED, _REMOTE, _RUN_ID
+    ENABLED = _REMOTE = False
     _RUN_ID = None
     _reset_buffers()
-    _refresh_enabled()

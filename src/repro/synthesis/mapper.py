@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro import obs, profiling
+from repro import obs
 from repro.core.library import GateLibrary
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
@@ -1053,7 +1053,7 @@ def map_rounds(
         context.activity = activities.activity.tolist()
         context.probability = activities.probability.tolist()
 
-    with profiling.stage("cuts"):
+    with obs.stage("cuts"):
         cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
         arrays = aig_arrays(aig)
 
@@ -1065,7 +1065,7 @@ def map_rounds(
     price_tables: dict[tuple[str, str], np.ndarray] = {}
 
     def tables_for(which: CostModel, prefer: str | None = None):
-        with profiling.stage("match"):
+        with obs.stage("match"):
             prefer = which.prefer if prefer is None else prefer
             table = candidate_tables.get(prefer)
             if table is None:
@@ -1082,7 +1082,7 @@ def map_rounds(
             return table, prices
 
     def cover(table: CandidateTable, choice: np.ndarray, prices: np.ndarray) -> _Cover:
-        with profiling.stage("cover"):
+        with obs.stage("cover"):
             return _cover_rows(
                 aig, library, arrays, table, choice, pin_capacitances, prices
             )
@@ -1110,7 +1110,7 @@ def map_rounds(
                 merged_prices[dest_base] = recovery_prices
                 merged_prices[dest_extra] = cost_prices
                 recovery_prices = merged_prices
-        with profiling.stage("dp"):
+        with obs.stage("dp"):
             dp_state = _dp_round_batched(
                 aig,
                 library,
@@ -1156,7 +1156,7 @@ def map_rounds(
         ) as round_span:
             attempts = _RECOVERY_RETRIES
             while True:
-                with profiling.stage("dp"):
+                with obs.stage("dp"):
                     # Incremental re-solve: between rounds (and deadline
                     # retries) only the required/reference inputs move, so
                     # the DP diffs against the previous solution and

@@ -718,7 +718,8 @@ def matcher_for(
     ``style`` selects the implementation: ``"npn"`` (default) builds the
     canonical index, ``"exhaustive"`` the pre-expanded reference tables.
     One matcher per (library, flags) is reused across all benchmarks of an
-    experiment run.
+    experiment run.  A build runs under a ``matcher`` span (category
+    ``setup``): a run's first map job otherwise hides it outside every span.
     """
     if style not in ("npn", "exhaustive"):
         raise ValueError("style must be 'npn' or 'exhaustive'")
@@ -726,7 +727,8 @@ def matcher_for(
     cached = _MATCHER_CACHE.get(key)
     if cached is None or cached.library is not library:
         factory = LibraryMatcher if style == "npn" else ExhaustiveLibraryMatcher
-        cached = factory(library, allow_output_negation=allow_output_negation)
+        with obs.span("matcher", category="setup", library=library.name):
+            cached = factory(library, allow_output_negation=allow_output_negation)
         _MATCHER_CACHE[key] = cached
     return cached
 

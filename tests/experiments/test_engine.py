@@ -262,17 +262,17 @@ class TestCacheHardening:
         assert f"{'ff' * 32}.json" in survivors
 
     def test_cache_events_mirrored_to_profiler_counters(self, tmp_path):
-        from repro import profiling
+        from repro import obs
 
         cache = ResultCache(tmp_path)
-        profiling.enable()
+        obs.enable_tracing()
         try:
             cache.put("aa" * 32, {"value": 1})
             cache.get("aa" * 32)
             cache.get("bb" * 32)
-            counters = profiling.snapshot()["counters"]
+            counters = obs.stage_report(obs.spans(), obs.counters())["counters"]
         finally:
-            profiling.disable()
+            obs.reset()
         assert counters["cache.put"] == 1
         assert counters["cache.hit"] == 1
         assert counters["cache.miss"] == 1

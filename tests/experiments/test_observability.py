@@ -1,20 +1,25 @@
-"""End-to-end observability: cross-process traces, profile merge, CLI flags.
+"""End-to-end observability: cross-process traces, stage reports, CLI flags.
 
 The tracer unit tests live in ``tests/obs``; this module pins the contract
 *through the engine and runner*: worker spans come home pid-tagged, cache
-hits synthesize spans in the parent, a parallel ``--profile`` reports the
-same per-job stage entries as a sequential one (the worker-snapshot merge
-bugfix), fault handling leaves crash/retry markers in the trace, and the
-CLI exporters write valid files while leaving the artifacts byte-identical.
+hits synthesize spans in the parent, a parallel run's stage report (summed
+from its ``stage`` spans) has the same per-job stage entries as a
+sequential one, matcher builds are spanned under the job that needs them,
+fault handling leaves crash/retry markers in the trace, and the CLI
+exporters write valid files while leaving the artifacts byte-identical.
+``--profile`` equals the metrics' stage totals of the same run and is
+served from the cache like any other run.
 """
 
 import json
 import os
+import random
 from functools import lru_cache
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
+from repro.analysis.activity import compute_activities
 from repro.core.families import LogicFamily
 from repro.core.library import build_library
 from repro.experiments import engine as engine_module
@@ -23,6 +28,9 @@ from repro.experiments.engine import ExperimentEngine, MapJob
 from repro.experiments.faults import FaultPlan
 from repro.experiments.resilience import RetryPolicy, run_resilient
 from repro.experiments.runner import main
+from repro.synthesis import matcher as matcher_module
+from repro.synthesis.mapper import technology_map, verify_mapping
+from repro.synthesis.matcher import matcher_for
 from tests.experiments.test_resilience import _crash_in_pool_workers
 
 #: Small-but-parallel workload: four independent jobs on the fast adder.
@@ -39,6 +47,10 @@ FAST_POLICY = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
 
 def _jobs():
     return [MapJob("add-16", family) for family in FAMILIES]
+
+
+def _stage_report():
+    return obs.stage_report(obs.spans(), obs.counters())
 
 
 def _result_view(results):
@@ -156,16 +168,15 @@ class TestCrossProcessTrace:
 
 
 class TestProfileMerge:
-    """Satellite bugfix: --profile with --jobs > 1 must not drop worker
-    stage timings."""
+    """A parallel run's stage report keeps every worker's stage spans."""
 
     def _profile(self, jobs):
-        profiling.enable()
+        obs.enable_tracing()
         try:
             ExperimentEngine(jobs=jobs, use_cache=False).run_map_jobs(_jobs())
-            return profiling.snapshot()
+            return _stage_report()
         finally:
-            profiling.disable()
+            obs.disable_tracing()
 
     def test_parallel_profile_matches_sequential_entry_counts(self):
         sequential = self._profile(1)
@@ -173,7 +184,7 @@ class TestProfileMerge:
         # One entry per job for the per-job stages, both ways.  (optimize /
         # activity memoize per process, so their entry counts legitimately
         # differ between one process and four.)
-        for stage in ("cuts", "match", "dp", "cover", "power", "verify"):
+        for stage in ("cuts", "match", "dp", "cover", "power"):
             assert parallel["entries"][stage] == sequential["entries"][stage], stage
 
     def test_parallel_profile_reports_nonzero_stage_seconds(self):
@@ -181,6 +192,34 @@ class TestProfileMerge:
         assert parallel["total_seconds"] > 0
         assert parallel["stages"]["match"] > 0
         assert parallel["stages"]["cover"] > 0
+
+
+def test_profiled_jobs_map_to_equivalent_netlists():
+    """The workload above, mapped from the engine's optimized subject the way
+    a map job maps it, is equivalent to that subject on 128 seeded random
+    patterns per input."""
+    for family in FAMILIES:
+        job = MapJob("add-16", family)
+        aig = engine_module._subject_aig(job.benchmark, job.flow)
+        library = build_library(family)
+        mapped = technology_map(
+            aig,
+            library,
+            matcher=matcher_for(library),
+            objective=job.objective,
+            max_inputs=job.max_inputs,
+            cut_limit=job.cut_limit,
+            activities=compute_activities(
+                aig, vectors=job.power_vectors, seed=job.power_seed
+            ),
+            rounds=job.rounds,
+            recovery=job.recovery,
+        )
+        rng = random.Random(f"verify:{aig.name}")
+        patterns = {
+            name: [rng.getrandbits(64) for _ in range(2)] for name in aig.pi_names
+        }
+        assert verify_mapping(mapped, aig, patterns), family
 
 
 class TestMapperStages:
@@ -201,19 +240,39 @@ class TestMapperStages:
             return cover
 
         monkeypatch.setattr(mapper, "_cover_rows", counting)
-        profiling.enable()
-        try:
-            ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(
-                [MapJob("add-16", LogicFamily.TG_STATIC, rounds=2)]
-            )
-            report = profiling.snapshot()
-        finally:
-            profiling.disable()
-        entries = report["entries"]
+        obs.enable_tracing()
+        ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(
+            [MapJob("add-16", LogicFamily.TG_STATIC, rounds=2)]
+        )
+        entries = _stage_report()["entries"]
         assert len(built) >= 2  # round 0 plus at least one recovery attempt
         assert entries["cover"] == entries["dp"] == len(built)
         assert entries["match"] >= 2  # round-0 and recovery candidate tables
         assert "recover" not in entries
+
+
+class TestMatcherSpan:
+    """A matcher build is set-up work: it runs under a ``matcher`` span,
+    not as unattributed self time of the first job that needs it."""
+
+    def test_first_job_spans_its_matcher_build_once(self, monkeypatch):
+        monkeypatch.setattr(matcher_module, "_MATCHER_CACHE", {})
+        obs.enable_tracing()
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        engine.run_map_jobs([MapJob("add-16", LogicFamily.TG_STATIC)])
+        spans = obs.spans()
+        job = next(s for s in spans if s.category == "job")
+        matchers = [s for s in spans if s.name == "matcher"]
+        assert len(matchers) == 1
+        assert matchers[0].category == "setup"
+        assert matchers[0].attributes == {"library": LogicFamily.TG_STATIC.value}
+        assert matchers[0].parent_id == job.span_id
+
+        obs.disable_tracing()
+        obs.enable_tracing()  # a fresh recording for the second job
+        engine.run_map_jobs([MapJob("add-16", LogicFamily.TG_STATIC, "area")])
+        assert [s for s in obs.spans() if s.category == "job"]
+        assert not [s for s in obs.spans() if s.name == "matcher"]
 
 
 class TestFailureTelemetry:
@@ -256,17 +315,13 @@ class TestFailureTelemetry:
 
     def test_exhausted_retries_count_degraded_inprocess(self):
         obs.enable_tracing()
-        profiling.enable(reset=False)
-        try:
-            outcome = run_resilient(
-                _crash_in_pool_workers,
-                [(5, os.getpid()), (9, os.getpid())],
-                jobs=2,
-                policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            )
-            counters = profiling.snapshot()["counters"]
-        finally:
-            profiling.disable()
+        outcome = run_resilient(
+            _crash_in_pool_workers,
+            [(5, os.getpid()), (9, os.getpid())],
+            jobs=2,
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
+        )
+        counters = _stage_report()["counters"]
         assert outcome.results == [4, 8]
         assert counters["jobs.degraded_inprocess"] == 2
         # max_attempts=2: every job crashes twice before degrading.
@@ -368,3 +423,39 @@ class TestRunnerExporters:
         assert report["entries"]["match"] > 0
         assert report["stages"]["match"] > 0
         assert report["total_seconds"] > 0
+
+    def test_profile_equals_the_metrics_stage_totals(self, tmp_path, capsys):
+        profile_path = tmp_path / "profile.json"
+        metrics_path = tmp_path / "metrics.json"
+        self._run(
+            tmp_path,
+            "--no-cache",
+            "--jobs",
+            "2",
+            "--profile-out",
+            str(profile_path),
+            "--metrics-out",
+            str(metrics_path),
+        )
+        stages = json.loads(profile_path.read_text())["stages"]
+        totals = json.loads(metrics_path.read_text())["stage_totals_ms"]
+        assert stages and set(stages) == set(totals)
+        for name, seconds in stages.items():
+            assert seconds * 1000 == totals[name], name
+        assert "verify" not in stages
+        assert "[trace" in capsys.readouterr().out  # --metrics-out wrote a file
+
+    def test_warm_profile_is_served_from_the_cache(self, tmp_path, capsys):
+        cold_path = tmp_path / "cold.json"
+        warm_path = tmp_path / "warm.json"
+        self._run(tmp_path, "--profile-out", str(cold_path))
+        self._run(tmp_path, "--profile-out", str(warm_path))
+        cold = json.loads(cold_path.read_text())
+        warm = json.loads(warm_path.read_text())
+        assert cold["entries"]["cuts"] > 0
+        assert cold["counters"]["cache.miss"] > 0
+        assert warm["counters"]["cache.hit"] > 0
+        assert "cache.miss" not in warm["counters"]
+        assert "cuts" not in warm["entries"]
+        # --profile alone writes no trace file, so it reports none.
+        assert "[trace" not in capsys.readouterr().out

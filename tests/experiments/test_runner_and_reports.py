@@ -78,6 +78,27 @@ class TestRunnerCli:
         assert "Table 2" not in captured.out
         assert target.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("problem", ["missing-parent", "directory"])
+    @pytest.mark.parametrize(
+        "flag", ["--profile-out", "--trace", "--metrics-out", "--events-out"]
+    )
+    def test_unusable_telemetry_path_is_rejected(
+        self, capsys, tmp_path, flag, problem
+    ):
+        # The file is written after the whole run, so it is checked first.
+        if problem == "directory":
+            target = tmp_path / "existing"
+            target.mkdir()
+        else:
+            target = tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["add-16", "--no-cache", flag, str(target)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "Table 2" not in captured.out
+        assert not (tmp_path / "missing").exists()
+
     def test_list_flows(self, capsys):
         exit_code = main(["--list-flows"])
         captured = capsys.readouterr().out

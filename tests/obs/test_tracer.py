@@ -1,16 +1,21 @@
-"""Tracer invariants: nesting, modes, snapshots and the worker protocol."""
+"""Tracer invariants: nesting, the switch, the stage report and the worker
+protocol."""
 
 import os
 import threading
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
 from repro.obs.tracer import SpanRecord
 
 
 def _by_name(spans):
     return {record.name: record for record in spans}
+
+
+def _report():
+    return obs.stage_report(obs.spans(), obs.counters())
 
 
 class TestSpanNesting:
@@ -121,60 +126,15 @@ class TestModes:
             pass
         assert obs.spans() == []
         assert obs.counters() == {}
-        assert obs.profile_snapshot()["stages"] == {}
+        assert _report()["stages"] == {}
 
-    def test_profile_mode_accumulates_stages_without_spans(self):
-        obs.enable_profile()
-        with obs.stage("match"):
-            pass
-        with obs.stage("match"):
-            pass
-        assert obs.spans() == []
-        snapshot = obs.profile_snapshot()
-        assert snapshot["entries"] == {"match": 2}
-        assert snapshot["stages"]["match"] >= 0.0
-        assert snapshot["total_seconds"] == sum(snapshot["stages"].values())
-
-    def test_trace_mode_records_stage_spans_and_accumulators(self):
+    def test_stage_records_a_stage_span(self):
         obs.enable_tracing()
         with obs.stage("cover"):
             pass
         assert [record.name for record in obs.spans()] == ["cover"]
         assert obs.spans()[0].category == "stage"
-        assert obs.profile_snapshot()["entries"] == {"cover": 1}
-
-    def test_profile_shim_delegates_to_the_tracer(self):
-        profiling.enable()
-        try:
-            with profiling.stage("verify"):
-                profiling.count("checks", 3)
-            snapshot = profiling.snapshot()
-        finally:
-            profiling.disable()
-        assert snapshot["entries"] == {"verify": 1}
-        assert snapshot["counters"] == {"checks": 3}
-        assert profiling.active() is False
-
-    def test_trace_only_mode_does_not_claim_profile_active(self):
-        # The engine keys its verify stage off profiling.active(); tracing
-        # must never flip it or traced artifacts would diverge.
-        obs.enable_tracing()
-        assert profiling.active() is False
-        assert obs.tracing_active() is True
-
-    def test_enable_profile_preserves_a_live_trace(self):
-        obs.enable_tracing()
-        with obs.span("early"):
-            pass
-        obs.enable_profile()
-        assert [record.name for record in obs.spans()] == ["early"]
-
-    def test_enable_profile_alone_resets_previous_figures(self):
-        obs.enable_profile()
-        with obs.stage("old"):
-            pass
-        obs.enable_profile()
-        assert obs.profile_snapshot()["entries"] == {}
+        assert _report()["entries"] == {"cover": 1}
 
     def test_run_id_default_and_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_ID", raising=False)
@@ -190,9 +150,9 @@ class TestModes:
         obs.count("jobs.retry")
         obs.count("jobs.backoff_seconds", 0.25)
         assert obs.counters() == {"jobs.retry": 2, "jobs.backoff_seconds": 0.25}
-        snapshot = obs.profile_snapshot()
-        assert snapshot["counters"]["jobs.retry"] == 2
-        assert isinstance(snapshot["counters"]["jobs.retry"], int)
+        report = _report()
+        assert report["counters"]["jobs.retry"] == 2
+        assert isinstance(report["counters"]["jobs.retry"], int)
 
 
 class TestWorkerProtocol:
@@ -222,40 +182,37 @@ class TestWorkerProtocol:
         assert obs.spans() == []
 
     def test_drain_ships_deltas_only(self):
-        obs.activate_worker({"trace": True, "profile": True, "run_id": "r"})
+        obs.activate_worker({"trace": True, "run_id": "r"})
         with obs.stage("match"):
             obs.count("ticks", 2)
         first = obs.drain_worker_blob()
+        # Stages are spans: a blob carries nothing else.
+        assert set(first) == {"pid", "spans", "counters"}
         assert [span["name"] for span in first["spans"]] == ["match"]
         assert first["counters"] == {"ticks": 2}
-        assert first["stage_entries"] == {"match": 1}
 
         with obs.stage("cover"):
             obs.count("ticks", 1)
         second = obs.drain_worker_blob()
         assert [span["name"] for span in second["spans"]] == ["cover"]
         assert second["counters"] == {"ticks": 1}
-        assert second["stage_entries"] == {"cover": 1}
-        assert "match" not in second["stage_seconds"]
 
     def test_drain_disabled_returns_none(self):
         assert obs.drain_worker_blob() is None
 
-    def test_merge_blob_folds_spans_counters_and_stages(self):
-        obs.activate_worker({"trace": True, "profile": True, "run_id": "r"})
+    def test_merge_blob_folds_spans_and_counters(self):
+        obs.activate_worker({"trace": True, "run_id": "r"})
         with obs.stage("match"):
             obs.count("ticks", 2)
         blob = obs.drain_worker_blob()
 
         obs.reset()
         obs.enable_tracing()
-        obs.enable_profile(reset=False)
         with obs.stage("match"):
             obs.count("ticks", 1)
         obs.merge_blob(blob)
         assert obs.counters() == {"ticks": 3}
-        snapshot = obs.profile_snapshot()
-        assert snapshot["entries"] == {"match": 2}
+        assert _report()["entries"] == {"match": 2}
         assert len(obs.spans()) == 2
 
     def test_merge_blob_accepts_none(self):
@@ -280,8 +237,6 @@ class TestWorkerProtocol:
                     for index, name in enumerate(names)
                 ],
                 "counters": {"ticks": len(names)},
-                "stage_seconds": {},
-                "stage_entries": {},
             }
 
         blob_a = blob(111, ["a1", "a2"])
@@ -316,18 +271,42 @@ class TestWorkerProtocol:
         assert SpanRecord.from_dict(record.as_dict()) == record
 
 
-class TestProfileSnapshotShape:
-    def test_snapshot_keys_are_sorted_and_ints_stay_ints(self):
-        obs.enable_profile()
+class TestStageReportShape:
+    def test_report_keys_are_sorted_and_ints_stay_ints(self):
+        obs.enable_tracing()
         with obs.stage("zeta"):
             pass
         with obs.stage("alpha"):
             pass
         obs.count("whole", 2)
         obs.count("fraction", 0.5)
-        snapshot = obs.profile_snapshot()
-        assert list(snapshot["stages"]) == ["alpha", "zeta"]
-        assert list(snapshot["entries"]) == ["alpha", "zeta"]
-        assert snapshot["counters"] == {"fraction": 0.5, "whole": 2}
-        assert isinstance(snapshot["counters"]["whole"], int)
-        assert set(snapshot) == {"stages", "entries", "counters", "total_seconds"}
+        report = _report()
+        assert list(report["stages"]) == ["alpha", "zeta"]
+        assert list(report["entries"]) == ["alpha", "zeta"]
+        assert report["counters"] == {"fraction": 0.5, "whole": 2}
+        assert isinstance(report["counters"]["whole"], int)
+        assert set(report) == {"stages", "entries", "counters", "total_seconds"}
+
+    def test_report_sums_stage_spans_only(self):
+        def record(span_id, name, category, duration_us):
+            return SpanRecord(
+                span_id=span_id,
+                parent_id=None,
+                name=name,
+                category=category,
+                start_us=0,
+                duration_us=duration_us,
+                pid=1,
+                tid=1,
+            )
+
+        spans = [
+            record(0, "cuts", "stage", 1500),
+            record(1, "cuts", "stage", 500),
+            record(2, "dp", "stage", 250),
+            record(3, "cuts", "task", 9000),  # not a stage: ignored
+        ]
+        report = obs.stage_report(spans, {})
+        assert report["stages"] == {"cuts": 0.002, "dp": 0.00025}
+        assert report["entries"] == {"cuts": 2, "dp": 1}
+        assert report["total_seconds"] == 0.002 + 0.00025
