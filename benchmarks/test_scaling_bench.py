@@ -7,9 +7,11 @@ nightly ``scaling_bench.json`` artifact tracks how the vectorized cut
 pipeline and the mapping DP behave as node count and cut pressure grow.
 A recovery lane maps the multiplier and the DES block at K=6 with one
 required-time recovery round and a warm cut memo, so it times the DP
-solves and the covers with their static timing.  Each mapping is
-additionally spot-verified against the subject AIG on a deterministic
-packed pattern set.
+solves and the covers with their static timing.  A cuts lane times cold
+cut enumeration alone at K=6 on the 10-40k-AND circuits: the two scale
+subjects of perfbench's ``scale-k6`` workload and a 64-bit multiplier.
+Each mapping is additionally spot-verified against the subject AIG on a
+deterministic packed pattern set.
 """
 
 import random
@@ -20,6 +22,8 @@ from repro.bench.generators.alu import dedicated_alu_circuit
 from repro.bench.generators.des import des_round_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily
+from repro.synthesis.aig_array import aig_arrays
+from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import map_rounds, technology_map, verify_mapping
 
 pytestmark = pytest.mark.slow
@@ -29,6 +33,17 @@ SCALING_CIRCUITS = {
     "alu-32": lambda: dedicated_alu_circuit(data_width=32, seed=2026, name="alu-32"),
     "des-2r": lambda: des_round_circuit(
         block_width=64, rounds=2, seed=1977, name="des-2r"
+    ),
+}
+
+
+#: Cuts-lane subjects; ``des-8r`` takes its S-boxes from seed 2009, as
+#: perfbench's ``scale-k6`` does at its default seed.
+CUT_SCALING_CIRCUITS = {
+    "mult-32": lambda: array_multiplier_circuit(width=32, name="mult-32"),
+    "mult-64": lambda: array_multiplier_circuit(width=64, name="mult-64"),
+    "des-8r": lambda: des_round_circuit(
+        block_width=64, rounds=8, seed=2009, name="des-8r"
     ),
 }
 
@@ -46,6 +61,13 @@ def _cold_map(aig, library, matcher, objective, max_inputs):
     return technology_map(
         aig, library, matcher=matcher, objective=objective, max_inputs=max_inputs
     )
+
+
+def _cold_cuts(aig):
+    """Enumerate K=6 cuts with the per-AIG cut-set memo dropped, so every
+    round pays for enumeration instead of returning the memo."""
+    aig.__dict__.pop("_cut_sets", None)
+    return cut_set_for(aig, max_inputs=6, cut_limit=8)
 
 
 def _verify(aig, mapped, label):
@@ -92,3 +114,12 @@ def test_bench_scaling_recovery(benchmark, libraries, matchers, scaling_aigs, na
     assert len(result.rounds) == 2
     assert result.final.normalized_delay <= result.rounds[0].normalized_delay + 1e-9
     _verify(aig, result.final, f"{name}:recovery")
+
+
+@pytest.mark.parametrize("name", sorted(CUT_SCALING_CIRCUITS))
+def test_bench_scaling_cuts(benchmark, name):
+    """Cold cut enumeration (K=6, cut limit 8) on one oversized circuit."""
+    aig = CUT_SCALING_CIRCUITS[name]()
+    cut_set = benchmark.pedantic(_cold_cuts, args=(aig,), rounds=3, iterations=1)
+    counts = cut_set.count[aig_arrays(aig).and_nodes]
+    assert ((counts >= 2) & (counts <= 9)).all()

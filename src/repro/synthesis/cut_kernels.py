@@ -8,7 +8,8 @@ needs:
 
 * :func:`insert_dontcare` / :func:`expand_tables` -- re-express a table over
   a superset of its variables by inserting don't-care variables (the batched
-  equivalent of ``repro.synthesis.cuts._expand_at_positions``);
+  equivalent of the cut oracle's ``_expand_at_positions`` in
+  ``tests/oracles/cuts.py``);
 * :func:`batch_support` -- true-support masks of a table batch (the batched
   equivalent of ``repro.synthesis.cuts.table_support``);
 * :data:`FULL_BY_SIZE` -- the all-ones mask per variable count, for batched
@@ -21,9 +22,11 @@ decomposed over the binary digits of ``i``), then OR-ed with a copy shifted by
 one chunk -- O(log) vector operations per insertion, with the masks
 precomputed once per position.
 
-All kernels are pure and exactly bit-compatible with the scalar reference
-implementations in :mod:`repro.synthesis.cuts`; the hypothesis property tests
-in ``tests/synthesis/test_cut_properties.py`` pin that equivalence.
+All kernels are pure and exactly bit-compatible with their scalar
+references (``table_support`` and ``project_table`` in
+:mod:`repro.synthesis.cuts`, ``_expand_at_positions`` in
+``tests/oracles/cuts.py``); the hypothesis property tests in
+``tests/synthesis/test_cut_properties.py`` pin that equivalence.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def insert_dontcare(tables: np.ndarray, position: int) -> np.ndarray:
 
     ``tables`` must hold functions of at least ``position`` and at most 5
     variables (so the result still fits the word).  Equivalent to one step of
-    ``_expand_at_positions`` applied across the whole batch.
+    the cut oracle's ``_expand_at_positions`` applied across the whole batch.
     """
     t = tables
     for shift, mask, inverse in _spread_steps(position):
@@ -145,8 +148,8 @@ def expand_tables(tables: np.ndarray, submasks: np.ndarray) -> np.ndarray:
     all-zero source bytes are skipped entirely.
 
     Bits of the result above ``2**target_size`` are unspecified; callers mask
-    with :data:`FULL_BY_SIZE` (the scalar ``_expand_at_positions`` leaves
-    them zero instead).
+    with :data:`FULL_BY_SIZE` (the cut oracle's ``_expand_at_positions``
+    leaves them zero instead).
     """
     global _EXPAND_LUT
     if tables.size == 0:
@@ -164,18 +167,23 @@ def expand_tables(tables: np.ndarray, submasks: np.ndarray) -> np.ndarray:
     return out
 
 
+_VAR_SHIFTS = _U64(1) << np.arange(6, dtype=np.uint64)
+_VAR_POSITIONS = np.arange(6)
+
+
 def batch_support(tables: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """True-support bitmask of every table (over ``sizes[i]`` variables)."""
-    supports = np.zeros(tables.shape, dtype=np.uint8)
-    for position in range(6):
-        in_range = sizes > position
-        if not in_range.any():
-            break
-        mask = VAR_PERIOD_MASKS[position]
-        shifted = tables >> _U64(1 << position)
-        depends = (tables & mask) != (shifted & mask)
-        supports |= (depends & in_range).astype(np.uint8) << np.uint8(position)
-    return supports
+    """True-support bitmask of every table (over ``sizes[i]`` variables).
+
+    Variable ``p`` is in the support when the table differs from itself
+    shifted by ``2**p`` on the variable's negative-cofactor minterms; all
+    six positions are tested at once and the flags packed into one byte
+    per table.
+    """
+    t = np.asarray(tables, dtype=np.uint64)[:, None]
+    depends = np.zeros((t.shape[0], 8), dtype=bool)
+    np.not_equal((t ^ (t >> _VAR_SHIFTS)) & VAR_PERIOD_MASKS, 0, out=depends[:, :6])
+    depends[:, :6] &= _VAR_POSITIONS < np.asarray(sizes)[:, None]
+    return np.packbits(depends, bitorder="little")
 
 
 #: Batched equivalent of ``repro.synthesis.cuts.table_support`` -- the name
@@ -202,7 +210,8 @@ def _build_compress_index() -> np.ndarray:
 
 
 _COMPRESS_INDEX = _build_compress_index()
-_POPCOUNT64 = np.array([bin(value).count("1") for value in range(64)], dtype=np.int64)
+#: Set-bit count of every 6-bit mask.
+POPCOUNT64 = np.array([bin(value).count("1") for value in range(64)], dtype=np.int64)
 
 #: ``_MASK_POSITIONS[mask, j]`` = the ``j``-th set bit position of ``mask``
 #: (ascending), zero-padded -- the leaf positions a support mask selects.
@@ -217,7 +226,7 @@ def support_positions(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-mask ``(positions, widths)``: the set bit positions (ascending,
     zero-padded to 6 columns) and the popcount of every support mask."""
     masks = masks.astype(np.int64)
-    return _MASK_POSITIONS[masks], _POPCOUNT64[masks]
+    return _MASK_POSITIONS[masks], POPCOUNT64[masks]
 
 
 def project_table_batch(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -243,7 +252,7 @@ def project_table_batch(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
         m = mask_rows[start : start + chunk]
         source = _COMPRESS_INDEX[m]
         bits = (t[:, None] >> source) & _U64(1)
-        valid = minterms < (np.int64(1) << _POPCOUNT64[m][:, None])
+        valid = minterms < (np.int64(1) << POPCOUNT64[m][:, None])
         contributions = np.where(valid, bits * _MINTERM_WEIGHTS[None, :], _U64(0))
         out[start : start + chunk] = contributions.sum(axis=1, dtype=np.uint64)
     return out

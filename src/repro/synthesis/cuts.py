@@ -7,24 +7,20 @@ mapping enumerates, for every node, a small set of K-feasible cuts (at most
 Boolean function of the node in terms of the cut leaves, and matches that
 function against the library.
 
-Two implementations share one contract:
-
-* :func:`enumerate_cuts_arrays` -- the **vectorized kernel path**.  Per-node
-  candidate cuts live in numpy arrays (:class:`CutSet`): leaf tuples are
-  merged with batched sorts, truth tables are expanded and AND-ed as uint64
-  words across all candidate cuts of a whole AIG level at once
-  (:mod:`repro.synthesis.cut_kernels`), and leaf-set deduplication is a
-  single signature sort instead of a per-pair dict.  Every K<=6 cut function
-  fits one 64-bit word, which is what makes the batching exact.
-* :func:`enumerate_cuts_reference` -- the original pure-Python enumeration,
-  retained as the oracle; the property tests assert cut-for-cut agreement.
+:func:`enumerate_cuts_arrays` is the one enumerator.  Per-node cuts live in
+numpy arrays (:class:`CutSet`) and every AIG level is one batch: the leaf
+rows of each candidate pair are merged with each leaf tagged by the fanin
+cut it came from, duplicate leaf sets are dropped by sorting packed integer
+keys, and truth tables are expanded and AND-ed as uint64 words
+(:mod:`repro.synthesis.cut_kernels`).  Every K<=6 cut function fits one
+64-bit word, which is what makes the batching exact.  The pure-Python
+enumeration it replaced is the parity oracle in ``tests/oracles/cuts.py``.
 
 :func:`enumerate_cuts` keeps the historical dict-of-:class:`Cut` interface on
-top of the vectorized path (and memoizes the underlying :class:`CutSet` on
-the AIG, so e.g. the three library-mapping jobs of one benchmark enumerate
-once).  Cut functions are raw integer truth tables (at most ``2**6`` bits);
-the matcher converts them to :class:`~repro.logic.truth_table.TruthTable`
-keys on demand.
+top of it (and memoizes the underlying :class:`CutSet` on the AIG, so e.g.
+the three library-mapping jobs of one benchmark enumerate once).  Cut
+functions are raw integer truth tables (at most ``2**6`` bits); the matcher
+converts them to :class:`~repro.logic.truth_table.TruthTable` keys on demand.
 """
 
 from __future__ import annotations
@@ -34,10 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.synthesis.aig import Aig, lit_is_complemented, lit_node
+from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import AigArrays, aig_arrays
 from repro.synthesis.cut_kernels import (
     FULL_BY_SIZE,
+    POPCOUNT64,
     batch_support,
     expand_tables,
     project_table_batch,
@@ -48,23 +45,27 @@ from repro.synthesis.cut_kernels import (
 DEFAULT_MAX_INPUTS = 6
 DEFAULT_CUT_LIMIT = 8
 
-_FULL_MASK = {n: (1 << (1 << n)) - 1 for n in range(0, 7)}
-
 #: Padding value for unused leaf slots in the array representation; larger
 #: than any node id so batched sorts push padding to the right.
 LEAF_SENTINEL = np.int32(2**31 - 1)
 
-# Truth-table columns of the projection functions x0..x5 over 6 variables,
-# restricted on demand to fewer variables by masking.
-_VAR_COLUMNS_6 = []
-for _i in range(6):
-    _block = 1 << _i
-    _chunk = ((1 << _block) - 1) << _block
-    _period = _block * 2
-    _bits = 0
-    for _start in range(0, 64, _period):
-        _bits |= _chunk << _start
-    _VAR_COLUMNS_6.append(_bits)
+#: Largest AIG the enumerator accepts: a leaf merge entry is 32 bits wide
+#: and holds the node id above two origin-tag bits, so ids stay below
+#: ``2**29``.
+MAX_NODES = 1 << 29
+
+#: Origin tags of the leaf merge entries per cut width: the low two bits of
+#: an entry say which fanin cut the leaf came from (1: fanin 0, 2: fanin 1;
+#: a leaf of both cuts is folded into one entry tagged 3).
+_ORIGIN = {
+    width: np.array([1] * width + [2] * width, dtype=np.uint32)
+    for width in range(2, 7)
+}
+
+#: Merge entries at or above this value are padding: ``LEAF_SENTINEL``
+#: shifted past the tag bits wraps to the top of the unsigned 32-bit range,
+#: above every tagged node id.
+_TAGGED_PADDING = np.uint32(0xFFFFFFFC)
 
 
 @dataclass(frozen=True)
@@ -137,55 +138,13 @@ def project_table(table: int, num_vars: int, support_mask: int) -> int:
     return table
 
 
-@lru_cache(maxsize=1 << 16)
-def _expand_at_positions(table: int, insert_positions: tuple[int, ...]) -> int:
-    """Insert don't-care variables at the given (ascending) positions.
-
-    Each insertion at position ``p`` splits the table into ``2**p``-bit
-    chunks and duplicates every chunk, which is equivalent to the classical
-    per-minterm re-indexing but runs in O(chunks) big-int operations.
-    """
-    for position in insert_positions:
-        block = 1 << position
-        chunk_mask = (1 << block) - 1
-        rebuilt, shift, rest = 0, 0, table
-        while rest:
-            chunk = rest & chunk_mask
-            rebuilt |= (chunk | (chunk << block)) << shift
-            rest >>= block
-            shift += block * 2
-        table = rebuilt
-    return table
-
-
-@lru_cache(maxsize=1 << 16)
-def _expand_table(table: int, leaves: tuple[int, ...], merged: tuple[int, ...]) -> int:
-    """Re-express ``table`` (over ``leaves``) over the superset ``merged``."""
-    if leaves == merged:
-        return table
-    inserts = []
-    leaf_index = 0
-    for position, leaf in enumerate(merged):
-        if leaf_index < len(leaves) and leaves[leaf_index] == leaf:
-            leaf_index += 1
-        else:
-            inserts.append(position)
-    return _expand_at_positions(table, tuple(inserts))
-
-
-def _merge_leaves(a: tuple[int, ...], b: tuple[int, ...], limit: int) -> tuple[int, ...] | None:
-    """Sorted union of two leaf sets, or ``None`` if it exceeds ``limit``."""
-    merged = sorted(set(a) | set(b))
-    if len(merged) > limit:
-        return None
-    return tuple(merged)
-
-
-def _validate_parameters(max_inputs: int, cut_limit: int) -> None:
+def _validate_parameters(max_inputs: int, cut_limit: int, num_nodes: int) -> None:
     if max_inputs < 2 or max_inputs > 6:
         raise ValueError("max_inputs must be between 2 and 6")
     if cut_limit < 1:
         raise ValueError("cut_limit must be at least 1")
+    if num_nodes > MAX_NODES:
+        raise ValueError(f"cut enumeration supports at most {MAX_NODES} nodes")
 
 
 # -- array representation -----------------------------------------------------
@@ -277,16 +236,6 @@ class CutSet:
         return result
 
 
-#: Below this many candidate cut pairs per level (nodes per level times the
-#: squared per-node cut count), per-operation dispatch overhead beats the
-#: batching win and the scalar path is used instead (deep, narrow graphs such
-#: as ripple-carry chains at small K).  Measured crossover on this container
-#: is ~190 at the rewrite pass's K=4 / cut_limit=4 shape: C6288 (497
-#: pairs/level) enumerates 1.8x faster batched while add-64 (111) and C1355
-#: (181) stay faster scalar.
-VECTOR_PAIRS_THRESHOLD = 192
-
-
 def enumerate_cuts_arrays(
     aig: Aig,
     max_inputs: int = DEFAULT_MAX_INPUTS,
@@ -294,403 +243,207 @@ def enumerate_cuts_arrays(
 ) -> CutSet:
     """Enumerate priority cuts for every node into a :class:`CutSet`.
 
-    Dispatches on batch width: wide graphs run the batched uint64 kernels
-    (:func:`enumerate_cuts_vectorized`), deep narrow graphs -- where numpy
-    dispatch overhead exceeds the batching win -- fall back to the scalar
-    reference loop and pack its result.  Both produce identical cuts.
+    Each AIG level is one batch (:func:`_enumerate_level`).  Candidate pairs
+    are generated in fanin-major order, deduplicated first-wins by leaf set
+    and stably ranked by ``(size, single-fanout leaves, first occurrence)``,
+    so cuts, their order, tables and supports are exactly those of the
+    pure-Python oracle (``tests/oracles/cuts.py``).
     """
-    _validate_parameters(max_inputs, cut_limit)
+    _validate_parameters(max_inputs, cut_limit, aig.num_nodes)
     arrays = aig_arrays(aig)
-    groups = len(arrays.level_groups)
-    pairs_per_level = (
-        arrays.num_ands / groups * (cut_limit + 1) ** 2 if groups else 0.0
-    )
-    if pairs_per_level < VECTOR_PAIRS_THRESHOLD:
-        return enumerate_cuts_scalar(aig, max_inputs=max_inputs, cut_limit=cut_limit)
-    return enumerate_cuts_vectorized(aig, max_inputs=max_inputs, cut_limit=cut_limit)
-
-
-def _cut_set_from_dict(
-    cuts: dict[int, list[Cut]], arrays: AigArrays, max_inputs: int, cut_limit: int
-) -> CutSet:
-    """Pack a dict-of-:class:`Cut` enumeration into the array representation."""
     num_nodes = arrays.num_nodes
     slots = cut_limit + 1
-    count = np.zeros(num_nodes, dtype=np.int64)
-    leaves = np.full((num_nodes, slots, max_inputs), LEAF_SENTINEL, dtype=np.int32)
-    size = np.zeros((num_nodes, slots), dtype=np.int8)
-    table = np.zeros((num_nodes, slots), dtype=np.uint64)
-    support = np.zeros((num_nodes, slots), dtype=np.uint8)
-    for node, node_cuts in cuts.items():
-        count[node] = len(node_cuts)
-        for slot, cut in enumerate(node_cuts):
-            width = len(cut.leaves)
-            leaves[node, slot, :width] = cut.leaves
-            size[node, slot] = width
-            table[node, slot] = cut.table
-            support[node, slot] = cut.support_mask()
-    return CutSet(
+    cuts = CutSet(
         max_inputs=max_inputs,
         cut_limit=cut_limit,
-        count=count,
-        leaves=leaves,
-        size=size,
-        table=table,
-        support=support,
+        count=np.zeros(num_nodes, dtype=np.int64),
+        leaves=np.full((num_nodes, slots, max_inputs), LEAF_SENTINEL, dtype=np.int32),
+        size=np.zeros((num_nodes, slots), dtype=np.int8),
+        table=np.zeros((num_nodes, slots), dtype=np.uint64),
+        support=np.zeros((num_nodes, slots), dtype=np.uint8),
     )
-
-
-def enumerate_cuts_scalar(
-    aig: Aig,
-    max_inputs: int = DEFAULT_MAX_INPUTS,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> CutSet:
-    """Tuned scalar enumeration straight into the array representation.
-
-    The narrow-graph arm of :func:`enumerate_cuts_arrays`: the same
-    algorithm as :func:`enumerate_cuts_reference` -- fanin-major pair order,
-    first-wins leaf-set dedup, stable ``(size, single-fanout leaves)``
-    ranking -- but with the per-pair overhead stripped (plain tuple/dict
-    state instead of :class:`Cut` objects, table expansion skipped for
-    aligned leaf sets, duplicate leaf sets skipped before any table work)
-    and the result scattered into the :class:`CutSet` arrays in one bulk
-    numpy pass instead of per-slot assignments.  Produces bit-identical
-    cuts; the property tests compare all three enumerators cut for cut.
-    """
-    _validate_parameters(max_inputs, cut_limit)
-    arrays = aig_arrays(aig)
-    num_nodes = arrays.num_nodes
-    fanin0 = arrays.fanin0.tolist()
-    fanin1 = arrays.fanin1.tolist()
-    fanout = arrays.fanout.tolist()
-    single = [count == 1 for count in fanout]
-
-    trivial_table = 0b10
-    # Per-cut state: (leaves tuple, leaf set, single-fanout count, table).
-    # The set and the ranking count are computed once per kept cut instead
-    # of once per fanin pair.
-    cuts: list[list[tuple[tuple[int, ...], set[int], int, int]] | None] = (
-        [None] * num_nodes
-    )
-    cuts[0] = [((0,), {0}, int(single[0]), trivial_table)]
-    for pi in arrays.pi_nodes.tolist():
-        cuts[pi] = [((pi,), {pi}, int(single[pi]), trivial_table)]
-
-    owners: list[int] = []
-    slots_of: list[int] = []
-    sizes_flat: list[int] = []
-    tables_flat: list[int] = []
-    supports_flat: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    counts = [0] * num_nodes
-
-    pad = (int(LEAF_SENTINEL),) * max_inputs
-    expand = _expand_table
-    support_of = table_support
-    full_mask = _FULL_MASK
-
-    for node in arrays.and_nodes.tolist():
-        f0 = fanin0[node]
-        f1 = fanin1[node]
-        comp0 = f0 & 1
-        comp1 = f1 & 1
-        list0 = cuts[f0 >> 1]
-        list1 = cuts[f1 >> 1]
-        # First-wins dedup on the leaf set only; tables are computed after
-        # ranking, for the kept cuts alone (the ranking key never looks at
-        # the table, and the first pair producing a leaf set is recorded, so
-        # the kept tables are exactly the ones the eager loop would keep).
-        # Keys are materialized at insertion as plain tuples -- sorting them
-        # natively with the insertion index as tiebreaker reproduces the
-        # stable (size, single-fanout leaves) ranking without a key lambda.
-        seen: set[tuple[int, ...]] = set()
-        keyed: list[tuple] = []
-        for leaves0, set0, singles0, table0 in list0:
-            for leaves1, set1, singles1, table1 in list1:
-                if set1 <= set0:
-                    merged = leaves0
-                    merged_set = set0
-                    singles = singles0
-                elif set0 <= set1:
-                    merged = leaves1
-                    merged_set = set1
-                    singles = singles1
-                else:
-                    merged_set = set0 | set1
-                    if len(merged_set) > max_inputs:
-                        continue
-                    merged = tuple(sorted(merged_set))
-                    singles = sum(map(single.__getitem__, merged))
-                if merged in seen:
-                    continue  # identical leaf sets produce the same function
-                seen.add(merged)
-                keyed.append(
-                    (
-                        len(merged),
-                        singles,
-                        len(keyed),
-                        merged,
-                        merged_set,
-                        (leaves0, table0, leaves1, table1),
-                    )
-                )
-
-        keyed.sort()
-        node_cuts = []
-        for _, singles, _, merged, merged_set, pair in keyed[:cut_limit]:
-            leaves0, table0, leaves1, table1 = pair
-            full = full_mask[len(merged)]
-            t0 = table0 if leaves0 == merged else expand(table0, leaves0, merged)
-            t1 = table1 if leaves1 == merged else expand(table1, leaves1, merged)
-            if comp0:
-                t0 = ~t0 & full
-            if comp1:
-                t1 = ~t1 & full
-            node_cuts.append((merged, merged_set, singles, t0 & t1))
-        node_cuts.append(((node,), {node}, int(single[node]), trivial_table))
-        cuts[node] = node_cuts
-        counts[node] = len(node_cuts)
-        for slot, (leaves_t, _set, _singles, table) in enumerate(node_cuts):
-            width = len(leaves_t)
-            owners.append(node)
-            slots_of.append(slot)
-            sizes_flat.append(width)
-            tables_flat.append(table)
-            supports_flat.append(
-                1 if width == 1 else support_of(table, width)
-            )
-            rows.append(leaves_t + pad[width:])
-
-    slots = cut_limit + 1
-    count = np.zeros(num_nodes, dtype=np.int64)
-    leaves = np.full((num_nodes, slots, max_inputs), LEAF_SENTINEL, dtype=np.int32)
-    size = np.zeros((num_nodes, slots), dtype=np.int8)
-    table = np.zeros((num_nodes, slots), dtype=np.uint64)
-    support = np.zeros((num_nodes, slots), dtype=np.uint8)
-
-    initial = np.concatenate(([0], arrays.pi_nodes)).astype(np.int64)
-    leaves[initial, 0, 0] = initial
-    size[initial, 0] = 1
-    table[initial, 0] = trivial_table
-    support[initial, 0] = 1
-    count[initial] = 1
-
-    if owners:
-        owner_index = np.asarray(owners, dtype=np.int64)
-        slot_index = np.asarray(slots_of, dtype=np.int64)
-        leaves[owner_index, slot_index] = np.asarray(rows, dtype=np.int32)
-        size[owner_index, slot_index] = np.asarray(sizes_flat, dtype=np.int8)
-        table[owner_index, slot_index] = np.asarray(tables_flat, dtype=np.uint64)
-        support[owner_index, slot_index] = np.asarray(supports_flat, dtype=np.uint8)
-        count[1:] = np.maximum(count[1:], np.bincount(owner_index, minlength=num_nodes)[1:])
-
-    return CutSet(
-        max_inputs=max_inputs,
-        cut_limit=cut_limit,
-        count=count,
-        leaves=leaves,
-        size=size,
-        table=table,
-        support=support,
-    )
-
-
-def enumerate_cuts_vectorized(
-    aig: Aig,
-    max_inputs: int = DEFAULT_MAX_INPUTS,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> CutSet:
-    """Enumerate priority cuts for every node with the batched uint64 kernels.
-
-    Bit-identical to :func:`enumerate_cuts_reference` (same cuts, same order,
-    same tables): candidate pairs are generated in the same fanin-major
-    order, deduplicated first-wins by leaf signature and stably ranked by
-    ``(size, single-fanout leaves, first occurrence)``.
-    """
-    _validate_parameters(max_inputs, cut_limit)
-    arrays = aig_arrays(aig)
-    num_nodes = arrays.num_nodes
-    slots = cut_limit + 1
-    leaf_width = max_inputs
-
-    count = np.zeros(num_nodes, dtype=np.int64)
-    leaves = np.full((num_nodes, slots, leaf_width), LEAF_SENTINEL, dtype=np.int32)
-    size = np.zeros((num_nodes, slots), dtype=np.int8)
-    table = np.zeros((num_nodes, slots), dtype=np.uint64)
-    support = np.zeros((num_nodes, slots), dtype=np.uint8)
-
     # Constant node and primary inputs carry only their trivial cut.
     initial = np.concatenate(([0], arrays.pi_nodes)).astype(np.int64)
-    leaves[initial, 0, 0] = initial
-    size[initial, 0] = 1
-    table[initial, 0] = 2  # identity function of the single leaf
-    support[initial, 0] = 1
-    count[initial] = 1
+    _finalize_level(initial, np.zeros(initial.shape[0], dtype=np.int64), cuts)
 
+    # Per-node inputs of every level batch: the two fanin node ids; an XOR
+    # mask per fanin edge (an inverted edge complements its table with all
+    # 64 ones, which the final AND clips to the table width); and the
+    # single-fanout flag, plus a False entry that padding reads.
+    fanins = np.stack((arrays.fanin0, arrays.fanin1), axis=1)
+    fanin_nodes = fanins >> 1
+    flips = (fanins & 1).astype(np.uint64) * FULL_BY_SIZE[6]
+    single = np.append(arrays.fanout == 1, False)
     for group in arrays.level_groups:
-        _enumerate_level(
-            group, arrays, max_inputs, cut_limit, count, leaves, size, table, support
-        )
+        _enumerate_level(group, fanin_nodes, flips, single, cuts)
+    return cuts
 
-    return CutSet(
-        max_inputs=max_inputs,
-        cut_limit=cut_limit,
-        count=count,
-        leaves=leaves,
-        size=size,
-        table=table,
-        support=support,
-    )
+
+@lru_cache(maxsize=256)
+def _key_weights(num_fields: int, bits: int) -> np.ndarray:
+    """``(num_fields, words)`` uint64 matrix packing ``bits``-bit fields.
+
+    Field ``j`` lands in word ``j // per_word``, most significant first, so
+    a row's words compare like its field sequence.
+    """
+    per_word = 64 // bits
+    weights = np.zeros((num_fields, -(-num_fields // per_word)), dtype=np.uint64)
+    for field in range(num_fields):
+        shift = bits * (per_word - 1 - field % per_word)
+        weights[field, field // per_word] = 1 << shift
+    weights.flags.writeable = False
+    return weights
+
+
+def _first_occurrences(
+    local: np.ndarray, leaf_rows: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Index of the first occurrence of every distinct ``(local, leaf row)``.
+
+    The integer form of ``np.unique(signature, axis=0, return_index=True)[1]``
+    over the signature rows ``[local, *leaf_row]``: the same indices in the
+    same order.  ``local`` and the leaf ids are below ``num_nodes``; a leaf
+    row is ascending, padded with any value from ``2**b - 1`` up, where
+    ``b = num_nodes.bit_length()``.
+
+    Every field is coded in ``b`` bits, padding as ``2**b - 1`` (above every
+    id), and a row's fields are packed into as few uint64 words as hold
+    them (:func:`_key_weights`), so the words order rows as the signatures
+    do.  A stable ``lexsort`` of the words puts each run of equal rows in
+    index order, and the first entry of a run is its first occurrence.
+    """
+    bits = num_nodes.bit_length()
+    fields = np.empty((leaf_rows.shape[0], leaf_rows.shape[1] + 1), dtype=np.uint64)
+    fields[:, 0] = local
+    fields[:, 1:] = np.minimum(leaf_rows, (1 << bits) - 1)
+    # The fields occupy disjoint bits, so the product sums are exact.
+    words = fields @ _key_weights(fields.shape[1], bits)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    # A sorted row repeats its predecessor when every word is equal; the
+    # rest start runs.  ``repeat`` views ``first`` past its first entry.
+    first = np.ones(order.shape[0], dtype=bool)
+    repeat = first[1:]
+    for word in ranked.T:
+        repeat &= word[1:] == word[:-1]
+    np.logical_not(repeat, out=repeat)
+    return order[first]
 
 
 def _enumerate_level(
     nodes: np.ndarray,
-    arrays: AigArrays,
-    max_inputs: int,
-    cut_limit: int,
-    count: np.ndarray,
-    leaves: np.ndarray,
-    size: np.ndarray,
-    table: np.ndarray,
-    support: np.ndarray,
+    fanin_nodes: np.ndarray,
+    flips: np.ndarray,
+    single: np.ndarray,
+    cuts: CutSet,
 ) -> None:
     """Compute the cut slots of every AND node of one level in one batch."""
-    width = max_inputs
-    fanin0 = arrays.fanin0[nodes]
-    fanin1 = arrays.fanin1[nodes]
-    node0 = fanin0 >> 1
-    node1 = fanin1 >> 1
-    comp0 = (fanin0 & 1).astype(bool)
-    comp1 = (fanin1 & 1).astype(bool)
-    cuts0 = count[node0]
-    cuts1 = count[node1]
+    width = cuts.max_inputs
+    slots = cuts.cut_limit + 1
+    num_nodes = cuts.count.shape[0]
+    fanin_nodes = fanin_nodes[nodes]
 
-    # Candidate pairs in fanin-major order: pair p of a node is
-    # (cut i0 = p // cuts1, cut i1 = p % cuts1), matching the reference's
-    # nested loop, so "first occurrence" means the same thing on both paths.
-    pairs_per_node = cuts0 * cuts1
-    total = int(pairs_per_node.sum())
-    if total == 0:
-        return
-    local = np.repeat(np.arange(nodes.shape[0]), pairs_per_node)
-    starts = np.concatenate(([0], np.cumsum(pairs_per_node)[:-1]))
-    within = np.arange(total) - np.repeat(starts, pairs_per_node)
-    cuts1_rep = cuts1[local]
-    index0 = within // cuts1_rep
-    index1 = within - index0 * cuts1_rep
-
-    source0 = node0[local]
-    source1 = node1[local]
-    leaves0 = leaves[source0, index0]
-    leaves1 = leaves[source1, index1]
-
-    # Sorted union of the two (already sorted, sentinel-padded) leaf rows:
-    # sort, blank out duplicates, re-sort, keep the first K columns.
-    merged_wide = np.concatenate([leaves0, leaves1], axis=1)
-    merged_wide.sort(axis=1)
-    duplicate = np.zeros(merged_wide.shape, dtype=bool)
-    duplicate[:, 1:] = merged_wide[:, 1:] == merged_wide[:, :-1]
-    merged_wide = np.where(duplicate, LEAF_SENTINEL, merged_wide)
-    merged_wide.sort(axis=1)
-    merged_size = (merged_wide != LEAF_SENTINEL).sum(axis=1)
-
-    feasible = np.nonzero(merged_size <= width)[0]
-    if feasible.size == 0:
-        _finalize_level(nodes, np.zeros(nodes.shape[0], np.int64), count, leaves, size, table, support)
-        return
-    merged = np.ascontiguousarray(merged_wide[feasible, :width])
-    merged_size = merged_size[feasible]
-    local = local[feasible]
-
-    # Signature dedup (first occurrence wins) across the whole level: one
-    # stable unique over (node, leaf row) replaces the per-pair dict -- and
-    # runs *before* any table work, so functions are only computed for the
-    # distinct leaf sets (identical leaf sets always produce the same
-    # function, exactly as on the reference path).
-    signature = np.empty((feasible.size, width + 1), dtype=np.int32)
-    signature[:, 0] = local
-    signature[:, 1:] = merged
-    _, first_index = np.unique(signature, axis=0, return_index=True)
-
-    candidate_local = local[first_index]
-    candidate_leaves = merged[first_index]
-    candidate_size = merged_size[first_index]
-    pair = feasible[first_index]
-    pair_source0 = source0[pair]
-    pair_source1 = source1[pair]
-    pair_index0 = index0[pair]
-    pair_index1 = index1[pair]
-    leaves0 = leaves0[pair]
-    leaves1 = leaves1[pair]
-
-    # Position of every fanin-cut leaf inside the merged row, then the mask
-    # of merged positions each sub-table occupies.
-    size0 = size[pair_source0, pair_index0].astype(np.int64)
-    size1 = size[pair_source1, pair_index1].astype(np.int64)
-    positions0 = (candidate_leaves[:, None, :] < leaves0[:, :, None]).sum(axis=2)
-    positions1 = (candidate_leaves[:, None, :] < leaves1[:, :, None]).sum(axis=2)
-    columns = np.arange(width)[None, :]
-    submask0 = np.where(columns < size0[:, None], 1 << positions0, 0).sum(axis=1)
-    submask1 = np.where(columns < size1[:, None], 1 << positions1, 0).sum(axis=1)
-
-    # Expand both fanin tables over the merged variables in one stacked pass,
-    # complement as the edges dictate, AND, and clip to the table width.
-    stacked = expand_tables(
-        np.concatenate([table[pair_source0, pair_index0], table[pair_source1, pair_index1]]),
-        np.concatenate([submask0, submask1]),
+    # Candidate pairs in fanin-major order: (node, cut i0, cut i1) in
+    # lexicographic order, matching the oracle's nested loop, so "first
+    # occurrence" means the same thing on both paths.  ``flat`` holds each
+    # pair's two fanin cuts as rows of the flattened (node, slot) arrays.
+    counts = cuts.count[fanin_nodes]
+    grid = np.arange(slots)
+    local, index0, index1 = np.nonzero(
+        (grid[:, None] < counts[:, 0, None, None]) & (grid < counts[:, 1, None, None])
     )
-    half = first_index.size
-    full = FULL_BY_SIZE[candidate_size]
-    zero = np.uint64(0)
-    table0 = stacked[:half] ^ np.where(comp0[candidate_local], full, zero)
-    table1 = stacked[half:] ^ np.where(comp1[candidate_local], full, zero)
-    candidate_table = table0 & table1 & full
+    flat = fanin_nodes[local] * slots
+    flat[:, 0] += index0
+    flat[:, 1] += index1
 
-    # Ranking: stable by (size, number of single-fanout leaves, insertion
-    # order), grouped per node -- the vectorized form of the reference's
-    # stable sort over the insertion-ordered candidate dict.
-    is_leaf = candidate_leaves != LEAF_SENTINEL
-    fanout = arrays.fanout[np.where(is_leaf, candidate_leaves, 0)]
-    weak = ((fanout == 1) & is_leaf).sum(axis=1)
-    order = np.lexsort((first_index, weak, candidate_size, candidate_local))
+    # Sorted union of the two (sorted, sentinel-padded) leaf rows.  Every
+    # entry carries its origin in the two low bits; read unsigned, the
+    # shifted padding sorts last.  A leaf of both cuts sorts into two
+    # adjacent entries: the first takes both tags, the second turns into
+    # padding, and a second sort closes the gap.  A pair is K-feasible when
+    # entry K of its row is padding.
+    rows = (
+        cuts.leaves.reshape(-1, width)[flat].reshape(-1, 2 * width).view(np.uint32)
+    )
+    rows <<= np.uint32(2)
+    rows |= _ORIGIN[width]
+    rows.sort(axis=1)
+    ids = rows >> np.uint32(2)
+    shared = (ids[:, 1:] == ids[:, :-1]).view(np.uint8)
+    rows[:, :-1] |= shared << np.uint8(1)
+    rows[:, 1:] |= shared * _TAGGED_PADDING
+    rows.sort(axis=1)
+    feasible = np.flatnonzero(rows[:, width] >= _TAGGED_PADDING)
+    merged = rows[feasible, :width]
 
-    ranked_local = candidate_local[order]
-    group_start = np.ones(ranked_local.shape[0], dtype=bool)
-    group_start[1:] = ranked_local[1:] != ranked_local[:-1]
-    start_positions = np.where(group_start, np.arange(ranked_local.shape[0]), 0)
-    rank = np.arange(ranked_local.shape[0]) - np.maximum.accumulate(start_positions)
-    keep = rank < cut_limit
+    # Leaf-set dedup (first occurrence wins) across the whole level, then
+    # back to pair order.  Identical leaf sets always produce the same
+    # function, so no table work is spent on duplicates.
+    is_first = np.zeros(feasible.shape[0], dtype=bool)
+    is_first[_first_occurrences(local[feasible], merged >> np.uint32(2), num_nodes)] = True
+    first = np.flatnonzero(is_first)
+    pair = feasible[first]
+    candidate_local = local[pair]
+    # Padding entries become ``num_nodes << 2``: tag bits clear, id num_nodes.
+    candidate_rows = np.minimum(merged[first], np.uint32(num_nodes << 2))
+    candidate_ids = candidate_rows >> np.uint32(2)
 
+    # Ranking: stable by (size, number of single-fanout leaves, first
+    # occurrence) within each node -- the vectorized form of the oracle's
+    # stable sort over its insertion-ordered candidate dict.  Both counts
+    # are popcounts of per-row bit planes packed eight entries to a byte.
+    planes = np.zeros((first.shape[0], 2, 8), dtype=np.uint8)
+    planes[:, 0, :width] = candidate_ids < num_nodes
+    planes[:, 1, :width] = single[candidate_ids]
+    counted = POPCOUNT64[np.packbits(planes, bitorder="little").reshape(-1, 2)]
+    candidate_size = counted[:, 0]
+    order = np.argsort(
+        (candidate_local << 6) | (candidate_size << 3) | counted[:, 1], kind="stable"
+    )
+    per_node = np.bincount(candidate_local, minlength=nodes.shape[0])
+    rank = np.arange(order.shape[0]) - (np.cumsum(per_node) - per_node)[
+        candidate_local[order]
+    ]
+    keep = rank < cuts.cut_limit
     selected = order[keep]
-    destination = nodes[candidate_local[selected]]
     slot = rank[keep]
-    kept_tables = candidate_table[selected]
+    destination = nodes[candidate_local[selected]]
     kept_sizes = candidate_size[selected]
-    leaves[destination, slot] = candidate_leaves[selected]
-    size[destination, slot] = kept_sizes
-    table[destination, slot] = kept_tables
-    support[destination, slot] = batch_support(kept_tables, kept_sizes)
 
-    per_node = np.bincount(candidate_local[selected], minlength=nodes.shape[0])
-    _finalize_level(nodes, per_node, count, leaves, size, table, support)
+    # Tables of the kept cuts only: each fanin table's expansion submask is
+    # the set of merged positions its leaves occupy, read off the origin
+    # tags.  Expand both in one stacked pass, complement as the edges
+    # dictate, AND, and clip to the table width.
+    tags = candidate_rows[selected].astype(np.uint8)
+    origins = np.zeros((selected.shape[0], 2, 8), dtype=np.uint8)
+    origins[:, 0, :width] = tags & np.uint8(1)
+    origins[:, 1, :width] = tags & np.uint8(2)
+    expanded = expand_tables(
+        cuts.table.reshape(-1)[flat[pair[selected]]].reshape(-1),
+        np.packbits(origins, bitorder="little"),
+    ).reshape(-1, 2)
+    expanded ^= flips[destination]
+    kept_tables = expanded[:, 0] & expanded[:, 1] & FULL_BY_SIZE[kept_sizes]
+
+    kept_ids = candidate_ids[selected]
+    kept = destination * slots + slot
+    cuts.leaves.reshape(-1, width)[kept] = np.where(
+        kept_ids < num_nodes, kept_ids, LEAF_SENTINEL
+    )
+    cuts.size.reshape(-1)[kept] = kept_sizes
+    cuts.table.reshape(-1)[kept] = kept_tables
+    cuts.support.reshape(-1)[kept] = batch_support(kept_tables, kept_sizes)
+    _finalize_level(nodes, np.minimum(per_node, cuts.cut_limit), cuts)
 
 
-def _finalize_level(
-    nodes: np.ndarray,
-    kept_per_node: np.ndarray,
-    count: np.ndarray,
-    leaves: np.ndarray,
-    size: np.ndarray,
-    table: np.ndarray,
-    support: np.ndarray,
-) -> None:
+def _finalize_level(nodes: np.ndarray, kept_per_node: np.ndarray, cuts: CutSet) -> None:
     """Append every node's trivial cut after its ranked cuts and set counts."""
     trivial_slot = kept_per_node
-    leaves[nodes, trivial_slot, 0] = nodes
-    size[nodes, trivial_slot] = 1
-    table[nodes, trivial_slot] = 2
-    support[nodes, trivial_slot] = 1
-    count[nodes] = kept_per_node + 1
+    cuts.leaves[nodes, trivial_slot, 0] = nodes
+    cuts.size[nodes, trivial_slot] = 1
+    cuts.table[nodes, trivial_slot] = 2  # identity function of the single leaf
+    cuts.support[nodes, trivial_slot] = 1
+    cuts.count[nodes] = kept_per_node + 1
 
 
 def cut_set_for(
@@ -706,7 +459,7 @@ def cut_set_for(
     the rewrite pass already enumerated -- pay for enumeration once.  The
     memo is garbage-collected with the AIG.
     """
-    _validate_parameters(max_inputs, cut_limit)
+    _validate_parameters(max_inputs, cut_limit, aig.num_nodes)
     structure = (aig.num_nodes, aig.num_pos)
     memo_structure, memo = aig.__dict__.get("_cut_sets", (None, None))
     if memo_structure != structure:
@@ -730,68 +483,7 @@ def enumerate_cuts(
     Returns a dictionary mapping node index to its cut list; the first cut of
     every AND node is always available (the cut formed by its two fanins), and
     the trivial cut ``{node}`` is included for use as a leaf of larger cuts
-    but never matched on its own.  Runs on the vectorized kernel path; see
-    :func:`enumerate_cuts_reference` for the retained pure-Python oracle.
+    but never matched on its own.
     """
     cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
     return cut_set.to_dict(aig_arrays(aig))
-
-
-def enumerate_cuts_reference(
-    aig: Aig,
-    max_inputs: int = DEFAULT_MAX_INPUTS,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> dict[int, list[Cut]]:
-    """Pure-Python reference enumeration (the pre-vectorization algorithm).
-
-    Kept as the independent oracle for :func:`enumerate_cuts_arrays`; the
-    hypothesis property tests assert cut-for-cut agreement between the two.
-    """
-    _validate_parameters(max_inputs, cut_limit)
-
-    cuts: dict[int, list[Cut]] = {}
-    # Constant node and primary inputs only have their trivial cut.
-    cuts[0] = [Cut((0,), 0b10, 0b1)]  # unused in practice
-    for pi in aig.pi_nodes():
-        cuts[pi] = [Cut((pi,), 0b10, 0b1)]
-
-    fanout = aig.fanout_counts()
-
-    for node in aig.and_nodes():
-        f0, f1 = aig.fanins(node)
-        node0, node1 = lit_node(f0), lit_node(f1)
-        comp0, comp1 = lit_is_complemented(f0), lit_is_complemented(f1)
-        candidates: dict[tuple[int, ...], int] = {}
-
-        for cut0 in cuts[node0]:
-            for cut1 in cuts[node1]:
-                merged = _merge_leaves(cut0.leaves, cut1.leaves, max_inputs)
-                if merged is None:
-                    continue
-                full = _FULL_MASK[len(merged)]
-                t0 = _expand_table(cut0.table, cut0.leaves, merged)
-                t1 = _expand_table(cut1.table, cut1.leaves, merged)
-                if comp0:
-                    t0 = ~t0 & full
-                if comp1:
-                    t1 = ~t1 & full
-                table = t0 & t1
-                existing = candidates.get(merged)
-                if existing is None:
-                    candidates[merged] = table
-                # Identical leaf sets always produce the same function, so no
-                # merge policy is needed beyond first-wins.
-
-        ranked = sorted(
-            candidates.items(),
-            key=lambda item: (len(item[0]), sum(fanout[l] == 1 for l in item[0])),
-        )
-        node_cuts = [
-            Cut(leaves, table, table_support(table, len(leaves)))
-            for leaves, table in ranked[:cut_limit]
-        ]
-        # The trivial cut participates in fanout cut merging.
-        node_cuts.append(Cut((node,), 0b10, 0b1))
-        cuts[node] = node_cuts
-
-    return cuts

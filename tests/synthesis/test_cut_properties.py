@@ -1,6 +1,6 @@
 """Property tests for cut enumeration and the batched uint64 kernels.
 
-Two families of properties:
+Three families of properties:
 
 * **Semantic correctness** -- for random small AIGs, every enumerated cut's
   table must reproduce the node's simulated value on every *reachable* leaf
@@ -9,13 +9,18 @@ Two families of properties:
   enumerator is free to fill the unreachable (inconsistent) minterms with
   either cofactor, so plain free-variable cone simulation would be too
   strong a specification.
-* **Implementation agreement** -- the vectorized kernel path must agree with
-  the retained pure-Python oracle ``enumerate_cuts_reference`` cut for cut
-  (same leaves, same tables, same supports, same order), and each batched
-  kernel must agree with its scalar counterpart on random inputs.
+* **Implementation agreement** -- the level kernel must agree with the
+  pure-Python oracle ``enumerate_cuts_reference`` (``tests/oracles/cuts.py``)
+  cut for cut (same leaves, same tables, same supports, same order), and each
+  batched kernel must agree with its scalar counterpart on random inputs.
+* **Packed-key dedup** -- the level kernel's integer dedup keeps exactly the
+  first occurrences ``np.unique(signature, axis=0, return_index=True)``
+  keeps, in the same order, for node-id widths that pack a key into one,
+  two and three uint64 words.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +33,16 @@ from repro.synthesis.cut_kernels import (
     insert_dontcare,
 )
 from repro.synthesis.cuts import (
-    _expand_at_positions,
+    LEAF_SENTINEL,
+    MAX_NODES,
+    _first_occurrences,
+    _key_weights,
+    _validate_parameters,
     enumerate_cuts,
-    enumerate_cuts_reference,
-    enumerate_cuts_vectorized,
+    enumerate_cuts_arrays,
     table_support,
 )
+from tests.oracles.cuts import _expand_at_positions, enumerate_cuts_reference
 
 
 @st.composite
@@ -117,7 +126,7 @@ def test_cut_tables_match_simulation_on_reachable_assignments(aig, max_inputs):
 def test_vectorized_agrees_with_reference_cut_for_cut(aig, max_inputs, cut_limit):
     """The kernel path reproduces the oracle exactly, cut for cut."""
     reference = enumerate_cuts_reference(aig, max_inputs=max_inputs, cut_limit=cut_limit)
-    cut_set = enumerate_cuts_vectorized(aig, max_inputs=max_inputs, cut_limit=cut_limit)
+    cut_set = enumerate_cuts_arrays(aig, max_inputs=max_inputs, cut_limit=cut_limit)
     produced = cut_set.to_dict(aig_arrays(aig))
     assert set(produced) == set(reference)
     for node, expected in reference.items():
@@ -171,3 +180,57 @@ def test_batch_support_matches_scalar_support(data, num_vars):
         batch_support(np.array([table], dtype=np.uint64), np.array([num_vars]))[0]
     )
     assert produced == expected
+
+
+#: Node counts on both sides of field-width boundaries, with the number of
+#: uint64 words a K=6 dedup key (seven fields) takes at that width:
+#: ``2**b - 1`` nodes have ``b``-bit fields, ``2**b`` nodes ``b + 1``.
+KEY_WIDTHS = (
+    (2**9 - 1, 1),
+    (2**9, 2),
+    (2**16 - 1, 2),
+    (2**16, 3),
+    (2**21 - 1, 3),
+)
+
+
+@st.composite
+def dedup_inputs(draw, num_nodes):
+    """Signature rows drawn from small id pools, so equal rows repeat and
+    rows that differ only by their largest leaf (the id ``num_nodes - 1``
+    against padding) are common."""
+    width = draw(st.sampled_from((6, 4, 2)))
+    top = num_nodes - 1
+    ids = st.integers(min_value=0, max_value=top)
+    pool = sorted(set(draw(st.lists(ids, min_size=1, max_size=5))) | {0, top})
+    locals_ = sorted(set(draw(st.lists(ids, min_size=1, max_size=2))) | {top})
+    num_rows = draw(st.integers(min_value=1, max_value=200))
+    local = np.empty(num_rows, dtype=np.int64)
+    rows = np.full((num_rows, width), LEAF_SENTINEL, dtype=np.int64)
+    for row in range(num_rows):
+        local[row] = draw(st.sampled_from(locals_))
+        leaves = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=width, unique=True)
+        )
+        rows[row, : len(leaves)] = sorted(leaves)
+    return local, rows
+
+
+@pytest.mark.parametrize("num_nodes, words", KEY_WIDTHS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_dedup_matches_unique(num_nodes, words, data):
+    """The packed-key dedup returns ``np.unique``'s first indices."""
+    assert _key_weights(7, num_nodes.bit_length()).shape[1] == words
+    local, rows = data.draw(dedup_inputs(num_nodes))
+    signature = np.concatenate([local[:, None], rows], axis=1)
+    expected = np.unique(signature, axis=0, return_index=True)[1]
+    produced = _first_occurrences(local, rows, num_nodes)
+    assert produced.tolist() == expected.tolist()
+
+
+def test_node_count_bound():
+    """Node ids share a 32-bit merge entry with two tag bits."""
+    _validate_parameters(6, 8, MAX_NODES)
+    with pytest.raises(ValueError):
+        _validate_parameters(6, 8, MAX_NODES + 1)

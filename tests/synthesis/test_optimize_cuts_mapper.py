@@ -14,8 +14,9 @@ from repro.synthesis import (
     technology_map,
 )
 from repro.synthesis.aig import Aig, lit_node
-from repro.synthesis.cuts import Cut, _expand_table
+from repro.synthesis.cuts import Cut
 from repro.synthesis.mapper import MappingError
+from tests.oracles.cuts import _expand_table
 
 
 def _small_adder(width=4, name="adder"):

@@ -21,7 +21,8 @@ dispatch picks.  These tests pin that contract:
   ``instantiate`` (class template + composed transform) is functionally
   equivalent to direct member synthesis for every class encountered;
 * the mask-based ``_cube_minterms`` against the per-minterm loop it
-  replaced, and all three cut enumerators cut for cut.
+  replaced, and the cut enumerator's level kernel against the pure-Python
+  oracle in ``tests/oracles/cuts.py``, cut for cut.
 """
 
 import importlib
@@ -38,12 +39,7 @@ from repro.bench.registry import benchmark_by_name
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig, CONST0, CONST1, lit_is_complemented, lit_node
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cuts import (
-    _cut_set_from_dict,
-    enumerate_cuts_reference,
-    enumerate_cuts_scalar,
-    enumerate_cuts_vectorized,
-)
+from repro.synthesis.cuts import enumerate_cuts_arrays
 from repro.synthesis.optimize import (
     balance,
     balance_reference,
@@ -58,6 +54,7 @@ from repro.synthesis.rewrite_lib import (
     replay_cover,
     replay_ops,
 )
+from tests.oracles.cuts import _cut_set_from_dict, enumerate_cuts_reference
 
 FAST_BENCHMARKS = ("add-16", "t481")
 
@@ -353,26 +350,49 @@ class TestCubeMintermMasks:
 
 
 class TestEnumeratorParity:
-    """All three cut enumerators produce identical CutSet arrays."""
+    """The level kernel reproduces the oracle's CutSet arrays exactly."""
 
-    @pytest.mark.parametrize("bench_name", FAST_BENCHMARKS)
-    @pytest.mark.parametrize("params", ((4, 4), (3, 4), (6, 8)))
-    def test_benchmarks(self, bench_name, params):
-        max_inputs, cut_limit = params
-        aig = benchmark_by_name(bench_name).build()
-        scalar = enumerate_cuts_scalar(aig, max_inputs, cut_limit)
-        vectorized = enumerate_cuts_vectorized(aig, max_inputs, cut_limit)
+    @staticmethod
+    def _assert_parity(aig, max_inputs, cut_limit):
+        kernel = enumerate_cuts_arrays(aig, max_inputs, cut_limit)
         reference = _cut_set_from_dict(
             enumerate_cuts_reference(aig, max_inputs, cut_limit),
             aig_arrays(aig),
             max_inputs,
             cut_limit,
         )
-        for other in (vectorized, reference):
-            for field in ("count", "leaves", "size", "table", "support"):
-                assert np.array_equal(
-                    getattr(scalar, field), getattr(other, field)
-                ), f"cut enumerators disagree on {field}"
+        for field in ("count", "leaves", "size", "table", "support"):
+            produced, expected = getattr(kernel, field), getattr(reference, field)
+            assert produced.dtype == expected.dtype, field
+            assert np.array_equal(produced, expected), (
+                f"kernel and oracle disagree on {field}"
+            )
+
+    @pytest.mark.parametrize("bench_name", FAST_BENCHMARKS)
+    @pytest.mark.parametrize("params", ((4, 4), (3, 4), (6, 8)))
+    def test_benchmarks(self, bench_name, params):
+        aig = benchmark_by_name(bench_name).build()
+        self._assert_parity(aig, *params)
+
+    def test_two_word_dedup_keys(self):
+        """C2670 has 779 nodes: 10-bit fields, so the seven fields of a K=6
+        dedup key (node in level plus six leaves) take two uint64 words."""
+        aig = benchmark_by_name("C2670").build()
+        assert aig.num_nodes.bit_length() == 10
+        self._assert_parity(aig, 6, 8)
+
+    @pytest.mark.parametrize("num_pis", (0, 3))
+    def test_aigs_without_and_nodes(self, num_pis):
+        """Constant-only and PI-only AIGs have no level to enumerate."""
+        aig = Aig(f"flat-{num_pis}")
+        literals = [aig.add_pi(f"x{i}") for i in range(num_pis)]
+        aig.add_po("zero", CONST0)
+        aig.add_po("one", CONST1)
+        for i, literal in enumerate(literals):
+            aig.add_po(f"y{i}", literal ^ (i & 1))
+        assert aig.num_ands == 0
+        for params in ((2, 3), (4, 4), (6, 8)):
+            self._assert_parity(aig, *params)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -381,12 +401,4 @@ class TestEnumeratorParity:
     )
     @settings(max_examples=20, deadline=None)
     def test_random(self, seed, num_inputs, num_nodes):
-        aig = _random_aig(seed, num_inputs, num_nodes)
-        scalar = enumerate_cuts_scalar(aig, 4, 4)
-        vectorized = enumerate_cuts_vectorized(aig, 4, 4)
-        reference = _cut_set_from_dict(
-            enumerate_cuts_reference(aig, 4, 4), aig_arrays(aig), 4, 4
-        )
-        for other in (vectorized, reference):
-            for field in ("count", "leaves", "size", "table", "support"):
-                assert np.array_equal(getattr(scalar, field), getattr(other, field))
+        self._assert_parity(_random_aig(seed, num_inputs, num_nodes), 4, 4)
