@@ -2,7 +2,7 @@
 
 Measures the full Table-3 regeneration through the engine: a cold run
 (every job computed) against a warm run (every job served from the
-content-addressed cache), asserting the cache delivers at least the 3x
+on-disk result cache), asserting the cache delivers at least the 3x
 wall-clock reduction the engine exists for.  A micro-benchmark compares the
 word-parallel ``verify_mapping`` fast path against the retained
 bit-at-a-time reference on a mid-size mapped circuit.
@@ -29,7 +29,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_engine_warm_cache_at_least_3x_faster(benchmark, tmp_path_factory):
-    """Full Table 3: cold compute vs. warm content-addressed cache."""
+    """Full Table 3: cold compute vs. warm result cache."""
     cache_dir = tmp_path_factory.mktemp("engine-cache")
     engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
 

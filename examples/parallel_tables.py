@@ -3,7 +3,7 @@
 Demonstrates the scaling subsystem behind ``repro.experiments``:
 
 1. build an :class:`~repro.experiments.engine.ExperimentEngine` with worker
-   processes and a content-addressed on-disk cache;
+   processes and an on-disk result cache;
 2. regenerate Table 2 and a Table-3 subset through it (the second run is
    served from the cache and is nearly free);
 3. write the machine-readable JSON artifacts next to the rendered text.

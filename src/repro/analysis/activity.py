@@ -17,7 +17,7 @@ probabilities for a whole AIG two ways:
   the same vectorized kernel.  The estimate is a pure function of
   ``(structure, vectors, seed)``, so results are bit-identical across
   processes and runs -- which is what lets the experiment engine fold the
-  Monte-Carlo parameters into its content-addressed cache key.
+  Monte-Carlo parameters into its cache key.
 
 :func:`compute_activities` picks between the two automatically;
 :func:`exact_activities_reference` is the slow one-assignment-at-a-time

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import obs
 from repro.core.cell import LibraryCell
 from repro.core.families import LogicFamily, build_family_cells
 
@@ -100,6 +101,12 @@ def build_library(
     verify: bool = True,
     function_ids: tuple[str, ...] | None = None,
 ) -> GateLibrary:
-    """Build (and cache) the characterized library of a logic family."""
-    cells = build_family_cells(family, function_ids=function_ids, verify=verify)
+    """Build (and cache) the characterized library of a logic family.
+
+    A build runs under a ``library`` span (category ``setup``) inside the
+    span of whatever first needed the library; a memo hit records none.
+    Power characterization stays lazy (:attr:`LibraryCell.power`).
+    """
+    with obs.span("library", category="setup", family=family.value):
+        cells = build_family_cells(family, function_ids=function_ids, verify=verify)
     return GateLibrary(family=family, cells=cells)

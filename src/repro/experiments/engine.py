@@ -26,14 +26,20 @@ the single scheduling/caching layer behind :mod:`repro.experiments.table2`,
   arrive, never at batch end.  The chaos harness
   (:mod:`repro.experiments.faults`) injects deterministic worker kills /
   delays to prove all of this keeps artifacts bit-identical.
-* **Content-addressed caching.**  Each job result is memoized in an
-  on-disk JSON cache keyed by a SHA-256 hash of the subject AIG structure,
-  the characterized library and the flow parameters.  The store is safe
-  for concurrent runners: two-level sharded directories, unique
-  ``mkstemp`` staging with atomic ``os.replace`` commits under an advisory
-  per-entry lock, per-entry payload checksums verified on read,
-  quarantine (``<cache>/corrupt/``) of damaged entries instead of silent
-  re-misses, and optional size-based LRU eviction
+* **Provenance-keyed caching.**  Each job result is memoized in an on-disk
+  JSON cache keyed by a SHA-256 hash of the code that computes it and the
+  job's spec: :func:`code_digest` (the package source plus the Python and
+  numpy versions) with the benchmark, family, objective, flow and mapper
+  parameters.  A built-in benchmark is named, since its generator is
+  package code; a benchmark registered at run time is identified by the
+  structural hash of its generated AIG (:func:`aig_fingerprint`).  A key
+  therefore never builds a library or generates a built-in benchmark, so a
+  warm run only reads the cache, and any source edit recomputes every
+  entry.  The store is safe for concurrent runners: two-level sharded
+  directories, unique ``mkstemp`` staging with atomic ``os.replace``
+  commits under an advisory per-entry lock, per-entry payload checksums
+  verified on read, quarantine (``<cache>/corrupt/``) of damaged entries
+  instead of silent re-misses, and optional size-based LRU eviction
   (``REPRO_CACHE_MAX_BYTES``).  The cache directory is
   ``$REPRO_CACHE_DIR``, falling back to ``$XDG_CACHE_HOME/repro/experiments``
   and then ``~/.cache/repro/experiments``.
@@ -47,12 +53,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 try:  # advisory file locking; absent on non-POSIX platforms
     import fcntl
@@ -61,14 +70,14 @@ except ImportError:  # pragma: no cover - POSIX-only dependency
 
 from repro.analysis.activity import DEFAULT_SEED, DEFAULT_VECTORS, compute_activities
 from repro.analysis.power import analyze_power
-from repro.bench.registry import benchmark_by_name
+from repro.bench.registry import BENCHMARKS, benchmark_by_name
 from repro.core.characterize import (
     CellCharacterization,
     FamilySummary,
     characterize_family,
 )
 from repro.core.families import LogicFamily
-from repro.core.library import GateLibrary, build_library
+from repro.core.library import build_library
 from repro.core.paper_data import PAPER_TABLE2, PAPER_TABLE2_AVERAGES
 from repro.experiments.figure6 import Figure6Result, figure6_from_table3
 from repro.experiments.table2 import FAMILY_KEYS, TABLE2_FAMILIES, Table2Result
@@ -88,20 +97,21 @@ from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS
 from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import matcher_for
 
-#: Bump when the meaning of cached payloads changes; old entries are then
-#: treated as misses and recomputed.  Schema 2: mapping jobs are keyed by
-#: synthesis-flow name + flow fingerprint instead of the optimize_first flag.
-#: Schema 3: mapping payloads grow the power axis (dynamic + static power of
-#: the mapped netlist), keyed additionally by the Monte-Carlo activity
-#: parameters (``power_vectors``/``power_seed``) and by the cells' power
-#: characterization via the extended library fingerprint.  Schema 4:
-#: mapping jobs carry the multi-round recovery knobs (``rounds`` /
+#: Bump when the meaning of cached payloads or keys changes; old entries are
+#: then treated as misses and recomputed.  A code change needs no bump: the
+#: code digest in every key already separates it.  Schema 2: mapping jobs
+#: are keyed by synthesis-flow name + flow fingerprint instead of the
+#: optimize_first flag.  Schema 3: mapping payloads grow the power axis
+#: (dynamic + static power of the mapped netlist), keyed additionally by the
+#: Monte-Carlo activity parameters (``power_vectors``/``power_seed``).
+#: Schema 4: mapping jobs carry the multi-round recovery knobs (``rounds`` /
 #: ``recovery``), both folded into the key so recovered results never
 #: satisfy round-0 requests (or vice versa).  Schema 5: the hardened
 #: multi-process store -- entries live in two-level shard directories and
 #: carry a sha256 payload checksum verified on read; pre-shard flat
 #: entries are simply never found at the sharded paths.
-CACHE_SCHEMA = 5
+#: Schema 6: provenance keys -- code digest plus job spec, built-ins by name.
+CACHE_SCHEMA = 6
 
 
 def default_cache_dir() -> Path:
@@ -112,6 +122,41 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro" / "experiments"
+
+
+#: The package whose source :func:`code_digest` covers.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: Built-in benchmarks are keyed by name: their generators are package code.
+_BUILTIN_BENCHMARKS = frozenset(case.name for case in BENCHMARKS)
+
+
+def source_digest(root: Path | str) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``, in sorted order.
+
+    Each file contributes its path relative to ``root``, its length and its
+    bytes, so a rename, a move or a one-byte edit anywhere in the tree
+    changes the digest.
+    """
+    root = Path(root)
+    digest = hashlib.sha256()
+    files = sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py"))
+    for relative in files:
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Digest of the code behind every cached payload, computed once per process.
+
+    The package source (:func:`source_digest`) plus the Python and numpy
+    versions.  Coarse by design: any source edit invalidates every entry.
+    """
+    material = f"{source_digest(_PACKAGE_ROOT)}|{sys.version}|{np.__version__}"
+    return hashlib.sha256(material.encode()).hexdigest()
 
 
 def aig_fingerprint(aig: Aig) -> str:
@@ -128,53 +173,6 @@ def aig_fingerprint(aig: Aig) -> str:
     return digest.hexdigest()
 
 
-def library_fingerprint(library: GateLibrary) -> str:
-    """Content hash of a characterized library.
-
-    Covers every cell field that can reach a cached payload (Table-2 rows
-    cache transistor counts, with-inverter figures and the full-swing flag
-    in addition to the area/delay numbers used by mapping), so any change
-    to the cell construction rules invalidates the cache.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"{library.name}:{library.tau_ps};".encode())
-    for cell in library.cells:
-        power = cell.power
-        # The per-literal capacitance *distribution* matters, not just the
-        # total: the pin loads recorded on mapped gates (and the power DP)
-        # read individual polarity wires.
-        literal_caps = ",".join(
-            f"{literal.name}{'~' if literal.negated else ''}={cap:.9f}"
-            for literal, cap in sorted(
-                power.literal_capacitance.items(),
-                key=lambda item: (item[0].name, item[0].negated),
-            )
-        )
-        digest.update(
-            f"{cell.function_id}:{cell.name}:{cell.arity}:{cell.function.bits}:"
-            f"{cell.expression_text}:{cell.transistor_count}:{int(cell.full_swing)}:"
-            f"{cell.area:.9f}:{cell.area_with_inverter:.9f}:"
-            f"{cell.delay.fo4_worst:.9f}:{cell.delay.fo4_average:.9f}:"
-            f"{cell.delay.parasitic_output:.9f}:"
-            f"{power.switched_capacitance:.9f}:[{literal_caps}]:"
-            f"{power.static_current_low:.9f}:{power.static_current_average:.9f}:"
-            f"{power.low_state_fraction:.9f};".encode()
-        )
-    return digest.hexdigest()
-
-
-@lru_cache(maxsize=None)
-def _family_fingerprint(family: LogicFamily) -> str:
-    """Per-family memo of :func:`library_fingerprint` (libraries are cached).
-
-    The first call per family builds and power-characterizes its library,
-    so it runs under a ``library`` span: a run's first cache key otherwise
-    hides that set-up work outside every span.
-    """
-    with obs.span("library", category="setup", family=family.value):
-        return library_fingerprint(build_library(family))
-
-
 @dataclass(frozen=True)
 class MapJob:
     """One (benchmark, library, objective, flow) unit of Table-3 work.
@@ -183,8 +181,10 @@ class MapJob:
     estimation behind the power axis (and the ``power`` mapping objective);
     ``rounds``/``recovery`` select the mapper's required-time recovery
     rounds and their cost axis (see :func:`repro.synthesis.mapper.map_rounds`).
-    All four are folded into the content-addressed cache key so results
-    computed under one configuration never satisfy another.
+    Every field is folded into the cache key (:meth:`ExperimentEngine.map_job_key`),
+    together with the code digest and the flow's fingerprint, so results
+    computed under one configuration or one version of the code never
+    satisfy another.
     """
 
     benchmark: str
@@ -270,7 +270,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed JSON store hardened for concurrent runners.
+    """Keyed on-disk JSON store hardened for concurrent runners.
 
     One file per job result, in two-level shard directories
     (``<dir>/ab/cd/<key>.json``) so no single directory grows unbounded.
@@ -635,14 +635,17 @@ def _run_characterization_job(spec: tuple) -> dict:
     return _attach_obs(payload)
 
 
-def _map_key(job: MapJob, aig_print: str, flow_print: str) -> str:
-    """Cache key of ``job`` given its raw AIG's and its flow's fingerprints."""
+def _map_key(job: MapJob, aig_print: str | None, flow_print: str) -> str:
+    """Cache key of ``job`` given its flow's fingerprint and, for a benchmark
+    registered at run time, its raw AIG's (``None`` for a built-in)."""
+    subject = {"benchmark": job.benchmark} if aig_print is None else {"aig": aig_print}
     material = json.dumps(
         {
             "schema": CACHE_SCHEMA,
             "kind": "map",
-            "aig": aig_print,
-            "library": _family_fingerprint(job.family),
+            "code": code_digest(),
+            **subject,
+            "family": job.family.value,
             "objective": job.objective,
             "flow": job.flow,
             "flow_spec": flow_print,
@@ -811,7 +814,7 @@ class ExperimentEngine:
                 # Worker-side telemetry rides back inside the payload; fold
                 # it into the parent's buffer and strip it before the
                 # payload is cached or decoded (observability must never
-                # leak into content-addressed artifacts).
+                # leak into cached payloads or artifacts).
                 obs.merge_blob(payload.pop("obs", None))
                 if self.progress is not None:
                     self.progress.job_done()
@@ -853,24 +856,36 @@ class ExperimentEngine:
     # -- mapping jobs (Table 3 / Figure 6) ----------------------------------
 
     def map_job_key(self, job: MapJob, aig: Aig | None = None) -> str:
-        """Content-addressed cache key of one mapping job."""
-        if aig is None:
-            aig = benchmark_by_name(job.benchmark).build()
-        return _map_key(job, aig_fingerprint(aig), get_flow(job.flow).fingerprint())
+        """Provenance cache key of one mapping job.
+
+        A built-in benchmark is keyed by name and ``aig`` is ignored; a
+        benchmark registered at run time is keyed by :func:`aig_fingerprint`
+        of its raw AIG, ``aig`` when given and generated here otherwise.
+        """
+        aig_print = None
+        if job.benchmark not in _BUILTIN_BENCHMARKS:
+            if aig is None:
+                aig = benchmark_by_name(job.benchmark).build()
+            aig_print = aig_fingerprint(aig)
+        return _map_key(job, aig_print, get_flow(job.flow).fingerprint())
 
     def _map_batch_keys(
         self, jobs: Sequence[MapJob]
     ) -> tuple[dict[MapJob, str], dict[str, Aig]]:
-        """:meth:`map_job_key` of every job, hashing each benchmark's AIG and
-        each flow once per batch; also returns the raw AIGs by benchmark."""
+        """:meth:`map_job_key` of every job, generating and hashing each
+        benchmark registered at run time and fingerprinting each flow once
+        per batch; also returns those generated raw AIGs by benchmark.
+        Built-in benchmarks are neither generated nor hashed."""
         sources: dict[str, Aig] = {}
-        aig_prints: dict[str, str] = {}
+        aig_prints: dict[str, str | None] = {}
         flow_prints: dict[str, str] = {}
         keys: dict[MapJob, str] = {}
         for job in jobs:
-            if job.benchmark not in sources:
-                sources[job.benchmark] = benchmark_by_name(job.benchmark).build()
-                aig_prints[job.benchmark] = aig_fingerprint(sources[job.benchmark])
+            if job.benchmark not in aig_prints:
+                aig_prints[job.benchmark] = None
+                if job.benchmark not in _BUILTIN_BENCHMARKS:
+                    sources[job.benchmark] = benchmark_by_name(job.benchmark).build()
+                    aig_prints[job.benchmark] = aig_fingerprint(sources[job.benchmark])
             if job.flow not in flow_prints:
                 flow_prints[job.flow] = get_flow(job.flow).fingerprint()
             keys[job] = _map_key(
@@ -880,21 +895,27 @@ class ExperimentEngine:
 
     def run_map_jobs(self, jobs: Sequence[MapJob]) -> dict[MapJob, MapJobResult]:
         """Run mapping jobs (cache first, then processes) and decode results."""
-        keys, sources = self._map_batch_keys(jobs)
 
         def prepare_parallel(pending: list) -> list[list[int]]:
             # Build every required library matcher before the workers fork
             # so they inherit the warm caches instead of each paying the
-            # (expensive) matcher construction on their own.  Subjects are
-            # built by the workers that claim them.
+            # (expensive) matcher construction on their own.  The claim
+            # order needs every pending subject's raw size, so the built-in
+            # benchmarks the key pass skipped are generated here.  Subjects
+            # are built (flow, cuts) by the workers that claim them.
             with obs.span(
                 "prepare-parallel", category="engine", pending=len(pending)
             ):
                 for family in {job.family for job in pending}:
                     matcher_for(build_library(family))
-            return _subject_schedule(pending, sources)
+                for name in {job.benchmark for job in pending} - sources.keys():
+                    sources[name] = benchmark_by_name(name).build()
+                return _subject_schedule(pending, sources)
 
         with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
+            with obs.span("cache-keys", category="engine") as key_span:
+                keys, sources = self._map_batch_keys(jobs)
+                key_span.set("built", len(sources))
             raw = self._run_jobs(
                 _run_map_job,
                 list(jobs),
@@ -983,11 +1004,13 @@ class ExperimentEngine:
     # -- characterization jobs (Table 2) ------------------------------------
 
     def characterization_job_key(self, job: CharacterizationJob) -> str:
+        """Provenance cache key of one Table-2 job: code digest and family."""
         material = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
                 "kind": "table2",
-                "library": _family_fingerprint(job.family),
+                "code": code_digest(),
+                "family": job.family.value,
             },
             sort_keys=True,
         )
@@ -998,8 +1021,8 @@ class ExperimentEngine:
     ) -> Table2Result:
         """Regenerate Table 2 through the job engine."""
         jobs = [CharacterizationJob(family) for family in families]
-        keys = {job: self.characterization_job_key(job) for job in jobs}
         with obs.span("run_table2", category="engine", jobs=len(jobs)):
+            keys = {job: self.characterization_job_key(job) for job in jobs}
             raw = self._run_jobs(
                 _run_characterization_job,
                 jobs,

@@ -11,7 +11,7 @@ designer would actually choose from.
 
 Scheduling goes through the experiment engine, so the points are ordinary
 :class:`~repro.experiments.engine.MapJob` results: cached on disk under the
-content-addressed key (which covers the objective and the Monte-Carlo
+job's cache key (which covers the objective and the Monte-Carlo
 activity parameters) and bit-identical between sequential and parallel runs
 -- the ``pareto.json`` artifact of ``--jobs 4`` equals that of ``--jobs 1``
 byte for byte.

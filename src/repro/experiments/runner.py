@@ -15,13 +15,15 @@ Scheduling goes through the parallel experiment engine
     results.
 
 ``--no-cache``
-    Disable the content-addressed on-disk result cache.  By default every
-    job result is memoized under ``$REPRO_CACHE_DIR`` (falling back to
+    Disable the on-disk result cache.  By default every job result is
+    memoized under ``$REPRO_CACHE_DIR`` (falling back to
     ``$XDG_CACHE_HOME/repro/experiments``, then
-    ``~/.cache/repro/experiments``), keyed by a SHA-256 hash of the subject
-    AIG, the characterized library and the flow parameters, so re-runs on
-    unchanged inputs are nearly free.  ``--cache-dir PATH`` relocates the
-    cache.
+    ``~/.cache/repro/experiments``), keyed by a SHA-256 hash of the code
+    (the package source plus the Python and numpy versions) and the job
+    spec (benchmark, family, objective, flow and mapper parameters).  A
+    re-run of unchanged code only reads the cache: it builds no library
+    and generates no built-in benchmark.  Any source edit recomputes every
+    result.  ``--cache-dir PATH`` relocates the cache.
 
 ``--json DIR``
     Additionally write machine-readable ``table2.json`` / ``table3.json`` /
@@ -31,7 +33,8 @@ Scheduling goes through the parallel experiment engine
     Select the technology-independent synthesis flow run before mapping
     (default: ``resyn2rs``, the paper's flow).  The flow name and the flow's
     pass-pipeline fingerprint are folded into the cache key, so results
-    computed under one flow never satisfy requests for another.
+    computed under one flow never satisfy requests for another, and a flow
+    redefined at run time with another pass pipeline misses.
     ``--list-flows`` prints every registered flow and exits.
 
 ``--objective {delay,area,power}``

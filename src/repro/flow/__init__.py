@@ -15,7 +15,7 @@ registered *passes* sequenced by named *flows*:
   node-count telemetry.
 
 The experiment engine schedules mapping jobs by flow name and folds
-:meth:`FlowSpec.fingerprint` into its content-addressed cache keys;
+:meth:`FlowSpec.fingerprint` into its cache keys;
 ``repro.synthesis.optimize.optimize`` is the ``resyn2rs`` flow.
 
 Technology mapping participates as a pass too (:mod:`repro.flow.mapping`):

@@ -2,11 +2,20 @@
 
 import json
 import multiprocessing
+import shutil
 
 import pytest
 
-from repro.bench.registry import benchmark_by_name
+from repro.bench.generators.adders import ripple_adder_circuit
+from repro.bench.registry import (
+    BenchmarkCase,
+    benchmark_by_name,
+    register_benchmark,
+    register_blif_benchmark,
+    unregister_benchmark,
+)
 from repro.core.families import LogicFamily
+from repro.experiments import engine as engine_module
 from repro.experiments.engine import (
     CACHE_SCHEMA,
     CharacterizationJob,
@@ -16,13 +25,14 @@ from repro.experiments.engine import (
     aig_fingerprint,
     default_cache_dir,
     figure6_payload,
-    library_fingerprint,
+    source_digest,
     table2_payload,
     table3_payload,
 )
 from repro.experiments.figure6 import figure6_from_table3
+from repro.experiments.pareto import pareto_payload
 from repro.experiments.table3 import run_table3
-from repro.core.library import build_library
+from repro.synthesis.blif import write_blif
 
 SUBSET = ("add-16",)
 FAMILIES = (LogicFamily.TG_STATIC, LogicFamily.CMOS)
@@ -41,6 +51,18 @@ def _stats_view(result):
     return [(row.name, row.aig_nodes, row.aig_depth, row.results) for row in result.rows]
 
 
+@pytest.fixture
+def extra_benchmark():
+    """A benchmark registered at run time (its source is not in the package)."""
+    case = register_benchmark(BenchmarkCase(
+        name="extra-add-8", function="8-bit adder", paper_inputs=17,
+        paper_outputs=9, exact=True, xor_rich=True,
+        generator=lambda: ripple_adder_circuit(8, name="extra-add-8"),
+    ))
+    yield case.name
+    unregister_benchmark(case.name)
+
+
 class TestFingerprints:
     def test_aig_fingerprint_is_structural(self):
         a = benchmark_by_name("add-16").build()
@@ -48,12 +70,6 @@ class TestFingerprints:
         assert aig_fingerprint(a) == aig_fingerprint(b)
         c = benchmark_by_name("add-32").build()
         assert aig_fingerprint(a) != aig_fingerprint(c)
-
-    def test_library_fingerprint_distinguishes_families(self):
-        static = library_fingerprint(build_library(LogicFamily.TG_STATIC))
-        cmos = library_fingerprint(build_library(LogicFamily.CMOS))
-        assert static != cmos
-        assert static == library_fingerprint(build_library(LogicFamily.TG_STATIC))
 
     def test_job_keys_separate_by_family_and_objective(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)
@@ -346,6 +362,11 @@ class TestTable2Jobs:
         engine = ExperimentEngine(cache_dir=tmp_path)
         job = CharacterizationJob(LogicFamily.CMOS)
         assert engine.characterization_job_key(job) == engine.characterization_job_key(job)
+        keys = {
+            engine.characterization_job_key(CharacterizationJob(family))
+            for family in LogicFamily
+        }
+        assert len(keys) == len(LogicFamily)
 
 
 class TestArtifacts:
@@ -419,20 +440,27 @@ class TestSubjectSchedule:
             table3_payload(sequential), indent=2, sort_keys=True
         ) == json.dumps(table3_payload(parallel), indent=2, sort_keys=True)
 
-    def test_batch_keys_hash_each_subject_once(self, monkeypatch):
-        """A batch's keys equal per-job map_job_key, with one AIG
-        fingerprint per subject instead of one per job."""
-        import repro.experiments.engine as engine_module
+    def test_batch_keys_generate_only_registered_subjects(
+        self, monkeypatch, extra_benchmark
+    ):
+        """Built-in subjects are neither generated nor hashed for keys, a
+        registered extra is generated and hashed once per batch, and the
+        batch keys equal per-job map_job_key with and without an AIG."""
+        generated, hashed = [], []
+        original_build = BenchmarkCase.build
+        original_print = engine_module.aig_fingerprint
 
-        fingerprinted = []
-        original = engine_module.aig_fingerprint
+        def counting_build(case):
+            generated.append(case.name)
+            return original_build(case)
 
-        def counting(aig):
-            fingerprinted.append(aig.name)
-            return original(aig)
+        def counting_print(aig):
+            hashed.append(aig.name)
+            return original_print(aig)
 
-        monkeypatch.setattr(engine_module, "aig_fingerprint", counting)
-        names = ("add-16", "t481")
+        monkeypatch.setattr(BenchmarkCase, "build", counting_build)
+        monkeypatch.setattr(engine_module, "aig_fingerprint", counting_print)
+        names = ("add-16", "t481", extra_benchmark)
         jobs = [
             MapJob(name, family, objective=objective)
             for name in names
@@ -441,9 +469,15 @@ class TestSubjectSchedule:
         ]
         engine = ExperimentEngine(use_cache=False)
         keys, sources = engine._map_batch_keys(jobs)
-        assert len(fingerprinted) == len(names)
-        assert set(sources) == set(names)
+        assert generated == hashed == [extra_benchmark]
+        assert set(sources) == {extra_benchmark}
+
         assert keys == {job: engine.map_job_key(job) for job in jobs}
+        assert set(generated[1:]) == set(hashed[1:]) == {extra_benchmark}
+        aigs = {name: original_build(benchmark_by_name(name)) for name in names}
+        del generated[:]
+        assert keys == {job: engine.map_job_key(job, aigs[job.benchmark]) for job in jobs}
+        assert not generated
 
     def test_subjects_are_claimed_largest_raw_aig_first(self, monkeypatch):
         from repro.experiments import resilience
@@ -468,6 +502,104 @@ class TestSubjectSchedule:
         for group in subjects:
             assert len(group) == len(FAMILIES)
             assert len({specs[index][0] for index in group}) == 1
+
+
+class TestProvenanceKeys:
+    """Cache keys are the code digest plus the job spec: built-in subjects
+    are named, run-time registered ones hashed by content, and a warm run
+    builds neither a library nor a benchmark."""
+
+    def test_code_digest_change_misses_every_entry(self, tmp_path, monkeypatch):
+        families = (LogicFamily.TG_STATIC, LogicFamily.CMOS)
+        jobs = _jobs()
+
+        def run():
+            engine = ExperimentEngine(cache_dir=tmp_path)
+            engine.run_table2(families=families)
+            engine.run_map_jobs(jobs)
+            return engine.cache.stats
+
+        filled = run()
+        assert filled.hits == 0 and filled.puts == len(families) + len(jobs)
+        monkeypatch.setattr(engine_module, "code_digest", lambda: "0" * 64)
+        changed = run()
+        assert changed.hits == 0 and changed.misses == len(families) + len(jobs)
+        monkeypatch.undo()
+        restored = run()
+        assert restored.misses == 0 and restored.hits == len(families) + len(jobs)
+
+    def test_source_digest_sees_nested_module_edits(self, tmp_path):
+        package = tmp_path / "repro"
+        shutil.copytree(
+            engine_module._PACKAGE_ROOT,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        before = source_digest(package)
+        assert before == source_digest(engine_module._PACKAGE_ROOT)
+        nested = package / "synthesis" / "mapper.py"
+        original = nested.read_bytes()
+        middle = len(original) // 2
+        edited = original[:middle] + bytes([original[middle] ^ 1]) + original[middle + 1:]
+        nested.write_bytes(edited)
+        assert source_digest(package) != before
+        nested.write_bytes(original)
+        assert source_digest(package) == before
+
+    def test_renamed_blif_hits_and_edited_blif_misses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+        original = tmp_path / "circuit.blif"
+        original.write_text(write_blif(ripple_adder_circuit(4, name="circuit")))
+        renamed = tmp_path / "renamed.blif"
+        renamed.write_bytes(original.read_bytes())
+        cache = tmp_path / "cache"
+
+        def run(name):
+            return ExperimentEngine(cache_dir=cache).run_map_jobs(
+                [MapJob(name, family) for family in FAMILIES]
+            )
+
+        try:
+            register_blif_benchmark(original, name="blif-original")
+            first = run("blif-original")
+            assert not any(result.cached for result in first.values())
+            register_blif_benchmark(renamed, name="blif-renamed")
+            again = run("blif-renamed")
+            assert all(result.cached for result in again.values())
+            assert {job.family: r.stats for job, r in again.items()} == {
+                job.family: r.stats for job, r in first.items()
+            }
+            renamed.write_text(write_blif(ripple_adder_circuit(5, name="circuit")))
+            edited = run("blif-renamed")
+            assert not any(result.cached for result in edited.values())
+        finally:
+            unregister_benchmark("blif-original")
+            unregister_benchmark("blif-renamed")
+
+    def test_warm_runs_build_nothing(self, tmp_path, monkeypatch):
+        names = ("add-16",)
+
+        def regenerate():
+            engine = ExperimentEngine(cache_dir=tmp_path)
+            payloads = (
+                table2_payload(engine.run_table2()),
+                table3_payload(engine.run_table3(benchmark_names=names)),
+                pareto_payload(engine.run_pareto(benchmark_names=names)),
+            )
+            return payloads, engine.cache.stats
+
+        filled, fill_stats = regenerate()
+        jobs = fill_stats.hits + fill_stats.misses  # Pareto re-reads Table 3's
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm run built a library or a benchmark")
+
+        monkeypatch.setattr(BenchmarkCase, "build", refuse)
+        monkeypatch.setattr(engine_module, "build_library", refuse)
+        warm, warm_stats = regenerate()
+        assert warm_stats.misses == 0 and warm_stats.hits == jobs
+        assert warm == filled
 
 
 class TestSubjectLifetime:

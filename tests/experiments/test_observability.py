@@ -4,8 +4,9 @@ The tracer unit tests live in ``tests/obs``; this module pins the contract
 *through the engine and runner*: worker spans come home pid-tagged, cache
 hits synthesize spans in the parent, a parallel run's stage report (summed
 from its ``stage`` spans) has the same per-job stage entries as a
-sequential one, matcher builds are spanned under the job that needs them,
-fault handling leaves crash/retry markers in the trace, and the CLI
+sequential one, library and matcher builds are spanned under whatever
+first needs them (never under key computation), a map batch's keys under
+one ``cache-keys`` span, fault handling leaves crash/retry markers in the trace, and the CLI
 exporters write valid files while leaving the artifacts byte-identical.
 ``--profile`` equals the metrics' stage totals of the same run and is
 served from the cache like any other run.
@@ -20,11 +21,13 @@ import pytest
 
 from repro import obs
 from repro.analysis.activity import compute_activities
+from repro.bench.generators.adders import ripple_adder_circuit
+from repro.bench.registry import BenchmarkCase, register_benchmark, unregister_benchmark
 from repro.core.families import LogicFamily
 from repro.core.library import build_library
 from repro.experiments import engine as engine_module
 from repro.experiments import faults
-from repro.experiments.engine import ExperimentEngine, MapJob
+from repro.experiments.engine import CharacterizationJob, ExperimentEngine, MapJob
 from repro.experiments.faults import FaultPlan
 from repro.experiments.resilience import RetryPolicy, run_resilient
 from repro.experiments.runner import main
@@ -142,29 +145,74 @@ class TestCrossProcessTrace:
             "build_library",
             lru_cache(maxsize=None)(build_library.__wrapped__),
         )
-        engine_module._family_fingerprint.cache_clear()
         obs.enable_tracing()
         engine = ExperimentEngine(jobs=1, use_cache=False)
-        with obs.span("caller"):
-            traced = engine.run_table2()
-            # Table 2 has no pass-static column; a map key builds that one.
-            engine.map_job_key(MapJob("add-16", LogicFamily.PASS_STATIC))
-        spans = obs.spans()
-        caller = next(s for s in spans if s.name == "caller")
-        libraries = [s for s in spans if s.name == "library"]
-        assert len(libraries) == 5
-        assert {s.category for s in libraries} == {"setup"}
-        assert {s.parent_id for s in libraries} == {caller.span_id}
-        assert sorted(s.attributes["family"] for s in libraries) == sorted(
-            family.value for family in LogicFamily
+        for family in LogicFamily:
+            engine.characterization_job_key(CharacterizationJob(family))
+            engine.map_job_key(MapJob("add-16", family))
+        assert not [s for s in obs.spans() if s.name == "library"]
+
+        table2_families = (
+            LogicFamily.TG_STATIC,
+            LogicFamily.TG_PSEUDO,
+            LogicFamily.PASS_PSEUDO,
         )
-        # Table 2's keys, and so its builds, come before its own span opens.
-        table2 = next(s for s in spans if s.name == "run_table2")
-        assert sum(s.start_us <= table2.start_us for s in libraries) == 4
+        traced = engine.run_table2(families=table2_families)
+        engine.run_map_jobs([MapJob("add-16", LogicFamily.CMOS)])
+        ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(
+            [MapJob(name, LogicFamily.PASS_STATIC) for name in ("add-16", "t481")]
+        )
+        spans = obs.spans()
+        by_id = {(s.pid, s.span_id): s for s in spans}
+        libraries = [s for s in spans if s.name == "library"]
+        assert {s.category for s in libraries} == {"setup"}
+        needed_by = {
+            s.attributes["family"]: by_id[(s.pid, s.parent_id)].name for s in libraries
+        }
+        assert len(libraries) == len(needed_by) == len(LogicFamily)
+        assert needed_by == {
+            **{f.value: f"job:table2:{f.value}" for f in table2_families},
+            LogicFamily.CMOS.value: "job:add-16:cmos-static:delay",
+            LogicFamily.PASS_STATIC.value: "prepare-parallel",
+        }
 
         obs.disable_tracing()
-        engine_module._family_fingerprint.cache_clear()
-        assert ExperimentEngine(jobs=1, use_cache=False).run_table2() == traced
+        assert ExperimentEngine(jobs=1, use_cache=False).run_table2(
+            families=table2_families
+        ) == traced
+
+    def test_key_pass_is_spanned_and_builds_only_registered_subjects(
+        self, monkeypatch
+    ):
+        """A jobs=1 batch computes its keys under one ``cache-keys`` span,
+        which generates the registered extra and no built-in subject."""
+        monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+
+        def generate():
+            with obs.span("generate-extra"):
+                return ripple_adder_circuit(6, name="traced-extra")
+
+        register_benchmark(BenchmarkCase(
+            name="traced-extra", function="6-bit adder", paper_inputs=13,
+            paper_outputs=7, exact=True, xor_rich=True, generator=generate,
+        ))
+        try:
+            obs.enable_tracing()
+            ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(
+                [MapJob(name, LogicFamily.CMOS) for name in ("add-16", "traced-extra")]
+            )
+        finally:
+            unregister_benchmark("traced-extra")
+        spans = obs.spans()
+        by_id = {s.span_id: s for s in spans}
+        (keys,) = [s for s in spans if s.name == "cache-keys"]
+        assert keys.category == "engine"
+        assert keys.attributes["built"] == 1
+        assert by_id[keys.parent_id].name == "run_map_jobs"
+        parents = sorted(by_id[s.parent_id].name for s in spans if s.name == "generate-extra")
+        # Once for the key, once more when its job runs the flow.
+        assert parents == ["cache-keys", "optimize"]
 
 
 class TestProfileMerge:
