@@ -87,16 +87,17 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     """Batched match resolution (cut_function_table + match_table) on the
     multiplier's ranked cuts.
 
-    Every round drops the per-cut-set memos and the batch canonicalizer memo
-    first, so the benchmark times the full canonicalize/searchsorted/compose
-    pipeline rather than a memo hit.
+    Every round drops the cut set's function and match table memos and the
+    batch canonicalizer memo first, so the benchmark times the full
+    dedup/sign/filter/canonicalize/searchsorted/compose pipeline rather than
+    a memo hit.
     """
     matcher = matchers[LogicFamily.TG_STATIC]
     arrays = aig_arrays(multiplier_aig)
     cut_set = cut_set_for(multiplier_aig)
 
     def run():
-        for field in ("_match_tables", "_function_tables", "_projected"):
+        for field in ("_match_tables", "_function_table"):
             cut_set.__dict__.pop(field, None)
         clear_canonicalizer_memo()
         return matcher.match_table(cut_set, arrays.and_nodes, "delay")

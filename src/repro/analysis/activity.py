@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.synthesis.aig import Aig, lit_is_complemented, lit_node
 from repro.synthesis.aig_array import aig_arrays
+from repro.synthesis.cut_kernels import popcount64
 
 #: Largest primary-input count enumerated exactly (4096 patterns = 64 words).
 DEFAULT_EXACT_LIMIT = 12
@@ -75,15 +76,6 @@ class ActivityReport:
         return 1.0 - p if lit_is_complemented(literal) else p
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words)
-    # Fallback for numpy < 2.0: count set bits byte by byte.
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(as_bytes).reshape(*words.shape, 64).sum(axis=-1)
-
-
 def _propagate_words(aig: Aig, pi_words: np.ndarray) -> np.ndarray:
     """Packed values of *every* node on the given input words.
 
@@ -121,8 +113,8 @@ def _report_from_values(
     ``tail_mask`` selects the valid bits of the last word (all words before
     it are fully populated).
     """
-    counts = _popcount(values[:, :-1]).sum(axis=1, dtype=np.int64)
-    counts += _popcount(values[:, -1] & np.uint64(tail_mask)).astype(np.int64)
+    counts = popcount64(values[:, :-1]).sum(axis=1, dtype=np.int64)
+    counts += popcount64(values[:, -1] & np.uint64(tail_mask)).astype(np.int64)
     probability = counts / float(total_patterns)
     activity = 2.0 * probability * (1.0 - probability)
     return ActivityReport(

@@ -459,8 +459,8 @@ def _resolve_cases(benchmark_names: tuple[str, ...] | None):
 
 # Per-process memo of flow-optimized benchmark AIGs so the jobs of one
 # subject that run in the same process run the flow only once.  Every derived
-# memo -- array view, cut sets, projected, function, match and candidate
-# tables -- hangs off the optimized AIG it was computed from and dies with it,
+# memo -- array view, cut sets, function, match and candidate tables --
+# hangs off the optimized AIG it was computed from and dies with it,
 # so this dict (with _ACTIVITY_REPORTS) owns all subject state: a pool worker
 # drops it on a subject switch (_hold_subject), the parent keeps its subjects
 # for the life of the process, and every batch of a run reuses them.
@@ -470,6 +470,14 @@ _OPTIMIZED_AIGS: dict[tuple[str, str], Aig] = {}
 # (benchmark, flow, vectors, seed), so the family x objective jobs of one
 # benchmark share a single propagation.
 _ACTIVITY_REPORTS: dict[tuple[str, str, int, int], object] = {}
+
+#: Raw AIGs the running map batch has already generated (for its keys or
+#: its claim order), by benchmark.  :func:`_subject_aig` consumes each at
+#: most once instead of generating the benchmark again.
+#: :meth:`ExperimentEngine.run_map_jobs` empties it when the batch ends and
+#: a pool worker empties its forked copy at start-up, so a raw AIG never
+#: outlives its batch or crosses into a worker.
+_BATCH_SOURCES: dict[str, Aig] = {}
 
 #: The subject (:meth:`MapJob.subject`) whose memos this pool worker holds.
 #: ``None`` in the parent: in-process jobs (jobs=1, degradation) never drop
@@ -495,7 +503,8 @@ def _pool_initializer(obs_config: dict | None = None) -> None:
     """Prepare a fresh pool worker.
 
     Marks the process as a worker holding no subject yet (it drops any
-    memos inherited through ``fork`` on its first job), installs any fault
+    memos inherited through ``fork`` on its first job) and drops the raw
+    AIGs of the parent's batch it inherited, installs any fault
     plan carried by the environment -- only here, so chaos faults fire
     exclusively in pool workers and the parent's deterministic in-process
     path stays fault-free by construction -- and adopts the parent's
@@ -506,11 +515,18 @@ def _pool_initializer(obs_config: dict | None = None) -> None:
     """
     global _WORKER_SUBJECT
     _WORKER_SUBJECT = ()
+    _BATCH_SOURCES.clear()
     obs.activate_worker(obs_config)
     faults.install_from_env()
 
 
 def _subject_aig(benchmark: str, flow: str) -> Aig:
+    """The flow-optimized AIG of a subject (memoized per process).
+
+    The raw AIG is the one the running batch already generated
+    (:data:`_BATCH_SOURCES`), when there is one; otherwise the benchmark is
+    generated here.
+    """
     key = (benchmark, flow)
     cached = _OPTIMIZED_AIGS.get(key)
     if cached is None:
@@ -526,9 +542,10 @@ def _subject_aig(benchmark: str, flow: str) -> Aig:
                 "register_benchmark) must come from an imported module (or "
                 "use jobs=1) for parallel runs on spawn-based platforms"
             ) from error
+        source = _BATCH_SOURCES.pop(benchmark, None)
         try:
             with obs.stage("optimize"):
-                result = run_flow(flow, case.build())
+                result = run_flow(flow, case.build() if source is None else source)
         except KeyError as error:
             # Same re-import caveat for flows registered at run time.
             raise RuntimeError(
@@ -908,22 +925,30 @@ class ExperimentEngine:
             ):
                 for family in {job.family for job in pending}:
                     matcher_for(build_library(family))
-                for name in {job.benchmark for job in pending} - sources.keys():
-                    sources[name] = benchmark_by_name(name).build()
-                return _subject_schedule(pending, sources)
+                for name in {job.benchmark for job in pending} - _BATCH_SOURCES.keys():
+                    _BATCH_SOURCES[name] = benchmark_by_name(name).build()
+                return _subject_schedule(pending, _BATCH_SOURCES)
 
         with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
             with obs.span("cache-keys", category="engine") as key_span:
                 keys, sources = self._map_batch_keys(jobs)
                 key_span.set("built", len(sources))
-            raw = self._run_jobs(
-                _run_map_job,
-                list(jobs),
-                keys,
-                prepare_parallel=prepare_parallel,
-                initializer=_pool_initializer,
-                initargs=(obs.worker_config(),),
-            )
+            # The batch's jobs run their flows on the raw AIGs generated
+            # here rather than generating them again (see _subject_aig); the
+            # handoff holds the only reference, so a consumed AIG is freed.
+            _BATCH_SOURCES.update(sources)
+            del sources
+            try:
+                raw = self._run_jobs(
+                    _run_map_job,
+                    list(jobs),
+                    keys,
+                    prepare_parallel=prepare_parallel,
+                    initializer=_pool_initializer,
+                    initargs=(obs.worker_config(),),
+                )
+            finally:
+                _BATCH_SOURCES.clear()
         results: dict[MapJob, MapJobResult] = {}
         for job, (payload, cached) in raw.items():
             results[job] = MapJobResult(

@@ -18,7 +18,11 @@ Every pass execution is timed and its node/depth deltas recorded in a
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.synthesis.aig import Aig
@@ -113,6 +117,39 @@ def get_pass(name: str) -> Pass:
 def available_passes() -> tuple[str, ...]:
     """Names of all registered passes, sorted."""
     return tuple(sorted(_PASS_REGISTRY))
+
+
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def pass_source_digest(pass_: Pass) -> str | None:
+    """SHA-256 of the source of a pass implemented outside the package.
+
+    The implementation is a :class:`FunctionPass`'s function, else the
+    pass's class.  A package pass returns ``None``: the engine's code digest
+    already covers every module of ``repro``.  A pass defined elsewhere (a
+    script, a test, a plugin) would otherwise enter a cache key only by its
+    name, so its source is hashed -- text only, identical in every process.
+    Raises ``ValueError`` when that source cannot be read.
+    """
+    implementation = pass_.fn if isinstance(pass_, FunctionPass) else type(pass_)
+    return _implementation_digest(implementation)
+
+
+@lru_cache(maxsize=256)
+def _implementation_digest(implementation) -> str | None:
+    try:
+        path = Path(inspect.getfile(implementation)).resolve()
+        if path.is_relative_to(_PACKAGE_ROOT):
+            return None
+        source = inspect.getsource(implementation)
+    except (OSError, TypeError) as error:
+        raise ValueError(
+            f"cannot read the source of pass implementation {implementation!r}, "
+            "so results of a flow using it cannot be cached safely; define the "
+            "pass in a module file"
+        ) from error
+    return hashlib.sha256(source.encode()).hexdigest()
 
 
 # -- built-in passes ---------------------------------------------------------

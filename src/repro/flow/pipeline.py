@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.flow.passes import PassResult, get_pass
+from repro.flow.passes import PassResult, get_pass, pass_source_digest
 from repro.synthesis.aig import Aig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,13 +113,22 @@ class FlowSpec:
 
         Folded into the experiment engine's cache keys so that a cached
         result from one flow definition can never satisfy a request for a
-        differently defined flow of the same name.
+        differently defined flow of the same name.  Every pass implemented
+        outside the package adds ``|pass:<name>=<source digest>``
+        (:func:`~repro.flow.passes.pass_source_digest`), so redefining such
+        a pass under the same name changes the key; package passes add
+        nothing, the code digest covers them.
         """
-        return (
+        text = (
             f"{self.name}|prologue={','.join(self.prologue)}"
             f"|round={','.join(self.round_passes)}|max_rounds={self.max_rounds}"
             f"|keep_best={int(self.keep_best)}|compare_input={int(self.compare_input)}"
         )
+        for name in self.pass_names():
+            digest = pass_source_digest(get_pass(name))
+            if digest is not None:
+                text += f"|pass:{name}={digest}"
+        return text
 
     def run(self, aig: Aig) -> FlowResult:
         """Execute the flow, collecting per-pass timing and node telemetry.

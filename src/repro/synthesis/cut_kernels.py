@@ -15,6 +15,13 @@ needs:
 * :data:`FULL_BY_SIZE` -- the all-ones mask per variable count, for batched
   output complementation.
 
+The matching pipeline adds :func:`npn_signature_batch`, an exact
+NPN-invariant key per table (onset and cofactor popcounts) that lets a
+matcher skip the orbit scan of functions no library class can match; its
+scalar reference and invariance properties live in
+``tests/synthesis/test_matcher_batch.py``.  Its word popcount,
+:func:`popcount64`, is the one the switching-activity analysis uses too.
+
 Don't-care insertion at position ``p`` duplicates every ``2**p``-bit chunk of
 the table.  The chunks are first *spread* to double spacing with a butterfly
 network of shift-and-mask steps (chunk ``i`` moves by ``i * 2**p`` bits,
@@ -256,3 +263,49 @@ def project_table_batch(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
         contributions = np.where(valid, bits * _MINTERM_WEIGHTS[None, :], _U64(0))
         out[start : start + chunk] = contributions.sum(axis=1, dtype=np.uint64)
     return out
+
+
+def popcount64(words: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint64 array."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    # Fallback for numpy < 2.0: count set bits byte by byte.
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(as_bytes).reshape(*words.shape, 64).sum(axis=-1)
+
+
+def npn_signature_batch(tables: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Exact NPN-invariant signature of every table (over ``sizes[i]`` variables).
+
+    The key of a function packs its onset count (top field) and, sorted
+    ascending, the per-variable ``min(negative-cofactor count,
+    positive-cofactor count)``, 6 bits per value; the signature is the
+    smaller of the keys of ``f`` and ``~f``.  Input negation swaps one
+    variable's two counts, permutation reorders the multiset and the final
+    min absorbs output negation, so NPN-equivalent tables share a signature:
+    two tables with different signatures are never NPN- (or NP-) equivalent.
+    Positions at and above ``sizes[i]`` contribute zeros.  Bits above
+    ``2**sizes[i]`` are ignored.  The counts are :func:`popcount64` of
+    masked words.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    full = FULL_BY_SIZE[sizes]
+    t = np.asarray(tables, dtype=np.uint64) & full
+    onset = popcount64(t).astype(np.int64)
+    in_range = _VAR_POSITIONS < sizes[:, None]
+    cofactor = popcount64(t[:, None] & VAR_PERIOD_MASKS).astype(np.int64)
+    negative = np.where(in_range, cofactor, 0)
+    positive = np.where(in_range, onset[:, None] - negative, 0)
+    # ~f has 2**n - onset minterms and 2**(n-1) - c in a cofactor f counts c.
+    half = np.where(in_range, (np.int64(1) << sizes)[:, None] >> 1, 0)
+    keys = []
+    for count, values in (
+        (onset, np.minimum(negative, positive)),
+        ((np.int64(1) << sizes) - onset, half - np.maximum(negative, positive)),
+    ):
+        values = np.sort(values, axis=1)
+        key = count
+        for column in range(6):
+            key = (key << 6) | values[:, column]
+        keys.append(key)
+    return np.minimum(keys[0], keys[1])

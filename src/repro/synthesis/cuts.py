@@ -37,7 +37,6 @@ from repro.synthesis.cut_kernels import (
     POPCOUNT64,
     batch_support,
     expand_tables,
-    project_table_batch,
 )
 
 #: Default mapping parameters, chosen to cover the six-input cells (F42..F45)
@@ -187,29 +186,6 @@ class CutSet:
                 self.support.tolist(),
             )
             object.__setattr__(self, "_python_view", cached)
-        return cached
-
-    def projected_tables(self) -> np.ndarray:
-        """Support-projected cut tables as a ``(nodes, slots)`` uint64 column.
-
-        Every valid slot's table is projected onto its true support
-        (:func:`repro.synthesis.cut_kernels.project_table_batch`) in one
-        batched pass -- full-support cuts project to themselves -- and the
-        column is memoized on the cut set, so the batched matching pipeline
-        of every (matcher, policy) pair reads the same array.  Invalid slots
-        hold zero.
-        """
-        cached = self.__dict__.get("_projected")
-        if cached is None:
-            cached = np.zeros(self.table.shape, dtype=np.uint64)
-            valid = (
-                np.arange(self.table.shape[1], dtype=np.int64)[None, :]
-                < self.count[:, None]
-            )
-            rows = np.nonzero(valid)
-            cached[rows] = project_table_batch(self.table[rows], self.support[rows])
-            cached.flags.writeable = False
-            object.__setattr__(self, "_projected", cached)
         return cached
 
     def cuts_of(self, node: int) -> list[Cut]:

@@ -78,7 +78,12 @@ from repro.synthesis.cost import (
     resolve_recovery,
 )
 from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS, cut_set_for
-from repro.synthesis.matcher import CellMatch, _MatcherBase, matcher_for
+from repro.synthesis.matcher import (
+    CellMatch,
+    _MatcherBase,
+    distinct_keys,
+    matcher_for,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.activity import ActivityReport
@@ -370,13 +375,15 @@ def _build_candidate_table(
     matcher is consulted once per *distinct* ``(size, table)`` function.
     With a matcher exposing the columnar batch API
     (:meth:`LibraryMatcher.match_table`) the whole match resolution is a
-    handful of vector passes -- batched canonicalization, one
-    ``searchsorted`` per arity, vectorized transform composition -- and the
-    candidate columns are gathered straight out of the
-    :class:`~repro.synthesis.matcher.MatchTable`.  Matchers without that
-    API (e.g. :class:`~repro.synthesis.matcher.ExhaustiveLibraryMatcher`)
-    fall back to the per-distinct-function ``match_positions`` loop.  Rows
-    are ordered nodes ascending, slot order within a node, and no
+    handful of vector passes -- signature filter, batched canonicalization
+    of the surviving functions, one ``searchsorted`` per arity, vectorized
+    transform composition -- and the candidate columns are gathered
+    straight out of the :class:`~repro.synthesis.matcher.MatchTable`.
+    Matchers without that API (e.g.
+    :class:`~repro.synthesis.matcher.ExhaustiveLibraryMatcher`) fall back to
+    the per-distinct-function ``match_positions`` loop over the same
+    :func:`~repro.synthesis.matcher.distinct_keys` dedup.  Rows are ordered
+    nodes ascending, slot order within a node, and no
     :class:`MatchCandidate` objects are created.
     """
     and_nodes = arrays.and_nodes
@@ -412,19 +419,12 @@ def _build_candidate_table(
         elif positions.shape[1] > max_inputs:
             positions = positions[:, :max_inputs]
     else:
-        sizes = cut_set.size[nodes_rep, slots].astype(np.uint64)
+        sizes = cut_set.size[nodes_rep, slots]
         tables = cut_set.table[nodes_rep, slots]
         supports = cut_set.support[nodes_rep, slots]
+        first_index, inverse = distinct_keys(sizes, tables)
 
-        keys = np.empty((total, 2), dtype=np.uint64)
-        keys[:, 0] = sizes
-        keys[:, 1] = tables
-        distinct, first_index, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-
-        num_distinct = distinct.shape[0]
+        num_distinct = first_index.shape[0]
         matched = np.zeros(num_distinct, dtype=bool)
         positions = np.zeros((num_distinct, max_inputs), dtype=np.int64)
         widths = np.zeros(num_distinct, dtype=np.int64)
@@ -437,8 +437,8 @@ def _build_candidate_table(
         matches = []
 
         match_positions = matcher.match_positions
-        size_list = distinct[:, 0].tolist()
-        table_list = distinct[:, 1].tolist()
+        size_list = sizes[first_index].tolist()
+        table_list = tables[first_index].tolist()
         support_list = supports[first_index].tolist()
         for index in range(num_distinct):
             found = match_positions(

@@ -46,6 +46,7 @@ from repro.logic.npn import (
     invert_match,
 )
 from repro.synthesis.cut_kernels import (
+    npn_signature_batch,
     project_table_batch,
     support_positions,
     table_support_batch,
@@ -90,10 +91,13 @@ class CutFunctionTable:
     flattened ranked cuts (nodes ascending, slot order per node, trivial cut
     excluded -- the same flattening the mapper uses) deduplicated to their
     distinct ``(size, table)`` functions, each with its support positions,
-    support-projected table and exact NPN canonicalization columns.
-    ``inverse`` maps every flattened row back onto its distinct id.  Shared
-    by every (matcher, policy) pair of a mapping call and memoized on the
-    cut set.
+    support-projected table and exact NPN signature
+    (:func:`~repro.synthesis.cut_kernels.npn_signature_batch` of the reduced
+    function).  ``inverse`` maps every flattened row back onto its distinct
+    id.  Nothing here depends on a library or on the output-negation flag:
+    each matcher canonicalizes only the rows whose signature its index
+    holds.  Shared by every (matcher, policy) pair of a mapping call and
+    memoized on the cut set.
     """
 
     inverse: np.ndarray  #: (rows,) int64 flattened ranked cut -> distinct id
@@ -103,10 +107,7 @@ class CutFunctionTable:
     width: np.ndarray  #: (d,) int64 reduced arity (popcount of support)
     positions: np.ndarray  #: (d, 6) int64 support positions, zero-padded
     reduced: np.ndarray  #: (d,) uint64 support-projected table
-    canon: np.ndarray  #: (d,) uint64 canonical bits of the reduced function
-    cut_perm: np.ndarray  #: (d, 6) int8 canonicalizing permutation, zero-padded
-    cut_phase: np.ndarray  #: (d,) int16 canonicalizing phase
-    cut_negated: np.ndarray  #: (d,) bool canonicalizing output negation
+    signature: np.ndarray  #: (d,) int64 NPN signature of the reduced table
 
     @property
     def num_distinct(self) -> int:
@@ -158,36 +159,18 @@ def build_function_table(
     sizes: np.ndarray,
     tables: np.ndarray,
     supports: np.ndarray,
-    reduced: np.ndarray,
     inverse: np.ndarray,
-    include_output_negation: bool,
 ) -> CutFunctionTable:
     """Assemble a :class:`CutFunctionTable` from distinct-function columns.
 
-    ``reduced`` must already be the support-projected tables (the cut set's
-    :meth:`~repro.synthesis.cuts.CutSet.projected_tables` column).  Every
-    non-constant reduced function is canonicalized per reduced arity through
-    one batched orbit scan each.
+    Projects every table onto its support mask
+    (:func:`~repro.synthesis.cut_kernels.project_table_batch`) and signs the
+    projected function at its reduced arity.  No function is canonicalized
+    here: :meth:`LibraryMatcher.match_table` canonicalizes, per matcher,
+    only the rows whose signature can match.
     """
     positions, width = support_positions(supports)
-    count = sizes.shape[0]
-    canon = np.zeros(count, dtype=np.uint64)
-    cut_perm = np.zeros((count, 6), dtype=np.int8)
-    cut_phase = np.zeros(count, dtype=np.int16)
-    cut_negated = np.zeros(count, dtype=bool)
-    for arity in range(1, 7):
-        group = np.nonzero(width == arity)[0]
-        if group.size == 0:
-            continue
-        group_canon, group_perm, group_phase, group_neg = (
-            canonicalize_bits_batch_columns(
-                reduced[group], arity, include_output_negation
-            )
-        )
-        canon[group] = group_canon
-        cut_perm[group, :arity] = group_perm
-        cut_phase[group] = group_phase
-        cut_negated[group] = group_neg
+    reduced = project_table_batch(tables, supports)
     return CutFunctionTable(
         inverse=inverse.astype(np.int64),
         sizes=sizes.astype(np.int64),
@@ -195,54 +178,57 @@ def build_function_table(
         support=supports.astype(np.uint8),
         width=width,
         positions=positions,
-        reduced=reduced.astype(np.uint64),
-        canon=canon,
-        cut_perm=cut_perm,
-        cut_phase=cut_phase,
-        cut_negated=cut_negated,
+        reduced=reduced,
+        signature=npn_signature_batch(reduced, width),
     )
 
 
-def cut_function_table(
-    cut_set, and_nodes, include_output_negation: bool = True
-) -> CutFunctionTable:
+def distinct_keys(
+    sizes: np.ndarray, tables: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence and inverse of every distinct ``(size, table)`` pair.
+
+    One stable ``np.lexsort`` (size major) plus run starts: the distinct
+    pairs come out in ascending ``(size, table)`` order, ``first[i]`` is the
+    earliest row holding pair ``i`` and ``inverse`` maps every row onto its
+    pair -- exactly ``np.unique(keys, axis=0, return_index=True,
+    return_inverse=True)`` without the structured-dtype sort.
+    """
+    order = np.lexsort((tables, sizes))
+    sorted_sizes = sizes[order]
+    sorted_tables = tables[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = (sorted_sizes[1:] != sorted_sizes[:-1]) | (
+        sorted_tables[1:] != sorted_tables[:-1]
+    )
+    inverse = np.empty(order.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def cut_function_table(cut_set, and_nodes) -> CutFunctionTable:
     """The (memoized) distinct-function table of a cut set.
 
-    Deduplicates all ranked cut functions with one ``np.unique`` pass over
-    ``(size, table)`` keys, reads the projected tables from the cut set's
-    batched :meth:`~repro.synthesis.cuts.CutSet.projected_tables` column and
-    canonicalizes every distinct reduced function through the columnar batch
-    canonicalizer.  Memoized on the cut set per output-negation flag --
-    every library/policy pair of a mapping call shares one table.
+    Deduplicates the ranked cut functions by ``(size, table)``
+    (:func:`distinct_keys`), then projects and signs only the distinct rows
+    (:func:`build_function_table`).  Memoized on the cut set -- every
+    library/policy pair of a mapping call shares one table.
     """
-    memo = cut_set.__dict__.get("_function_tables")
-    if memo is None:
-        memo = {}
-        object.__setattr__(cut_set, "_function_tables", memo)
-    cached = memo.get(include_output_negation)
+    cached = cut_set.__dict__.get("_function_table")
     if cached is not None:
         return cached
-
     nodes_rep, slots = _flatten_ranked_cuts(cut_set, and_nodes)
-    total = nodes_rep.shape[0]
-    keys = np.empty((total, 2), dtype=np.uint64)
-    keys[:, 0] = cut_set.size[nodes_rep, slots]
-    keys[:, 1] = cut_set.table[nodes_rep, slots]
-    distinct, first_index, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
+    first, inverse = distinct_keys(
+        cut_set.size[nodes_rep, slots], cut_set.table[nodes_rep, slots]
     )
-    inverse = inverse.reshape(-1).astype(np.int64)
-    supports = cut_set.support[nodes_rep, slots][first_index]
-    projected = cut_set.projected_tables()[nodes_rep, slots][first_index]
+    nodes_rep, slots = nodes_rep[first], slots[first]
     table = build_function_table(
-        distinct[:, 0].astype(np.int64),
-        distinct[:, 1],
-        supports,
-        projected,
+        cut_set.size[nodes_rep, slots],
+        cut_set.table[nodes_rep, slots],
+        cut_set.support[nodes_rep, slots],
         inverse,
-        include_output_negation,
     )
-    memo[include_output_negation] = table
+    object.__setattr__(cut_set, "_function_table", table)
     return table
 
 
@@ -418,14 +404,19 @@ class LibraryMatcher(_MatcherBase):
 
     def _resolve_function_table(
         self, functions: CutFunctionTable, prefer: str
-    ) -> MatchTable:
+    ) -> tuple[MatchTable, int]:
         """Resolve every distinct cut function against the canonical index.
 
-        One ``np.searchsorted`` per reduced arity finds the canonical class
-        of every function; the returned pin assignments are the vectorized
-        equivalent of ``compose_matches(entry.match, invert_match(t_cut))``.
-        :class:`CellMatch` objects are materialized only for matched rows (in
-        row order, exactly as the scalar candidate-table build appends them).
+        Per reduced arity, only the rows whose NPN signature one of the
+        index's classes carries are canonicalized
+        (:func:`~repro.logic.npn.canonicalize_bits_batch_columns`); any other
+        row provably matches no class.  One ``np.searchsorted`` then finds
+        each canonicalized row's class, and the returned pin assignments
+        are the vectorized equivalent of ``compose_matches(entry.match,
+        invert_match(t_cut))``.  :class:`CellMatch` objects are materialized
+        only for matched rows (in row order, exactly as the scalar
+        candidate-table build appends them).  Returns the table and the
+        number of rows canonicalized.
         """
         per_arity = self._batch_index()[prefer if prefer == "delay" else "area"]
         count = functions.num_distinct
@@ -438,18 +429,21 @@ class LibraryMatcher(_MatcherBase):
         comp_perm = np.zeros((count, 6), dtype=np.int64)
         comp_phase = np.zeros(count, dtype=np.int64)
         comp_neg = np.zeros(count, dtype=bool)
+        canonicalized = 0
 
-        for arity in range(1, 7):
+        for arity, arity_index in per_arity.items():
             group = np.nonzero(functions.width == arity)[0]
+            _, known = _sorted_lookup(
+                arity_index.signatures, functions.signature[group]
+            )
+            group = group[known]
             if group.size == 0:
                 continue
-            arity_index = per_arity.get(arity)
-            if arity_index is None:
-                continue
-            keys = functions.canon[group]
-            slot = np.searchsorted(arity_index.keys, keys)
-            slot = np.minimum(slot, arity_index.keys.shape[0] - 1)
-            hit = arity_index.keys[slot] == keys
+            canonicalized += int(group.size)
+            keys, cut_perm, cut_phase, cut_negated = canonicalize_bits_batch_columns(
+                functions.reduced[group], arity, self.allow_output_negation
+            )
+            slot, hit = _sorted_lookup(arity_index.keys, keys)
             if not hit.any():
                 continue
             rows = group[hit]
@@ -464,8 +458,8 @@ class LibraryMatcher(_MatcherBase):
             # compose_matches(entry.match, invert_match(t_cut)), vectorized:
             # invert the cut transform (inverse perm by argsort, phase bits
             # gathered through the perm), then chain entry's perm/phase.
-            cut_perm = functions.cut_perm[rows, :arity].astype(np.int64)
-            cut_phase = functions.cut_phase[rows].astype(np.int64)
+            cut_perm = cut_perm[hit].astype(np.int64)
+            cut_phase = cut_phase[hit].astype(np.int64)
             entry_perm = arity_index.perm[entries, :arity].astype(np.int64)
             entry_phase = arity_index.phase[entries].astype(np.int64)
             inv_perm = np.argsort(cut_perm, axis=1)
@@ -476,9 +470,7 @@ class LibraryMatcher(_MatcherBase):
             comp_phase[rows] = entry_phase ^ (inv_phase_bits << entry_perm).sum(
                 axis=1
             )
-            comp_neg[rows] = arity_index.negated[entries] ^ functions.cut_negated[
-                rows
-            ]
+            comp_neg[rows] = arity_index.negated[entries] ^ cut_negated[hit]
 
         matched_rows = np.nonzero(matched)[0]
         match_index = np.full(count, -1, dtype=np.int64)
@@ -497,7 +489,7 @@ class LibraryMatcher(_MatcherBase):
                 bool(neg_list[local]),
             )
             matches.append(CellMatch(cell, transform))
-        return MatchTable(
+        table = MatchTable(
             inverse=functions.inverse,
             matched=matched,
             positions=functions.positions,
@@ -510,6 +502,7 @@ class LibraryMatcher(_MatcherBase):
             effort=effort,
             matches=matches,
         )
+        return table, canonicalized
 
     def match_positions_batch(
         self,
@@ -520,11 +513,11 @@ class LibraryMatcher(_MatcherBase):
     ) -> MatchTable:
         """Batched :meth:`match_positions` over raw ``(size, table)`` arrays.
 
-        Computes supports and projected tables with the batch kernels,
-        canonicalizes every row and resolves the canonical index in one
-        vectorized pass.  Row ``i`` of the returned :class:`MatchTable`
-        corresponds to input row ``i`` (``inverse`` is the identity); the
-        scalar :meth:`match_positions` is the pinned oracle.
+        Computes supports, projected tables and signatures with the batch
+        kernels and resolves the canonical index in one vectorized pass.
+        Row ``i`` of the returned :class:`MatchTable` corresponds to input
+        row ``i`` (``inverse`` is the identity); the scalar
+        :meth:`match_positions` is the pinned oracle.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         tables = np.asarray(tables, dtype=np.uint64)
@@ -532,21 +525,21 @@ class LibraryMatcher(_MatcherBase):
             support_masks = table_support_batch(tables, sizes)
         else:
             support_masks = np.asarray(support_masks, dtype=np.uint8)
-        reduced = project_table_batch(tables, support_masks)
         inverse = np.arange(sizes.shape[0], dtype=np.int64)
-        functions = build_function_table(
-            sizes, tables, support_masks, reduced, inverse,
-            self.allow_output_negation,
-        )
-        return self._resolve_function_table(functions, prefer)
+        functions = build_function_table(sizes, tables, support_masks, inverse)
+        return self._resolve_function_table(functions, prefer)[0]
 
     def match_table(self, cut_set, and_nodes, prefer: str = "delay") -> MatchTable:
         """The (memoized) :class:`MatchTable` of a cut set under one policy.
 
         Builds (or reuses) the cut set's :func:`cut_function_table` and
-        resolves it against this matcher's canonical index.  Memoized on the
-        cut set next to the candidate tables, so repeated mapping rounds and
-        co-resident policies never re-resolve.
+        resolves it against this matcher's canonical index, canonicalizing
+        only the functions whose signature the index holds.  Memoized on
+        the cut set next to the candidate tables, so repeated mapping rounds
+        and co-resident policies never re-resolve.  Counts
+        ``match.batch_rows``, ``match.unique_functions``,
+        ``match.canonicalized`` and ``match.index_hits`` under a
+        ``match-batch`` span carrying the same figures.
         """
         memo = cut_set.__dict__.get("_match_tables")
         if memo is None:
@@ -560,16 +553,16 @@ class LibraryMatcher(_MatcherBase):
             "match-batch", category="synthesis",
             library=self.library.name, prefer=prefer,
         ) as span:
-            functions = cut_function_table(
-                cut_set, and_nodes, self.allow_output_negation
-            )
-            table = self._resolve_function_table(functions, prefer)
+            functions = cut_function_table(cut_set, and_nodes)
+            table, canonicalized = self._resolve_function_table(functions, prefer)
             hits = int(table.matched.sum())
             obs.count("match.batch_rows", functions.num_rows)
             obs.count("match.unique_functions", functions.num_distinct)
+            obs.count("match.canonicalized", canonicalized)
             obs.count("match.index_hits", hits)
             span.set("rows", functions.num_rows)
             span.set("unique_functions", functions.num_distinct)
+            span.set("canonicalized", canonicalized)
             span.set("index_hits", hits)
         memo[key] = table
         return table
@@ -580,6 +573,7 @@ class _ArityIndex:
     """One arity's slice of the batched canonical index (sorted by key)."""
 
     keys: np.ndarray  #: (m,) uint64 canonical bits, ascending
+    signatures: np.ndarray  #: (m,) int64 NPN signatures of the classes, ascending
     perm: np.ndarray  #: (m, 6) int8 cell canonicalizing permutation
     phase: np.ndarray  #: (m,) int16 cell canonicalizing phase
     negated: np.ndarray  #: (m,) bool cell canonicalizing output negation
@@ -588,6 +582,16 @@ class _ArityIndex:
     parasitic: np.ndarray  #: (m,) float64 parasitic output delay
     effort: np.ndarray  #: (m,) float64 effort delay per unit load
     cells: list[LibraryCell]
+
+
+def _sorted_lookup(
+    sorted_keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of every value in an ascending key array, and whether the key
+    there equals it."""
+    slot = np.searchsorted(sorted_keys, values)
+    slot = np.minimum(slot, sorted_keys.shape[0] - 1)
+    return slot, sorted_keys[slot] == values
 
 
 def _build_arity_index(
@@ -623,7 +627,9 @@ def _build_arity_index(
             effort[row] = max(fo4 - parasitic_output, 0.0) / 4.0
             cells.append(cell)
         index[arity] = _ArityIndex(
-            keys=keys, perm=perm, phase=phase, negated=negated,
+            keys=keys,
+            signatures=np.sort(npn_signature_batch(keys, np.full(count, arity))),
+            perm=perm, phase=phase, negated=negated,
             delay=delay, area=area, parasitic=parasitic, effort=effort,
             cells=cells,
         )

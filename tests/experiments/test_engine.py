@@ -504,10 +504,46 @@ class TestSubjectSchedule:
             assert len({specs[index][0] for index in group}) == 1
 
 
+#: The built-in flows' fingerprints: their passes are package code, so no
+#: source digest is folded in and warm caches keep hitting.
+BUILTIN_FLOW_FINGERPRINTS = {
+    "none": "none|prologue=|round=|max_rounds=0|keep_best=1|compare_input=1",
+    "quick": "quick|prologue=balance|round=|max_rounds=0|keep_best=1|compare_input=1",
+    "resyn2rs": (
+        "resyn2rs|prologue=balance|round=rewrite,balance|max_rounds=3"
+        "|keep_best=1|compare_input=1"
+    ),
+    "deep": (
+        "deep|prologue=balance|round=rewrite,balance,rewrite3,balance"
+        "|max_rounds=6|keep_best=1|compare_input=1"
+    ),
+    "resyn2rs-reference": (
+        "resyn2rs-reference|prologue=balance_reference"
+        "|round=rewrite_reference,balance_reference|max_rounds=3"
+        "|keep_best=1|compare_input=1"
+    ),
+}
+
+
+def _identity_pass(aig):
+    return aig
+
+
+def _identity_pass_factory():
+    return lambda aig: aig
+
+
+def _resynthesis_pass(aig):
+    from repro.flow import run_flow
+
+    return run_flow("resyn2rs", aig).aig
+
+
 class TestProvenanceKeys:
     """Cache keys are the code digest plus the job spec: built-in subjects
-    are named, run-time registered ones hashed by content, and a warm run
-    builds neither a library nor a benchmark."""
+    are named, run-time registered ones hashed by content, a pass defined
+    outside the package by its source, and a warm run builds neither a
+    library nor a benchmark."""
 
     def test_code_digest_change_misses_every_entry(self, tmp_path, monkeypatch):
         families = (LogicFamily.TG_STATIC, LogicFamily.CMOS)
@@ -600,6 +636,51 @@ class TestProvenanceKeys:
         warm, warm_stats = regenerate()
         assert warm_stats.misses == 0 and warm_stats.hits == jobs
         assert warm == filled
+
+    @pytest.fixture
+    def probe_key(self, monkeypatch):
+        """Map key of a C1355 job under ``probe-flow``, whose one pass
+        ``probe-pass`` is (re-)registered with the given implementation."""
+        from repro.flow import pipeline, passes
+
+        monkeypatch.setitem(
+            pipeline._FLOW_REGISTRY,
+            "probe-flow",
+            pipeline.FlowSpec(name="probe-flow", prologue=("probe-pass",)),
+        )
+        engine = ExperimentEngine(use_cache=False)
+        job = MapJob("C1355", LogicFamily.CMOS, flow="probe-flow")
+
+        def key(implementation):
+            monkeypatch.setitem(
+                passes._PASS_REGISTRY,
+                "probe-pass",
+                passes.FunctionPass("probe-pass", implementation),
+            )
+            return engine.map_job_key(job)
+
+        return key
+
+    def test_different_body_under_the_same_name_changes_the_key(self, probe_key):
+        assert probe_key(_resynthesis_pass) != probe_key(_identity_pass)
+
+    def test_reregistering_the_same_body_keeps_the_key(self, probe_key):
+        identity = probe_key(_identity_pass)
+        assert probe_key(_identity_pass) == identity
+        # Two function objects built from one source line hash alike.
+        assert probe_key(_identity_pass_factory()) == probe_key(
+            _identity_pass_factory()
+        )
+
+    def test_unreadable_pass_source_fails_at_key_time(self, probe_key):
+        with pytest.raises(ValueError, match="cannot read the source"):
+            probe_key(eval("lambda aig: aig"))
+
+    def test_builtin_flow_fingerprints_are_unchanged(self):
+        from repro.flow import get_flow
+
+        for name, fingerprint in BUILTIN_FLOW_FINGERPRINTS.items():
+            assert get_flow(name).fingerprint() == fingerprint
 
 
 class TestSubjectLifetime:

@@ -185,7 +185,9 @@ class TestCrossProcessTrace:
         self, monkeypatch
     ):
         """A jobs=1 batch computes its keys under one ``cache-keys`` span,
-        which generates the registered extra and no built-in subject."""
+        which generates the registered extra and no built-in subject; the
+        extra's job runs its flow on that AIG instead of generating it
+        again."""
         monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
         monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
 
@@ -211,8 +213,8 @@ class TestCrossProcessTrace:
         assert keys.attributes["built"] == 1
         assert by_id[keys.parent_id].name == "run_map_jobs"
         parents = sorted(by_id[s.parent_id].name for s in spans if s.name == "generate-extra")
-        # Once for the key, once more when its job runs the flow.
-        assert parents == ["cache-keys", "optimize"]
+        # Once, for the key: its job runs the flow on the same raw AIG.
+        assert parents == ["cache-keys"]
 
 
 class TestProfileMerge:

@@ -1,14 +1,16 @@
 """Parity of the batched NPN matching pipeline with the scalar oracle.
 
-The batched pipeline (``canonicalize_bits_batch_columns`` ->
-``cut_function_table`` -> ``LibraryMatcher.match_positions_batch`` /
-``match_table``) must be a bit-for-bit drop-in for the retained scalar path:
+The batched pipeline (``cut_function_table``: lexsort dedup, projection and
+NPN signatures -> ``LibraryMatcher.match_positions_batch`` /
+``match_table``: signature filter, ``canonicalize_bits_batch_columns``,
+index lookup) must be a bit-for-bit drop-in for the retained scalar path:
 the same cut functions match, the same cells win, the composed pin
 assignments are *tuple-equal* (not merely equivalent), and the candidate
 tables the mapper builds from either path produce byte-identical mappings.
 The scalar ``match_positions`` (and, at the mapper level, its
 per-distinct-function candidate-table branch) is the pinned oracle
-throughout.
+throughout.  The signature kernel is pinned to a scalar reference and to
+NPN invariance, and the dedup to ``np.unique``.
 """
 
 import numpy as np
@@ -16,17 +18,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.registry import benchmark_by_name
+from repro.bench.registry import BENCHMARKS, benchmark_by_name
 from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
-from repro.logic.npn import canonicalize_bits, canonicalize_bits_batch_columns
+from repro.logic.npn import (
+    InputMatch,
+    apply_match,
+    canonicalize_bits,
+    canonicalize_bits_batch_columns,
+)
+from repro.logic.truth_table import TruthTable
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cut_kernels import project_table_batch, table_support_batch
+from repro.synthesis.cut_kernels import (
+    npn_signature_batch,
+    project_table_batch,
+    table_support_batch,
+)
 from repro.synthesis.cuts import cut_set_for, project_table, table_support
 from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import (
     LibraryMatcher,
     cut_function_table,
+    distinct_keys,
     matcher_for,
 )
 
@@ -63,6 +76,131 @@ def table_batches(draw):
     # projections exercise the empty/partial-support branches.
     tables.extend([0, full, 0xAAAAAAAAAAAAAAAA & full])
     return arity, tables
+
+
+def reference_signature(bits: int, num_vars: int) -> int:
+    """Scalar NPN signature: the onset count, then every variable's
+    ``min(negative, positive)`` cofactor onset count (zero-padded to six
+    values) sorted ascending, 6 bits a field; the smaller of the keys of
+    ``f`` and ``~f``."""
+    size = 1 << num_vars
+    full = (1 << size) - 1
+
+    def key(table: int) -> int:
+        onset = bin(table).count("1")
+        values = [0] * (6 - num_vars)
+        for var in range(num_vars):
+            negative = sum(
+                (table >> minterm) & 1
+                for minterm in range(size)
+                if not (minterm >> var) & 1
+            )
+            values.append(min(negative, onset - negative))
+        packed = onset
+        for value in sorted(values):
+            packed = (packed << 6) | value
+        return packed
+
+    return min(key(bits & full), key(~bits & full))
+
+
+@st.composite
+def transformed_functions(draw):
+    """A random 1-6 input function and a random NPN transform of it."""
+    arity = draw(st.integers(min_value=1, max_value=6))
+    bits = draw(st.integers(min_value=0, max_value=(1 << (1 << arity)) - 1))
+    permutation = tuple(draw(st.permutations(range(arity))))
+    phase = draw(st.integers(min_value=0, max_value=(1 << arity) - 1))
+    negated = draw(st.booleans())
+    return arity, bits, InputMatch(permutation, phase, negated)
+
+
+class TestNpnSignature:
+    @settings(max_examples=200, deadline=None)
+    @given(case=transformed_functions())
+    def test_signature_equals_reference_and_is_npn_invariant(self, case):
+        arity, bits, transform = case
+        variant = apply_match(TruthTable(arity, bits), transform).bits
+        signatures = npn_signature_batch(
+            np.array([bits, variant], dtype=np.uint64), np.array([arity, arity])
+        )
+        assert int(signatures[0]) == reference_signature(bits, arity)
+        assert int(signatures[1]) == int(signatures[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.integers(min_value=0, max_value=6).flatmap(
+                lambda arity: st.tuples(
+                    st.just(arity), st.integers(min_value=0, max_value=2**64 - 1)
+                )
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_mixed_size_batch_ignores_bits_above_the_table(self, rows):
+        sizes = np.array([arity for arity, _ in rows], dtype=np.int64)
+        tables = np.array([bits for _, bits in rows], dtype=np.uint64)
+        signatures = npn_signature_batch(tables, sizes)
+        for row, (arity, bits) in enumerate(rows):
+            assert int(signatures[row]) == reference_signature(bits, arity)
+
+
+class TestDistinctKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                # A small alphabet forces repeats, and equal tables at
+                # different sizes.
+                st.sampled_from([0, 1, 0x6, 0x8, 0x96, 0xE8, 2**63, 2**64 - 1]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_lexsort_dedup_equals_np_unique(self, rows):
+        sizes = np.array([size for size, _ in rows], dtype=np.int8)
+        tables = np.array([table for _, table in rows], dtype=np.uint64)
+        first, inverse = distinct_keys(sizes, tables)
+        keys = np.stack([sizes.astype(np.uint64), tables], axis=1)
+        want, want_first, want_inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        assert first.tolist() == want_first.tolist()
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+        assert sizes[first].astype(np.uint64).tolist() == want[:, 0].tolist()
+        assert tables[first].tolist() == want[:, 1].tolist()
+
+
+def _assert_row_equals_scalar(result, row, scalar):
+    """Row ``row`` of a :class:`MatchTable` equals a scalar
+    ``match_positions`` result: matched flag, cell object, composed
+    ``InputMatch`` tuple, positions, reduced bits and cost columns."""
+    if scalar is None:
+        assert not result.matched[row]
+        assert result.match_index[row] == -1
+        return
+    cell_match, positions, reduced_bits = scalar
+    width = len(positions)
+    assert result.matched[row]
+    assert int(result.width[row]) == width
+    assert tuple(result.positions[row, :width].tolist()) == positions
+    assert int(result.reduced[row]) == reduced_bits
+    batched_match = result.matches[int(result.match_index[row])]
+    assert batched_match.cell is cell_match.cell
+    # Tuple equality of the composed transform, not mere functional
+    # equivalence: downstream pin bindings depend on the exact tuple.
+    assert batched_match.match == cell_match.match
+    cell = cell_match.cell
+    assert result.delay[row] == cell.delay.fo4_average
+    assert result.area[row] == cell.area
+    assert result.parasitic[row] == cell.delay.parasitic_output
+    assert result.effort[row] == max(
+        cell.delay.fo4_average - cell.delay.parasitic_output, 0.0
+    ) / 4.0
 
 
 class TestCanonicalizerColumns:
@@ -107,28 +245,7 @@ class TestBatchedMatchParity:
         assert result.inverse.tolist() == list(range(len(tables)))
         for row, bits in enumerate(tables):
             scalar = matcher.match_positions(arity, bits, prefer=prefer)
-            if scalar is None:
-                assert not result.matched[row]
-                assert result.match_index[row] == -1
-                continue
-            cell_match, positions, reduced_bits = scalar
-            width = len(positions)
-            assert result.matched[row]
-            assert int(result.width[row]) == width
-            assert tuple(result.positions[row, :width].tolist()) == positions
-            assert int(result.reduced[row]) == reduced_bits
-            batched_match = result.matches[int(result.match_index[row])]
-            assert batched_match.cell is cell_match.cell
-            # Tuple equality of the composed transform, not mere functional
-            # equivalence: downstream pin bindings depend on the exact tuple.
-            assert batched_match.match == cell_match.match
-            cell = cell_match.cell
-            assert result.delay[row] == cell.delay.fo4_average
-            assert result.area[row] == cell.area
-            assert result.parasitic[row] == cell.delay.parasitic_output
-            assert result.effort[row] == max(
-                cell.delay.fo4_average - cell.delay.parasitic_output, 0.0
-            ) / 4.0
+            _assert_row_equals_scalar(result, row, scalar)
 
     @settings(max_examples=80, deadline=None)
     @given(batch=table_batches())
@@ -193,14 +310,56 @@ class TestCutFunctionTable:
             assert grew("match.batch_rows") == table.inverse.shape[0]
             assert grew("match.unique_functions") == table.matched.shape[0]
             assert grew("match.index_hits") == int(table.matched.sum())
+            # Canonicalized: exactly the rows whose (scalar reference)
+            # signature one of the library's cells of that arity carries.
+            functions = cut_function_table(cut_set, arrays.and_nodes)
+            cell_signatures = {
+                (cell.arity, reference_signature(cell.function.bits, cell.arity))
+                for cell in tg_library.cells
+            }
+            candidates = sum(
+                (width, reference_signature(bits, width)) in cell_signatures
+                for width, bits in zip(
+                    functions.width.tolist(), functions.reduced.tolist()
+                )
+                if width > 0
+            )
+            assert grew("match.canonicalized") == candidates
+            assert int(table.matched.sum()) <= candidates < functions.num_distinct
             batch_spans = [s for s in obs.spans() if s.name == "match-batch"]
             assert len(batch_spans) == 1
-            assert batch_spans[0].attributes["prefer"] == "delay"
-            assert batch_spans[0].attributes["index_hits"] == int(
-                table.matched.sum()
-            )
+            attributes = batch_spans[0].attributes
+            assert attributes["prefer"] == "delay"
+            assert attributes["index_hits"] == int(table.matched.sum())
+            assert attributes["canonicalized"] == candidates
         finally:
             obs.disable_tracing()
+
+
+@pytest.fixture(scope="module")
+def family_matchers():
+    """A fresh NPN matcher per family (the process-wide ones stay clean)."""
+    return [LibraryMatcher(build_library(family)) for family in LogicFamily]
+
+
+@pytest.mark.parametrize("name", [case.name for case in BENCHMARKS])
+def test_match_tables_equal_scalar_oracle(name, family_matchers):
+    """Every distinct cut function of a registered subject resolves as the
+    scalar ``match_positions`` oracle does, for all five families under
+    both cell policies: the signature filter drops no function that
+    matches."""
+    aig = run_flow("resyn2rs", benchmark_by_name(name).build()).aig
+    and_nodes = aig_arrays(aig).and_nodes
+    cut_set = cut_set_for(aig)
+    functions = cut_function_table(cut_set, and_nodes)
+    rows = list(zip(functions.sizes.tolist(), functions.tables.tolist()))
+    for matcher in family_matchers:
+        for prefer in ("delay", "area"):
+            result = matcher.match_table(cut_set, and_nodes, prefer)
+            assert result.inverse is functions.inverse
+            for row, (size, bits) in enumerate(rows):
+                scalar = matcher.match_positions(size, bits, prefer=prefer)
+                _assert_row_equals_scalar(result, row, scalar)
 
 
 class _PerFunctionMatcher:
