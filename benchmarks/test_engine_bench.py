@@ -19,11 +19,11 @@ from repro.logic.simulation import random_pattern_words
 from repro.synthesis.mapper import (
     technology_map,
     verify_mapping,
-    verify_mapping_reference,
 )
 from repro.synthesis.matcher import matcher_for
 from repro.synthesis.optimize import optimize
 from repro.bench.registry import benchmark_by_name
+from tests.oracles.mapper import verify_mapping_reference
 
 pytestmark = pytest.mark.slow
 

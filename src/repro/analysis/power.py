@@ -8,8 +8,10 @@ the capacitance of a net is
 * the driving cell's switched output capacitance (output node plus half the
   internal stack parasitics, :class:`~repro.analysis.cell_power.PowerReport`),
 * plus the input capacitance of every sink pin the net drives (the exact pin
-  polarities resolved by the matcher and recorded as
-  :attr:`MappedGate.leaf_loads`),
+  polarities resolved by the matcher, carried per match as the netlist's
+  pin-capacitance columns, :attr:`MatchFigures.pin_caps
+  <repro.synthesis.mapper.MatchFigures.pin_caps>`; a gate without pin
+  bindings charges the cell's mean input capacitance per pin),
 * plus one unit input capacitance per primary-output load (the paper's
   load convention, matching the timing model).
 
@@ -21,9 +23,16 @@ under the bound pins, i.e. the mapped node's signal probability,
 complemented when the matcher used the inverted output polarity).  Static
 families and the CMOS reference contribute exactly zero.
 
-Everything is a pure function of ``(mapped circuit, activity report)``, so
-power figures are bit-identical across runs, processes and cache replays --
-the property the Pareto experiment lane relies on.
+Everything is a pure function of ``(mapped circuit, activity report)``,
+computed from the netlist's gate columns, so power figures are
+bit-identical across runs, processes and cache replays -- the property the
+Pareto experiment lane relies on.  The sums keep one fixed order: the sink
+loads add the pin loads in gate order (pin order within a gate), then one
+load per entry of ``po_nodes``; the gate totals add one gate at a time in
+ascending output order and the input total one primary input at a time in
+``aig.pi_names`` order (a sequential ``cumsum``, never numpy's pairwise
+``sum``).  ``tests/oracles/power.py`` holds the per-gate reference these
+totals equal exactly.
 
 Units: normalized capacitance (multiples of the unit inverter input
 capacitance) switched per cycle at ``Vdd = 1`` for dynamic power, normalized
@@ -35,6 +44,8 @@ require the technology's absolute ``C``, ``Vdd`` and clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.analysis.activity import (
     DEFAULT_SEED,
@@ -48,22 +59,6 @@ from repro.synthesis.mapper import MappedCircuit
 
 #: Capacitance presented by one primary-output load (one unit inverter input).
 PO_LOAD = 1.0
-
-
-@dataclass(frozen=True)
-class GatePower:
-    """Per-instance power breakdown (dynamic charged at the output net)."""
-
-    output: int
-    cell_name: str
-    activity: float
-    net_capacitance: float
-    dynamic: float
-    static: float
-
-    @property
-    def total(self) -> float:
-        return self.dynamic + self.static
 
 
 @dataclass(frozen=True)
@@ -83,19 +78,15 @@ class NetlistPower:
     input_dynamic: float
     #: Total standing pseudo-family current.
     static: float
-    gates: tuple[GatePower, ...]
 
     @property
     def total(self) -> float:
         return self.dynamic + self.input_dynamic + self.static
 
-    def statistics(self) -> dict[str, float]:
-        return {
-            "dynamic": self.dynamic,
-            "input_dynamic": self.input_dynamic,
-            "static": self.static,
-            "total": self.total,
-        }
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``total = 0.0; total += value`` over ``values`` in order."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
 def analyze_power(
@@ -111,70 +102,57 @@ def analyze_power(
     ``aig`` is the subject graph the circuit was mapped from (node ids of
     the mapped netlist refer to it); ``activities`` may be shared across the
     mapping and the analysis -- when omitted it is computed with the default
-    exact/Monte-Carlo policy and the given ``vectors``/``seed``.
+    exact/Monte-Carlo policy and the given ``vectors``/``seed``.  Cell
+    figures are read from ``library`` once per distinct match.
     """
     if activities is None:
         activities = compute_activities(aig, vectors=vectors, seed=seed)
     activity = activities.activity
     probability = activities.probability
+    columns = mapped.columns
+    figures = columns.figures
+    match = columns.match
+    outputs = columns.outputs
 
-    cells = {cell.name: cell for cell in library.cells}
+    cells = {cell.name: cell.power for cell in library.cells}
+    reports = [cells[name] for name in figures.cell_name]
+    switched = np.array([r.switched_capacitance for r in reports])
+    static_low = np.array([r.static_current_low for r in reports])
 
-    # Sink loads per net: the recorded pin capacitances of every gate input,
-    # plus one unit load per primary output.
-    sink_load: dict[int, float] = {}
-    for gate in mapped.gates:
-        loads = gate.leaf_loads
-        if len(loads) != len(gate.leaves):
-            # Hand-built netlists may omit the pin bindings; fall back to the
-            # cell's mean per-signal input capacitance.
-            average = cells[gate.cell_name].power.input_capacitance_average
-            loads = (average,) * len(gate.leaves)
-        for leaf, cap in zip(gate.leaves, loads):
-            sink_load[leaf] = sink_load.get(leaf, 0.0) + cap
-    for node in mapped.po_nodes:
-        sink_load[node] = sink_load.get(node, 0.0) + PO_LOAD
+    # Sink loads per net: every gate pin's load, then one unit load per
+    # primary output.  Gates without pin bindings (hand-built netlists) load
+    # each pin with the cell's mean per-signal input capacitance.
+    width = columns.width
+    pins = np.arange(columns.leaves.shape[1]) < width[:, None]
+    average = np.array([r.input_capacitance_average for r in reports])
+    pin_caps = np.where(
+        (figures.pins[match] != width)[:, None],
+        average[match][:, None],
+        figures.pin_caps[match],
+    )
+    po_nodes = np.asarray(mapped.po_nodes, dtype=np.int64)
+    sink_load = np.bincount(
+        np.concatenate((columns.leaves[pins], po_nodes)),
+        weights=np.concatenate((pin_caps[pins], np.full(po_nodes.size, PO_LOAD))),
+        minlength=activity.shape[0],
+    )
 
-    gate_outputs = {gate.output for gate in mapped.gates}
-
-    dynamic = 0.0
-    static = 0.0
-    per_gate: list[GatePower] = []
-    for gate in sorted(mapped.gates, key=lambda g: g.output):
-        cell = cells[gate.cell_name]
-        report = cell.power
-        net_capacitance = report.switched_capacitance + sink_load.get(
-            gate.output, 0.0
-        )
-        net_activity = float(activity[gate.output])
-        gate_dynamic = net_activity * net_capacitance
-        probability_on = float(probability[gate.output])
-        if gate.inverted:
-            probability_on = 1.0 - probability_on
-        gate_static = report.static_power(probability_on)
-        dynamic += gate_dynamic
-        static += gate_static
-        per_gate.append(
-            GatePower(
-                output=gate.output,
-                cell_name=gate.cell_name,
-                activity=net_activity,
-                net_capacitance=net_capacitance,
-                dynamic=gate_dynamic,
-                static=gate_static,
-            )
-        )
+    order = np.argsort(outputs, kind="stable")
+    nets = outputs[order]
+    matched = match[order]
+    dynamic = activity[nets] * (switched[matched] + sink_load[nets])
+    probability_on = np.where(
+        figures.inverted[matched], 1.0 - probability[nets], probability[nets]
+    )
+    static = static_low[matched] * probability_on
 
     # Primary-input nets switch the pins they drive (no driver capacitance:
     # the input driver sits outside the circuit under analysis).
-    input_dynamic = 0.0
-    for name in aig.pi_names:
-        node = aig.pi_literal(name) >> 1
-        if node in gate_outputs:
-            continue
-        load = sink_load.get(node, 0.0)
-        if load:
-            input_dynamic += float(activity[node]) * load
+    inputs = np.array(aig.pi_nodes(), dtype=np.int64)  # in ``pi_names`` order
+    driven = np.zeros(sink_load.shape[0], dtype=bool)
+    driven[outputs] = True
+    inputs = inputs[~driven[inputs]]
+    inputs = inputs[sink_load[inputs] != 0.0]
 
     return NetlistPower(
         name=mapped.name,
@@ -182,8 +160,7 @@ def analyze_power(
         method=activities.method,
         patterns=activities.patterns,
         seed=activities.seed,
-        dynamic=dynamic,
-        input_dynamic=input_dynamic,
-        static=static,
-        gates=tuple(per_gate),
+        dynamic=_sequential_sum(dynamic),
+        input_dynamic=_sequential_sum(activity[inputs] * sink_load[inputs]),
+        static=_sequential_sum(static),
     )

@@ -20,12 +20,13 @@ per-gate dict walk applied, so the figures are bit-identical to it (pinned
 by ``tests/synthesis/test_cover_parity.py`` against the oracle in
 ``tests/oracles/mapper.py``).
 
-The mapper calls the core directly on the rows it chose and reads the
-arrays (:class:`TimingArrays`).  :func:`compute_timing` is the public
-report: it numbers the nets of any :class:`MappedCircuit` -- output ids need
-not be topologically ordered -- runs the core and builds the per-net dicts
-and the critical path of a :class:`TimingReport`.  Its worst PO arrival is
-by construction the ``normalized_delay`` the mapper records on the circuit.
+The mapper calls the core directly on the rows it chose and reads the arrays
+(:class:`TimingArrays`).  :func:`compute_timing` is the public report: it
+numbers the nets of any :class:`MappedCircuit`'s gate columns -- output ids
+need not be topologically ordered -- runs the core and builds the per-net
+dicts and the critical path of a :class:`TimingReport`.  Its worst PO arrival
+is by construction the ``normalized_delay`` the mapper records on the
+circuit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.synthesis.mapper import MappedCircuit, MappedGate
+    from repro.synthesis.mapper import MappedCircuit
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,6 @@ class TimingArrays:
     def worst_slack(self) -> float:
         slack = self.slack[self.nets]
         return float(slack.min()) if slack.size else 0.0
-
-
-def gate_delay(gate: MappedGate, loads: int) -> float:
-    """Instance delay under the paper's load model (one unit per fanout)."""
-    return gate.parasitic_delay + gate.effort_delay * max(loads, 1)
 
 
 def _peel(
@@ -219,27 +215,28 @@ def static_timing(
 
 
 def compute_timing(mapped: MappedCircuit) -> TimingReport:
-    """Compute the full timing report of a mapped circuit."""
-    gates = mapped.gates
-    outputs = [gate.output for gate in gates]
-    widths = [len(gate.leaves) for gate in gates]
-    leaf_ids = [leaf for gate in gates for leaf in gate.leaves]
+    """Compute the full timing report of a mapped circuit (from its gate
+    columns, see the module docstring)."""
+    columns = mapped.columns
+    width = columns.width
+    pins = np.arange(columns.leaves.shape[1]) < width[:, None]
+    leaf_ids = columns.leaves[pins]
+    num_gates, num_pins = width.shape[0], leaf_ids.shape[0]
     net_ids, index = np.unique(
-        np.array(outputs + leaf_ids + list(mapped.po_nodes), dtype=np.int64),
+        np.concatenate(
+            (columns.outputs, leaf_ids, np.asarray(mapped.po_nodes, dtype=np.int64))
+        ),
         return_inverse=True,
     )
-    num_gates, num_pins = len(outputs), len(leaf_ids)
-    width = np.array(widths, dtype=np.int64)
-    leaves = np.zeros((num_gates, max(widths, default=0)), dtype=np.int64)
-    leaves[np.arange(leaves.shape[1]) < width[:, None]] = index[
-        num_gates : num_gates + num_pins
-    ]
+    leaves = np.zeros(pins.shape, dtype=np.int64)
+    leaves[pins] = index[num_gates : num_gates + num_pins]
+    figures = columns.figures
     timing = static_timing(
         index[:num_gates],
         leaves,
         width,
-        np.array([gate.parasitic_delay for gate in gates], dtype=np.float64),
-        np.array([gate.effort_delay for gate in gates], dtype=np.float64),
+        figures.parasitic_delay[columns.match],
+        figures.effort_delay[columns.match],
         index[num_gates + num_pins :],
         int(net_ids.size),
     )
@@ -250,7 +247,7 @@ def compute_timing(mapped: MappedCircuit) -> TimingReport:
     # whose arrival accounts for the gate's arrival (first such leaf wins,
     # deterministically).
     delays = timing.gate_delay.tolist()
-    gate_of = {gate.output: position for position, gate in enumerate(gates)}
+    gate_of = dict(zip(columns.outputs.tolist(), range(num_gates)))
     critical: list[int] = []
     start = None
     for node in mapped.po_nodes:
@@ -262,7 +259,7 @@ def compute_timing(mapped: MappedCircuit) -> TimingReport:
         position = gate_of[node]
         target = arrival[node] - delays[position]
         next_node = None
-        for leaf in gates[position].leaves:
+        for leaf in columns.leaves[position, : width[position]].tolist():
             if abs(arrival[leaf] - target) <= 1e-9:
                 next_node = leaf
                 break

@@ -87,8 +87,9 @@ class MappingContext:
 
     ``activity``/``probability`` are the per-node signal statistics (plain
     lists indexed by node id; ``None`` until a power model asks for them),
-    ``pin_capacitances`` resolves a match's per-leaf pin loads through the
-    mapper's per-call memo.
+    ``pin_capacitances`` resolves a match's per-leaf pin loads (the
+    scalar ``gate_cost`` reads it; ``price_batch`` reads the candidate
+    table's per-match figures).
     """
 
     pin_capacitances: Callable[["CellMatch"], tuple[float, ...]]
@@ -279,7 +280,13 @@ class PowerFlowCost:
             )
         activity = np.asarray(context.activity, dtype=np.float64)
         probability = np.asarray(context.probability, dtype=np.float64)
-        switched, pin_caps, static_low, negated = table.power_columns(context)
+        # Cell figures once per distinct match, gathered per row.
+        reports = [match.cell.power for match in table.matches]
+        gather = table.match_index
+        switched = np.array([r.switched_capacitance for r in reports])[gather]
+        static_low = np.array([r.static_current_low for r in reports])[gather]
+        pin_caps = table.figures.pin_caps[gather]
+        negated = table.figures.inverted[gather]
         nodes = table.node
         cost = activity[nodes] * switched
         # Column-by-column accumulation in leaf order: the scalar loop's

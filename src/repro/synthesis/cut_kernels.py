@@ -21,6 +21,8 @@ matcher skip the orbit scan of functions no library class can match; its
 scalar reference and invariance properties live in
 ``tests/synthesis/test_matcher_batch.py``.  Its word popcount,
 :func:`popcount64`, is the one the switching-activity analysis uses too.
+:func:`distinct_keys` dedups ``(size, table)`` pairs for the matcher's
+function table and the rewrite pass's cover programs alike.
 
 Don't-care insertion at position ``p`` duplicates every ``2**p``-bit chunk of
 the table.  The chunks are first *spread* to double spacing with a butterfly
@@ -272,6 +274,29 @@ def popcount64(words: np.ndarray) -> np.ndarray:
     # Fallback for numpy < 2.0: count set bits byte by byte.
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
     return np.unpackbits(as_bytes).reshape(*words.shape, 64).sum(axis=-1)
+
+
+def distinct_keys(
+    sizes: np.ndarray, tables: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence and inverse of every distinct ``(size, table)`` pair.
+
+    One stable ``np.lexsort`` (size major) plus run starts: the distinct
+    pairs come out in ascending ``(size, table)`` order, ``first[i]`` is the
+    earliest row holding pair ``i`` and ``inverse`` maps every row onto its
+    pair -- exactly ``np.unique(keys, axis=0, return_index=True,
+    return_inverse=True)`` without the structured-dtype sort.
+    """
+    order = np.lexsort((tables, sizes))
+    sorted_sizes = sizes[order]
+    sorted_tables = tables[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = (sorted_sizes[1:] != sorted_sizes[:-1]) | (
+        sorted_tables[1:] != sorted_tables[:-1]
+    )
+    inverse = np.empty(order.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def npn_signature_batch(tables: np.ndarray, sizes: np.ndarray) -> np.ndarray:

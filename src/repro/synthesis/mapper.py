@@ -27,9 +27,11 @@ layer has one production path over struct-of-arrays tables:
    previous round are re-chosen (:class:`_DpState` carries the previous
    solution).
 3. **Covering.**  :func:`_cover_rows` marks the nodes the primary outputs
-   need, one AIG level at a time from the top, gathers the chosen rows'
-   columns and builds one library gate per live node in ascending output
-   order, resolving cell attributes and pin loads once per distinct match.
+   need, one AIG level at a time from the top, and gathers the chosen rows
+   into the netlist's gate columns (:class:`GateColumns`, ascending output
+   order) with the figures of the cover's distinct matches, which the
+   candidate table resolved once (:class:`MatchFigures`).  No
+   :class:`MappedGate` is built: ``MappedCircuit.gates`` does that on read.
    The cover is timed by the array STA core of :mod:`repro.analysis.timing`
    (:func:`~repro.analysis.timing.static_timing`), priced by summing the
    DP's price array at its rows, and its exact reference counts come from
@@ -60,7 +62,9 @@ normalized to the technology intrinsic delay ``tau`` to produce the Table-3
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -120,14 +124,146 @@ class MappedGate:
     inverted: bool = False
 
 
+@dataclass(frozen=True)
+class MatchFigures:
+    """Per-match columns: the :class:`MappedGate` fields one cell match fixes.
+
+    ``pin_caps[m, :pins[m]]`` are match ``m``'s ``leaf_loads`` (``pins[m]``
+    is 0 when the pin bindings are unknown), zero-padded; the other columns
+    are the gate fields of the same name.
+    """
+
+    cell_name: tuple[str, ...]
+    function_id: tuple[str, ...]
+    area: np.ndarray  #: (m,) float64
+    intrinsic_delay: np.ndarray  #: (m,) float64 FO4 delay
+    parasitic_delay: np.ndarray  #: (m,) float64
+    effort_delay: np.ndarray  #: (m,) float64 per unit load
+    inverted: np.ndarray  #: (m,) bool output-inverter polarity
+    pins: np.ndarray  #: (m,) int64 bound pins
+    pin_caps: np.ndarray  #: (m, width) float64
+
+    @staticmethod
+    def from_rows(rows: list[tuple], width: int) -> MatchFigures:
+        """Figures from per-match ``(cell_name, function_id, area,
+        intrinsic_delay, parasitic_delay, effort_delay, leaf_loads,
+        inverted)`` tuples, pin loads padded to ``width`` columns."""
+        names, ids, *numbers, loads, inverted = zip(*rows) if rows else [()] * 8
+        return MatchFigures(
+            names,
+            ids,
+            *(np.array(column, dtype=np.float64) for column in numbers),
+            np.array(inverted, dtype=bool),
+            np.array([len(caps) for caps in loads], dtype=np.int64),
+            np.array(
+                [caps + (0.0,) * (width - len(caps)) for caps in map(tuple, loads)],
+                dtype=np.float64,
+            ).reshape(len(rows), width),
+        )
+
+    @staticmethod
+    def resolve(matches: list[CellMatch], width: int) -> MatchFigures:
+        """The figures of every match, pin loads padded to ``width``."""
+        rows = []
+        for match in matches:
+            cell = match.cell
+            fo4, parasitic = cell.delay.fo4_average, cell.delay.parasitic_output
+            effort = max(fo4 - parasitic, 0.0) / 4.0
+            row = (cell.name, cell.function_id, cell.area, fo4, parasitic, effort)
+            rows.append(row + (_pin_capacitances(match), match.match.output_negated))
+        return MatchFigures.from_rows(rows, width)
+
+    def rows(self) -> list[tuple]:
+        """The per-match tuples of :meth:`from_rows`, as Python scalars."""
+        loads = zip(self.pin_caps.tolist(), self.pins.tolist())
+        return list(zip(
+            self.cell_name,
+            self.function_id,
+            *(getattr(self, entry.name).tolist() for entry in fields(self)[2:6]),
+            [tuple(caps[:pins]) for caps, pins in loads],
+            self.inverted.tolist(),
+        ))
+
+    def take(self, index: np.ndarray) -> MatchFigures:
+        """The figures of the matches ``index`` names, in that order."""
+        positions = index.tolist()
+        return MatchFigures(
+            tuple(self.cell_name[i] for i in positions),
+            tuple(self.function_id[i] for i in positions),
+            *(getattr(self, entry.name)[index] for entry in fields(self)[2:]),
+        )
+
+
+@dataclass(frozen=True)
+class GateColumns:
+    """A mapped netlist as columns: one row per gate, in netlist order.
+
+    Gate ``g`` drives net ``outputs[g]`` from nets ``leaves[g, :width[g]]``
+    (padding is node 0) with truth table ``table_bits[g]`` over them, and
+    takes its other fields from match ``match[g]`` of ``figures``, whose
+    pin loads have as many columns as ``leaves``.
+    """
+
+    outputs: np.ndarray  #: (gates,) int64
+    leaves: np.ndarray  #: (gates, width) integer node ids
+    width: np.ndarray  #: (gates,) int64
+    table_bits: np.ndarray  #: (gates,) uint64
+    match: np.ndarray  #: (gates,) int64 index into ``figures``
+    figures: MatchFigures
+
+    @staticmethod
+    def from_gates(gates: Iterable[MappedGate]) -> GateColumns:
+        """The columns of a gate list, one match per gate."""
+        rows = [astuple(gate) for gate in gates]
+        outputs, names, ids, leaves, bits, *numbers, loads, inverted = (
+            zip(*rows) if rows else [()] * 11
+        )
+        width = max(map(len, leaves + loads), default=0)
+        return GateColumns(
+            outputs=np.array(outputs, dtype=np.int64),
+            leaves=np.array(
+                [row + (0,) * (width - len(row)) for row in map(tuple, leaves)],
+                dtype=np.int64,
+            ).reshape(len(rows), width),
+            width=np.array([len(row) for row in leaves], dtype=np.int64),
+            table_bits=np.array(bits, dtype=np.uint64),
+            match=np.arange(len(rows), dtype=np.int64),
+            figures=MatchFigures.from_rows(
+                list(zip(names, ids, *numbers, loads, inverted)), width
+            ),
+        )
+
+    def gates(self) -> tuple[MappedGate, ...]:
+        """One :class:`MappedGate` per row, every field a Python scalar."""
+        per_match = self.figures.rows()
+        return tuple(
+            MappedGate(output, name, function_id, tuple(row[:count]), bits, *rest)
+            for output, row, count, bits, (name, function_id, *rest) in zip(
+                self.outputs.tolist(),
+                self.leaves.tolist(),
+                self.width.tolist(),
+                self.table_bits.tolist(),
+                [per_match[index] for index in self.match.tolist()],
+            )
+        )
+
+
 @dataclass
 class MappedCircuit:
-    """A technology-mapped circuit and its Table-3 statistics."""
+    """A technology-mapped circuit and its Table-3 statistics.
+
+    The netlist is :attr:`columns`; gate count, area, timing and power are
+    computed from them, and :attr:`gates` builds :class:`MappedGate` objects
+    on first read only.  Hand-built netlists come from a gate list through
+    :meth:`from_gates`.  Equality compares the netlist and the scalar fields
+    but not ``power_report``, so two identical mappings compare equal
+    whether or not they were analyzed.
+    """
 
     name: str
     library_name: str
     tau_ps: float
-    gates: list[MappedGate]
+    columns: GateColumns = field(repr=False, compare=False)
     primary_inputs: tuple[str, ...]
     primary_outputs: tuple[str, ...]
     po_nodes: tuple[int, ...]
@@ -137,19 +273,37 @@ class MappedCircuit:
     #: circuit; recorded by the timing engine alongside the delay figures).
     worst_slack: float = 0.0
     #: Power report attached by :meth:`attach_power` when the circuit has
-    #: been analyzed (``None`` until then); excluded from equality so two
-    #: identical mappings compare equal whether or not they were analyzed.
+    #: been analyzed (``None`` until then).
     power_report: "NetlistPower | None" = field(
         default=None, repr=False, compare=False
     )
 
+    @classmethod
+    def from_gates(cls, gates: Iterable[MappedGate], **attributes) -> MappedCircuit:
+        """A circuit over a gate list (:meth:`GateColumns.from_gates`)."""
+        return cls(columns=GateColumns.from_gates(gates), **attributes)
+
+    @cached_property
+    def gates(self) -> tuple[MappedGate, ...]:
+        return self.columns.gates()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gates == other.gates and all(
+            getattr(self, entry.name) == getattr(other, entry.name)
+            for entry in fields(self)
+            if entry.compare
+        )
+
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        return int(self.columns.outputs.shape[0])
 
     @property
     def area(self) -> float:
-        return sum(gate.area for gate in self.gates)
+        # The builtin ``sum`` in gate order (compensated from Python 3.12 on).
+        return sum(self.columns.figures.area[self.columns.match].tolist())
 
     @property
     def absolute_delay_ps(self) -> float:
@@ -157,10 +311,8 @@ class MappedCircuit:
 
     def gate_histogram(self) -> dict[str, int]:
         """Number of instances per Table-1 function id."""
-        histogram: dict[str, int] = {}
-        for gate in self.gates:
-            histogram[gate.function_id] = histogram.get(gate.function_id, 0) + 1
-        return histogram
+        function_ids = self.columns.figures.function_id
+        return dict(Counter(function_ids[i] for i in self.columns.match.tolist()))
 
     def attach_power(self, report: "NetlistPower") -> None:
         """Attach a power analysis so :meth:`statistics` can report it."""
@@ -239,6 +391,16 @@ def _pin_bindings(match: CellMatch) -> tuple[tuple[str, bool], ...]:
     )
 
 
+def _pin_capacitances(match: CellMatch) -> tuple[float, ...]:
+    """Normalized input capacitance of the cell pin each reduced leaf
+    position drives (:func:`_pin_bindings`)."""
+    power_report = match.cell.power
+    return tuple(
+        power_report.pin_capacitance(pin, negated)
+        for pin, negated in _pin_bindings(match)
+    )
+
+
 # -- candidate table ------------------------------------------------------------
 
 
@@ -252,8 +414,10 @@ class CandidateTable:
     ``leaves`` rows are the support-reduced cut leaves in cell input order,
     padded with node 0 (whose arrival and flow are exactly ``0.0``, so
     padded slots are no-ops in the max/sum kernels).  ``matches`` holds the
-    distinct :class:`~repro.synthesis.matcher.CellMatch` objects;
-    ``match_index`` maps rows onto them.  ``level_rows``/``level_local``
+    distinct :class:`~repro.synthesis.matcher.CellMatch` objects and
+    ``figures`` their :class:`MatchFigures`, resolved once per table for
+    pricing and covering alike; ``match_index`` maps rows onto both.
+    ``level_rows``/``level_local``
     mirror ``level_nodes`` (the AIG's level buckets): the row indices of a
     level's nodes and, per row, the position of its node within the bucket.
     """
@@ -273,6 +437,7 @@ class CandidateTable:
     parasitic: np.ndarray  #: (rows,) float64 parasitic delay
     effort: np.ndarray  #: (rows,) float64 effort delay (per unit load)
     matches: list[CellMatch]
+    figures: MatchFigures
     level_nodes: tuple[np.ndarray, ...]
     level_rows: tuple[np.ndarray, ...]
     level_local: tuple[np.ndarray, ...]
@@ -295,30 +460,6 @@ class CandidateTable:
             parasitic=float(self.parasitic[row]),
             effort=float(self.effort[row]),
         )
-
-    def power_columns(self, context):
-        """Per-row power attributes for ``PowerFlowCost.price_batch``.
-
-        Returns ``(switched, pin_caps, static_low, negated)``: the matched
-        cell's switched capacitance, the per-leaf-position pin capacitances
-        (zero-padded to ``max_inputs`` columns), its low-state static
-        current and the output-inverter flag -- each resolved once per
-        distinct match and gathered per row.
-        """
-        num_matches = len(self.matches)
-        switched = np.zeros(num_matches, dtype=np.float64)
-        static_low = np.zeros(num_matches, dtype=np.float64)
-        negated = np.zeros(num_matches, dtype=bool)
-        caps = np.zeros((num_matches, self.max_inputs), dtype=np.float64)
-        for index, match in enumerate(self.matches):
-            power_report = match.cell.power
-            switched[index] = power_report.switched_capacitance
-            static_low[index] = power_report.static_current_low
-            negated[index] = match.match.output_negated
-            pin_caps = context.pin_capacitances(match)
-            caps[index, : len(pin_caps)] = pin_caps
-        gather = self.match_index
-        return switched[gather], caps[gather], static_low[gather], negated[gather]
 
 
 def _level_row_groups(
@@ -358,6 +499,7 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
         parasitic=np.zeros(0, dtype=np.float64),
         effort=np.zeros(0, dtype=np.float64),
         matches=[],
+        figures=MatchFigures.resolve([], max_inputs),
         level_nodes=arrays.level_groups,
         level_rows=tuple(zero_rows for _ in arrays.level_groups),
         level_local=tuple(zero_rows for _ in arrays.level_groups),
@@ -382,8 +524,9 @@ def _build_candidate_table(
     Matchers without that API (e.g.
     :class:`~repro.synthesis.matcher.ExhaustiveLibraryMatcher`) fall back to
     the per-distinct-function ``match_positions`` loop over the same
-    :func:`~repro.synthesis.matcher.distinct_keys` dedup.  Rows are ordered
-    nodes ascending, slot order within a node, and no
+    :func:`~repro.synthesis.cut_kernels.distinct_keys` dedup.  The cell
+    columns are the matches' :class:`MatchFigures`, gathered per row.  Rows
+    are ordered nodes ascending, slot order within a node, and no
     :class:`MatchCandidate` objects are created.
     """
     and_nodes = arrays.and_nodes
@@ -406,10 +549,6 @@ def _build_candidate_table(
         widths = match_table.width
         reduced = match_table.reduced
         match_ids = match_table.match_index
-        cell_delay = match_table.delay
-        cell_area = match_table.area
-        cell_parasitic = match_table.parasitic
-        cell_effort = match_table.effort
         matches = match_table.matches
         positions = match_table.positions
         if positions.shape[1] < max_inputs:
@@ -430,10 +569,6 @@ def _build_candidate_table(
         widths = np.zeros(num_distinct, dtype=np.int64)
         reduced = np.zeros(num_distinct, dtype=np.uint64)
         match_ids = np.zeros(num_distinct, dtype=np.int64)
-        cell_delay = np.zeros(num_distinct, dtype=np.float64)
-        cell_area = np.zeros(num_distinct, dtype=np.float64)
-        cell_parasitic = np.zeros(num_distinct, dtype=np.float64)
-        cell_effort = np.zeros(num_distinct, dtype=np.float64)
         matches = []
 
         match_positions = matcher.match_positions
@@ -456,16 +591,11 @@ def _build_candidate_table(
             reduced[index] = match_table_bits
             match_ids[index] = len(matches)
             matches.append(match)
-            cell = match.cell
-            fo4 = cell.delay.fo4_average
-            parasitic = cell.delay.parasitic_output
-            cell_delay[index] = fo4
-            cell_area[index] = cell.area
-            cell_parasitic[index] = parasitic
-            cell_effort[index] = max(fo4 - parasitic, 0.0) / 4.0
 
     kept = np.nonzero(matched[inverse])[0]
     ref = inverse[kept]
+    match_rows = match_ids[ref]
+    figures = MatchFigures.resolve(matches, max_inputs)
     node_rows = nodes_rep[kept]
     width_rows = widths[ref]
     leaf_rows = np.take_along_axis(cut_leaves[kept], positions[ref], axis=1)
@@ -486,12 +616,13 @@ def _build_candidate_table(
         leaves=leaf_rows,
         width=width_rows,
         table_bits=reduced[ref],
-        match_index=match_ids[ref],
-        delay=cell_delay[ref],
-        area=cell_area[ref],
-        parasitic=cell_parasitic[ref],
-        effort=cell_effort[ref],
+        match_index=match_rows,
+        delay=figures.intrinsic_delay[match_rows],
+        area=figures.area[match_rows],
+        parasitic=figures.parasitic_delay[match_rows],
+        effort=figures.effort_delay[match_rows],
         matches=matches,
+        figures=figures,
         level_nodes=arrays.level_groups,
         level_rows=level_rows,
         level_local=level_local,
@@ -554,6 +685,7 @@ def _concat_candidate_tables(
     match_index = merge(
         base.match_index, extra.match_index + len(base.matches)
     )
+    merged_matches = base.matches + extra.matches
     level_rows, level_local = _level_row_groups(base.level_nodes, start, count)
     merged = CandidateTable(
         num_nodes=base.num_nodes,
@@ -570,7 +702,8 @@ def _concat_candidate_tables(
         area=merge(base.area, extra.area),
         parasitic=merge(base.parasitic, extra.parasitic),
         effort=merge(base.effort, extra.effort),
-        matches=base.matches + extra.matches,
+        matches=merged_matches,
+        figures=MatchFigures.resolve(merged_matches, base.max_inputs),
         level_nodes=base.level_nodes,
         level_rows=level_rows,
         level_local=level_local,
@@ -860,44 +993,24 @@ class _Cover:
     references: np.ndarray
 
 
-def _gate_attributes(match: CellMatch, pin_capacitances) -> tuple:
-    """The :class:`MappedGate` fields one match fixes: the cell name and
-    function id, then every field after the truth table, in field order."""
-    cell = match.cell
-    fo4 = cell.delay.fo4_average
-    parasitic = cell.delay.parasitic_output
-    return (
-        cell.name,
-        cell.function_id,
-        (
-            cell.area,
-            fo4,
-            parasitic,
-            max(fo4 - parasitic, 0.0) / 4.0,
-            pin_capacitances(match),
-            match.match.output_negated,
-        ),
-    )
-
-
 def _cover_rows(
     aig: Aig,
     library: GateLibrary,
     arrays,
     table: CandidateTable,
     choice: np.ndarray,
-    pin_capacitances,
     prices: np.ndarray,
 ) -> _Cover:
     """Cover the rows the DP chose (``choice[node]``, ``-1`` if none).
 
     Nodes the primary outputs need are marked one AIG level at a time from
     the top (a chosen cut's leaves sit on strictly lower levels), and the
-    live AND nodes' rows become one :class:`MappedGate` each, in ascending
-    output order.  The netlist is then timed by the STA core
-    (:func:`~repro.analysis.timing.static_timing`), whose load count also
-    gives the cover's reference counts, and priced as ``sum`` of ``prices``
-    at its rows.
+    live AND nodes' rows become the gate columns of the netlist, in
+    ascending output order, with the figures of the cover's distinct
+    matches taken from the table.  The netlist is then timed by the STA
+    core (:func:`~repro.analysis.timing.static_timing`), whose load count
+    also gives the cover's reference counts, and priced as ``sum`` of
+    ``prices`` at its rows.
     """
     # Local import: the analysis package layers above synthesis.
     from repro.analysis.timing import static_timing
@@ -920,31 +1033,22 @@ def _cover_rows(
         live[table.leaves[rows]] = True
     outputs = table.and_nodes[live[table.and_nodes]]
     rows = choice[outputs]
-    leaves = table.leaves[rows]
-    width = table.width[rows]
-
     distinct, local = np.unique(table.match_index[rows], return_inverse=True)
-    attributes = [
-        _gate_attributes(table.matches[index], pin_capacitances)
-        for index in distinct.tolist()
-    ]
-    gates = [
-        MappedGate(output, name, function_id, tuple(leaf_row[:count]), bits, *rest)
-        for output, leaf_row, count, bits, (name, function_id, rest) in zip(
-            outputs.tolist(),
-            leaves.tolist(),
-            width.tolist(),
-            table.table_bits[rows].tolist(),
-            [attributes[index] for index in local.tolist()],
-        )
-    ]
+    columns = GateColumns(
+        outputs=outputs,
+        leaves=table.leaves[rows],
+        width=table.width[rows],
+        table_bits=table.table_bits[rows],
+        match=local,
+        figures=table.figures.take(distinct),
+    )
 
     # The table's delay columns hold the matched cells' own figures, the
     # ones the gates carry.
     timing = static_timing(
         outputs,
-        leaves,
-        width,
+        columns.leaves,
+        columns.width,
         table.parasitic[rows],
         table.effort[rows],
         po_nodes,
@@ -954,13 +1058,13 @@ def _cover_rows(
         name=aig.name,
         library_name=library.name,
         tau_ps=library.tau_ps,
-        gates=gates,
         primary_inputs=aig.pi_names,
         primary_outputs=aig.po_names,
         po_nodes=tuple(po_nodes.tolist()),
         levels=timing.levels,
         normalized_delay=timing.normalized_delay,
         worst_slack=timing.worst_slack(),
+        columns=columns,
     )
     references = np.where(
         timing.loads > 0, timing.loads, np.maximum(arrays.fanout, 1)
@@ -1023,24 +1127,7 @@ def map_rounds(
     if matcher is None:
         matcher = matcher_for(library)
 
-    # Per-call memo of the resolved per-leaf pin capacitances of a match
-    # (keyed by identity: matches are memoized singletons inside the matcher
-    # for the duration of the call; the match is stored alongside to keep it
-    # alive).  Shared between the cost models and the covering phase.
-    pin_caps_memo: dict[int, tuple[CellMatch, tuple[float, ...]]] = {}
-
-    def pin_capacitances(match: CellMatch) -> tuple[float, ...]:
-        entry = pin_caps_memo.get(id(match))
-        if entry is None:
-            power_report = match.cell.power
-            caps = tuple(
-                power_report.pin_capacitance(pin, negated)
-                for pin, negated in _pin_bindings(match)
-            )
-            pin_caps_memo[id(match)] = entry = (match, caps)
-        return entry[1]
-
-    context = MappingContext(pin_capacitances=pin_capacitances)
+    context = MappingContext(pin_capacitances=_pin_capacitances)
     needs_activities = model.name == "power" or (
         recovery_model is not None and recovery_model.name == "power"
     )
@@ -1083,9 +1170,7 @@ def map_rounds(
 
     def cover(table: CandidateTable, choice: np.ndarray, prices: np.ndarray) -> _Cover:
         with obs.stage("cover"):
-            return _cover_rows(
-                aig, library, arrays, table, choice, pin_capacitances, prices
-            )
+            return _cover_rows(aig, library, arrays, table, choice, prices)
 
     with obs.span(
         "map-round", category="round", round=0, objective=model.name
@@ -1120,7 +1205,7 @@ def map_rounds(
                 np.maximum(arrays.fanout, 1).astype(np.float64),
             )
         best = cover(table, dp_state.choice, cost_prices)
-        round_span.set("gates", len(best.mapped.gates))
+        round_span.set("gates", best.mapped.gate_count)
         round_span.set("delay", best.mapped.normalized_delay)
 
     result = MappingResult(
@@ -1129,7 +1214,7 @@ def map_rounds(
         rounds=[best.mapped],
         accepted=[True],
     )
-    if rounds == 0 or not best.mapped.gates:
+    if rounds == 0 or not best.mapped.gate_count:
         return result
 
     # Recovery: the DP re-chooses matches under the recovery cost model,
@@ -1355,45 +1440,9 @@ def verify_mapping(mapped: MappedCircuit, aig: Aig, patterns: dict[str, list[int
     tables recorded during covering, and the primary outputs are compared
     against a packed simulation of the subject AIG on the same patterns.
     Gate evaluation is word-parallel (see :func:`_eval_table_word`); the
-    bit-at-a-time implementation is retained as
-    :func:`verify_mapping_reference` and the two are cross-checked by the
-    equivalence regression tests.
+    equivalence regression tests cross-check it against the bit-at-a-time
+    reference in ``tests/oracles/mapper.py``.
     """
     reference = aig.simulate_words(patterns)
     values = _resimulate_words(mapped, aig, patterns)
-    return _outputs_match(values, aig, reference)
-
-
-def verify_mapping_reference(
-    mapped: MappedCircuit, aig: Aig, patterns: dict[str, list[int]]
-) -> bool:
-    """Slow reference implementation of :func:`verify_mapping`.
-
-    Evaluates every gate one pattern bit at a time by assembling the minterm
-    index explicitly.  Kept as the independent oracle for the word-parallel
-    fast path.
-    """
-    reference = aig.simulate_words(patterns)
-    mask = (1 << 64) - 1
-    num_words = len(next(iter(patterns.values()))) if patterns else 1
-    values: dict[int, list[int]] = {0: [0] * num_words}
-    for name in aig.pi_names:
-        node = aig.pi_literal(name) >> 1
-        values[node] = [w & mask for w in patterns[name]]
-
-    for gate in topological_gates(mapped.gates):
-        leaf_words = [values[leaf] for leaf in gate.leaves]
-        output_words = []
-        for word_index in range(num_words):
-            word = 0
-            for bit in range(64):
-                minterm = 0
-                for position, leaf_values in enumerate(leaf_words):
-                    if (leaf_values[word_index] >> bit) & 1:
-                        minterm |= 1 << position
-                if (gate.table >> minterm) & 1:
-                    word |= 1 << bit
-            output_words.append(word)
-        values[gate.output] = output_words
-
     return _outputs_match(values, aig, reference)

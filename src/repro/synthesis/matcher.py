@@ -46,6 +46,7 @@ from repro.logic.npn import (
     invert_match,
 )
 from repro.synthesis.cut_kernels import (
+    distinct_keys,
     npn_signature_batch,
     project_table_batch,
     support_positions,
@@ -126,9 +127,9 @@ class MatchTable:
     :class:`CutFunctionTable` that produced it); ``inverse`` scatters the
     rows back onto the flattened ranked cuts.  ``matches`` holds one
     materialized :class:`CellMatch` per *matched* row (in row order) and
-    ``match_index`` maps rows onto it (``-1`` when unmatched); the cost
-    columns carry the matched cell's FO4 delay / area / parasitic / effort
-    so the candidate-table build never touches cell objects.
+    ``match_index`` maps rows onto it (``-1`` when unmatched).  The cell
+    figures of the matches are resolved once per candidate table by the
+    mapper (:class:`~repro.synthesis.mapper.MatchFigures`).
     """
 
     inverse: np.ndarray  #: (rows,) int64 flattened ranked cut -> row
@@ -137,10 +138,6 @@ class MatchTable:
     width: np.ndarray  #: (d,) int64 reduced arity
     reduced: np.ndarray  #: (d,) uint64 support-projected table
     match_index: np.ndarray  #: (d,) int64 index into ``matches`` (-1 unmatched)
-    delay: np.ndarray  #: (d,) float64 cell FO4 delay
-    area: np.ndarray  #: (d,) float64 cell area
-    parasitic: np.ndarray  #: (d,) float64 parasitic delay
-    effort: np.ndarray  #: (d,) float64 effort delay per unit load
     matches: list[CellMatch]
 
 
@@ -181,29 +178,6 @@ def build_function_table(
         reduced=reduced,
         signature=npn_signature_batch(reduced, width),
     )
-
-
-def distinct_keys(
-    sizes: np.ndarray, tables: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrence and inverse of every distinct ``(size, table)`` pair.
-
-    One stable ``np.lexsort`` (size major) plus run starts: the distinct
-    pairs come out in ascending ``(size, table)`` order, ``first[i]`` is the
-    earliest row holding pair ``i`` and ``inverse`` maps every row onto its
-    pair -- exactly ``np.unique(keys, axis=0, return_index=True,
-    return_inverse=True)`` without the structured-dtype sort.
-    """
-    order = np.lexsort((tables, sizes))
-    sorted_sizes = sizes[order]
-    sorted_tables = tables[order]
-    starts = np.ones(order.shape[0], dtype=bool)
-    starts[1:] = (sorted_sizes[1:] != sorted_sizes[:-1]) | (
-        sorted_tables[1:] != sorted_tables[:-1]
-    )
-    inverse = np.empty(order.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
 
 
 def cut_function_table(cut_set, and_nodes) -> CutFunctionTable:
@@ -422,10 +396,6 @@ class LibraryMatcher(_MatcherBase):
         count = functions.num_distinct
         matched = np.zeros(count, dtype=bool)
         entry_rows = np.zeros(count, dtype=np.int64)
-        delay = np.zeros(count, dtype=np.float64)
-        area = np.zeros(count, dtype=np.float64)
-        parasitic = np.zeros(count, dtype=np.float64)
-        effort = np.zeros(count, dtype=np.float64)
         comp_perm = np.zeros((count, 6), dtype=np.int64)
         comp_phase = np.zeros(count, dtype=np.int64)
         comp_neg = np.zeros(count, dtype=bool)
@@ -450,10 +420,6 @@ class LibraryMatcher(_MatcherBase):
             entries = slot[hit]
             matched[rows] = True
             entry_rows[rows] = entries
-            delay[rows] = arity_index.delay[entries]
-            area[rows] = arity_index.area[entries]
-            parasitic[rows] = arity_index.parasitic[entries]
-            effort[rows] = arity_index.effort[entries]
 
             # compose_matches(entry.match, invert_match(t_cut)), vectorized:
             # invert the cut transform (inverse perm by argsort, phase bits
@@ -496,10 +462,6 @@ class LibraryMatcher(_MatcherBase):
             width=functions.width,
             reduced=functions.reduced,
             match_index=match_index,
-            delay=delay,
-            area=area,
-            parasitic=parasitic,
-            effort=effort,
             matches=matches,
         )
         return table, canonicalized
@@ -577,10 +539,6 @@ class _ArityIndex:
     perm: np.ndarray  #: (m, 6) int8 cell canonicalizing permutation
     phase: np.ndarray  #: (m,) int16 cell canonicalizing phase
     negated: np.ndarray  #: (m,) bool cell canonicalizing output negation
-    delay: np.ndarray  #: (m,) float64 cell FO4 delay
-    area: np.ndarray  #: (m,) float64 cell area
-    parasitic: np.ndarray  #: (m,) float64 parasitic output delay
-    effort: np.ndarray  #: (m,) float64 effort delay per unit load
     cells: list[LibraryCell]
 
 
@@ -609,28 +567,16 @@ def _build_arity_index(
         perm = np.zeros((count, 6), dtype=np.int8)
         phase = np.zeros(count, dtype=np.int16)
         negated = np.zeros(count, dtype=bool)
-        delay = np.zeros(count, dtype=np.float64)
-        area = np.zeros(count, dtype=np.float64)
-        parasitic = np.zeros(count, dtype=np.float64)
-        effort = np.zeros(count, dtype=np.float64)
         cells: list[LibraryCell] = []
         for row, (_canon, entry) in enumerate(entries):
             perm[row, :arity] = entry.match.permutation
             phase[row] = entry.match.phase
             negated[row] = entry.match.output_negated
-            cell = entry.cell
-            fo4 = cell.delay.fo4_average
-            parasitic_output = cell.delay.parasitic_output
-            delay[row] = fo4
-            area[row] = cell.area
-            parasitic[row] = parasitic_output
-            effort[row] = max(fo4 - parasitic_output, 0.0) / 4.0
-            cells.append(cell)
+            cells.append(entry.cell)
         index[arity] = _ArityIndex(
             keys=keys,
             signatures=np.sort(npn_signature_batch(keys, np.full(count, arity))),
             perm=perm, phase=phase, negated=negated,
-            delay=delay, area=area, parasitic=parasitic, effort=effort,
             cells=cells,
         )
     return index

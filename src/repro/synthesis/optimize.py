@@ -58,6 +58,7 @@ from repro.synthesis.aig import (
     lit_node,
 )
 from repro.synthesis.aig_array import aig_arrays
+from repro.synthesis.cut_kernels import distinct_keys
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.rewrite_lib import (  # noqa: F401  (re-exported: tests and
     REWRITE_LIBRARY,  # historical importers reach _isop and friends through here)
@@ -494,12 +495,9 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
 
     # One cover program per distinct (size, table); the library batches the
     # canonicalization of whatever this pass has not seen before.
-    keys = np.empty((candidate_tables.shape[0], 2), dtype=np.uint64)
-    keys[:, 0] = candidate_sizes
-    keys[:, 1] = candidate_tables
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    first, inverse = distinct_keys(candidate_sizes, candidate_tables)
     unique_programs = REWRITE_LIBRARY.programs_batch(
-        unique_keys[:, 0].tolist(), unique_keys[:, 1].tolist()
+        candidate_sizes[first].tolist(), candidate_tables[first].tolist()
     )
     unique_ops = [compile_ops(program) for program in unique_programs]
     ops_of = [unique_ops[index] for index in inverse.tolist()]

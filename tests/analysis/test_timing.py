@@ -11,7 +11,7 @@ import pytest
 from repro.bench.registry import benchmark_by_name
 from repro.core.families import LogicFamily
 from repro.core.library import build_library
-from repro.analysis.timing import compute_timing, gate_delay
+from repro.analysis.timing import compute_timing
 from repro.synthesis.mapper import (
     MappedCircuit,
     MappedGate,
@@ -20,6 +20,7 @@ from repro.synthesis.mapper import (
 )
 from repro.synthesis.matcher import matcher_for
 from repro.synthesis.optimize import optimize
+from tests.oracles.mapper import gate_delay
 
 
 def _gate(output, leaves, parasitic=1.0, effort=0.5):
@@ -48,11 +49,11 @@ def _shuffled_circuit():
         _gate(3, (9, 1)),
         _gate(5, (3, 2)),
     ]
-    return MappedCircuit(
+    return MappedCircuit.from_gates(
+        gates,
         name="shuffled",
         library_name="test",
         tau_ps=1.0,
-        gates=gates,
         primary_inputs=("a", "b"),
         primary_outputs=("y",),
         po_nodes=(5,),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.timing import TimingReport, gate_delay
+from repro.analysis.timing import TimingReport
 from repro.core.library import GateLibrary
 from repro.synthesis.aig import Aig, lit_node
 from repro.synthesis.cost import (
@@ -31,8 +31,24 @@ from repro.synthesis.mapper import (
     MappedCircuit,
     MappedGate,
     MappingError,
+    _outputs_match,
+    _pin_bindings,
     topological_gates,
 )
+
+
+def gate_delay(gate: MappedGate, loads: int) -> float:
+    """Instance delay under the paper's load model (one unit per fanout)."""
+    return gate.parasitic_delay + gate.effort_delay * max(loads, 1)
+
+
+def pin_capacitances(match) -> tuple[float, ...]:
+    """Per-leaf pin loads of a match, resolved pin by pin from its cell's
+    power report (``MappedGate.leaf_loads``)."""
+    power = match.cell.power
+    return tuple(
+        power.pin_capacitance(pin, negated) for pin, negated in _pin_bindings(match)
+    )
 
 
 def build_candidates(
@@ -229,11 +245,11 @@ def cover(aig: Aig, library: GateLibrary, choices, pin_capacitances):
             )
         )
 
-    mapped = MappedCircuit(
+    mapped = MappedCircuit.from_gates(
+        gates,
         name=aig.name,
         library_name=library.name,
         tau_ps=library.tau_ps,
-        gates=gates,
         primary_inputs=aig.pi_names,
         primary_outputs=aig.po_names,
         po_nodes=tuple(lit_node(literal) for literal in aig.po_literals),
@@ -375,3 +391,37 @@ def compute_timing(mapped: MappedCircuit) -> TimingReport:
         slack=slack,
         critical_path=tuple(critical),
     )
+
+
+def verify_mapping_reference(
+    mapped: MappedCircuit, aig: Aig, patterns: dict[str, list[int]]
+) -> bool:
+    """Bit-at-a-time reference of :func:`~repro.synthesis.mapper.verify_mapping`.
+
+    Evaluates every gate one pattern bit at a time by assembling the minterm
+    index explicitly: the independent oracle of the word-parallel fast path.
+    """
+    reference = aig.simulate_words(patterns)
+    mask = (1 << 64) - 1
+    num_words = len(next(iter(patterns.values()))) if patterns else 1
+    values: dict[int, list[int]] = {0: [0] * num_words}
+    for name in aig.pi_names:
+        node = aig.pi_literal(name) >> 1
+        values[node] = [w & mask for w in patterns[name]]
+
+    for gate in topological_gates(mapped.gates):
+        leaf_words = [values[leaf] for leaf in gate.leaves]
+        output_words = []
+        for word_index in range(num_words):
+            word = 0
+            for bit in range(64):
+                minterm = 0
+                for position, leaf_values in enumerate(leaf_words):
+                    if (leaf_values[word_index] >> bit) & 1:
+                        minterm |= 1 << position
+                if (gate.table >> minterm) & 1:
+                    word |= 1 << bit
+            output_words.append(word)
+        values[gate.output] = output_words
+
+    return _outputs_match(values, aig, reference)

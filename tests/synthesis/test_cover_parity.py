@@ -111,12 +111,12 @@ def _map_checked(monkeypatch, aig, library, objective, rounds, **kwargs):
     covers = []
     original = mapper._cover_rows
 
-    def checked(aig_, library_, arrays, table, choice, pin_capacitances, prices):
-        produced = original(
-            aig_, library_, arrays, table, choice, pin_capacitances, prices
-        )
+    def checked(aig_, library_, arrays, table, choice, prices):
+        produced = original(aig_, library_, arrays, table, choice, prices)
         choices = oracle.BatchedChoices(table, choice.copy())
-        expected, report = oracle.cover(aig_, library_, choices, pin_capacitances)
+        expected, report = oracle.cover(
+            aig_, library_, choices, oracle.pin_capacitances
+        )
 
         got = produced.mapped
         assert got == expected
@@ -135,7 +135,7 @@ def _map_checked(monkeypatch, aig, library, objective, rounds, **kwargs):
             expected, arrays.fanout.tolist()
         )
         context = MappingContext(
-            pin_capacitances=pin_capacitances,
+            pin_capacitances=oracle.pin_capacitances,
             activity=activities.activity.tolist(),
             probability=activities.probability.tolist(),
         )
@@ -209,11 +209,11 @@ def _gate(output, leaves, parasitic, effort):
 
 
 def _circuit(gates, po_nodes) -> MappedCircuit:
-    return MappedCircuit(
+    return MappedCircuit.from_gates(
+        gates,
         name="netlist",
         library_name="test",
         tau_ps=1.0,
-        gates=list(gates),
         primary_inputs=(),
         primary_outputs=tuple(f"y{i}" for i in range(len(po_nodes))),
         po_nodes=tuple(po_nodes),

@@ -3,7 +3,7 @@
 For Table-3 benchmarks and the three mapping libraries, the mapped netlist
 is re-simulated with both the Shannon-expansion fast path
 (:func:`repro.synthesis.mapper.verify_mapping`) and the retained
-bit-at-a-time reference (:func:`verify_mapping_reference`) on random packed
+bit-at-a-time reference (``tests/oracles/mapper.py``) on random packed
 patterns; both must accept the mapping, and both must reject a deliberately
 corrupted netlist.  A small subset runs in the default lane; the full
 15-benchmark sweep is marked ``slow``.
@@ -22,10 +22,10 @@ from repro.synthesis.mapper import (
     MappedGate,
     technology_map,
     verify_mapping,
-    verify_mapping_reference,
 )
 from repro.synthesis.matcher import matcher_for
 from repro.synthesis.optimize import optimize
+from tests.oracles.mapper import verify_mapping_reference
 
 FAST_SUBSET = ("add-16", "t481", "C1355")
 FULL_SET = tuple(case.name for case in BENCHMARKS)
@@ -88,11 +88,11 @@ def test_both_paths_reject_corrupted_netlist(family):
         parasitic_delay=broken_gate.parasitic_delay,
         effort_delay=broken_gate.effort_delay,
     )
-    corrupted = type(mapped)(
+    corrupted = type(mapped).from_gates(
+        [flipped if g is broken_gate else g for g in mapped.gates],
         name=mapped.name,
         library_name=mapped.library_name,
         tau_ps=mapped.tau_ps,
-        gates=[flipped if g is broken_gate else g for g in mapped.gates],
         primary_inputs=mapped.primary_inputs,
         primary_outputs=mapped.primary_outputs,
         po_nodes=mapped.po_nodes,
