@@ -13,15 +13,11 @@ from repro.bench.generators.adders import ripple_adder_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily, build_family_cells
 from repro.core.library import build_library
-from repro.logic.npn import canonicalize_bits, clear_canonicalizer_memo
+from repro.logic.npn import clear_canonicalizer_memo
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import technology_map
-from repro.synthesis.matcher import (
-    ExhaustiveLibraryMatcher,
-    LibraryMatcher,
-    cut_function_table,
-)
+from repro.synthesis.matcher import LibraryMatcher
 from repro.synthesis.optimize import balance, optimize, rewrite
 
 
@@ -41,15 +37,9 @@ def test_bench_matcher_construction(benchmark):
     library = build_library(LogicFamily.TG_STATIC)
     matcher = benchmark(LibraryMatcher, library)
     # One entry per matched canonical class -- tiny compared to the
-    # pre-expanded tables (see test_bench_exhaustive_matcher_construction).
+    # pre-expanded tables of the exhaustive oracle (see
+    # test_bench_matcher_build_npn_vs_exhaustive in test_flow_bench.py).
     assert 0 < len(matcher) <= len(library)
-
-
-def test_bench_exhaustive_matcher_construction(benchmark):
-    """Enumerate the permutation/phase match tables (reference matcher)."""
-    library = build_library(LogicFamily.TG_STATIC)
-    matcher = benchmark(ExhaustiveLibraryMatcher, library)
-    assert len(matcher) > 1000
 
 
 def test_bench_balance(benchmark, multiplier_aig):
@@ -107,29 +97,6 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     assert table.inverse.shape[0] == int(
         (cut_set.count[arrays.and_nodes] - 1).sum()
     )
-
-
-def test_bench_matching_scalar(benchmark, multiplier_aig, libraries, matchers):
-    """Scalar oracle (``match_positions`` per distinct cut function) on the
-    same workload as ``test_bench_matching_batch``, memos cleared per round."""
-    matcher = matchers[LogicFamily.TG_STATIC]
-    arrays = aig_arrays(multiplier_aig)
-    cut_set = cut_set_for(multiplier_aig)
-    functions = cut_function_table(cut_set, arrays.and_nodes)
-    sizes = [int(v) for v in functions.sizes]
-    tables = [int(v) for v in functions.tables]
-
-    def run():
-        matcher.cache_clear()
-        canonicalize_bits.cache_clear()
-        hits = 0
-        for size, bits in zip(sizes, tables):
-            if matcher.match_positions(size, bits, prefer="delay") is not None:
-                hits += 1
-        return hits
-
-    hits = benchmark(run)
-    assert hits > 0
 
 
 def test_bench_mapping_only(benchmark, multiplier_aig, libraries, matchers):

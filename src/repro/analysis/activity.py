@@ -19,9 +19,9 @@ probabilities for a whole AIG two ways:
   processes and runs -- which is what lets the experiment engine fold the
   Monte-Carlo parameters into its cache key.
 
-:func:`compute_activities` picks between the two automatically;
-:func:`exact_activities_reference` is the slow one-assignment-at-a-time
-oracle the hypothesis property tests compare against.
+:func:`compute_activities` picks between the two automatically.  The slow
+one-assignment-at-a-time oracle the hypothesis property tests compare
+against is ``exact_activities_reference`` in ``tests/oracles/activity.py``.
 
 Primary inputs are assumed uniform and independent (``p = 1/2``), the
 convention of the classic switched-capacitance literature and the one the
@@ -191,36 +191,3 @@ def compute_activities(
     if aig.num_pis <= exact_limit:
         return exact_activities(aig, exact_limit=exact_limit)
     return monte_carlo_activities(aig, vectors=vectors, seed=seed)
-
-
-def exact_activities_reference(aig: Aig) -> ActivityReport:
-    """Slow reference for :func:`exact_activities` (oracle for the tests).
-
-    Evaluates the AIG one input assignment at a time through plain Python
-    fanin recursion -- no packed words, no numpy batching.
-    """
-    num_nodes = aig.num_nodes
-    counts = [0] * num_nodes
-    pi_nodes = aig.pi_nodes()
-    for minterm in range(1 << aig.num_pis):
-        values = [False] * num_nodes
-        for i, node in enumerate(pi_nodes):
-            values[node] = bool((minterm >> i) & 1)
-        for node in aig.and_nodes():
-            f0, f1 = aig.fanins(node)
-            v0 = values[lit_node(f0)] ^ lit_is_complemented(f0)
-            v1 = values[lit_node(f1)] ^ lit_is_complemented(f1)
-            values[node] = v0 and v1
-        for node in range(num_nodes):
-            if values[node]:
-                counts[node] += 1
-    total = 1 << aig.num_pis
-    probability = np.array(counts, dtype=np.float64) / float(total)
-    activity = 2.0 * probability * (1.0 - probability)
-    return ActivityReport(
-        method="exact",
-        patterns=total,
-        seed=None,
-        probability=probability,
-        activity=activity,
-    )

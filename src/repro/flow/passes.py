@@ -26,12 +26,7 @@ from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.synthesis.aig import Aig
-from repro.synthesis.optimize import (
-    balance,
-    balance_reference,
-    rewrite,
-    rewrite_reference,
-)
+from repro.synthesis.optimize import balance, rewrite
 
 
 @runtime_checkable
@@ -187,23 +182,5 @@ register_pass(
         "sweep",
         lambda aig: aig.cleanup(),
         "drop logic unreachable from the outputs (array-backed compaction)",
-    )
-)
-# The reference (pre-vectorization) passes stay addressable so flows and the
-# CI parity lane can run the oracle implementations by name.  They are pinned
-# node-for-node identical to `balance`/`rewrite`; registering them adds no
-# new flow and moves no flow fingerprint.
-register_pass(
-    FunctionPass(
-        "balance_reference",
-        balance_reference,
-        "reference depth-balancing oracle (identical output to `balance`)",
-    )
-)
-register_pass(
-    FunctionPass(
-        "rewrite_reference",
-        rewrite_reference,
-        "reference cut-rewriting oracle (identical output to `rewrite`)",
     )
 )

@@ -22,9 +22,9 @@ Three services are provided:
   makes canonical matching practical in the mapper's inner loop.
 * :func:`npn_canonical` / :func:`p_canonical` return only the canonical
   table, used to group functions into equivalence classes in tests and
-  analyses.  The brute-force search is kept as
-  :func:`npn_canonical_exhaustive` and cross-checked against the fast path
-  by the unit tests.
+  analyses.  The brute-force search over the whole orbit,
+  ``npn_canonical_exhaustive``, is the parity oracle in
+  ``tests/oracles/npn.py``.
 
 A transform is an :class:`InputMatch` ``t`` applied as ``apply_match(f, t) =
 [~] f.apply_phase(t.phase).permute_inputs(t.permutation)``: evaluated at
@@ -121,27 +121,6 @@ def npn_canonical(table: TruthTable) -> TruthTable:
         raise ValueError("npn_canonical is limited to 6 inputs")
     bits, _perm, _phase, _neg = canonicalize_bits(table.bits, n, True)
     return TruthTable(n, bits)
-
-
-def npn_canonical_exhaustive(table: TruthTable) -> TruthTable:
-    """Brute-force reference for :func:`npn_canonical` (oracle for tests).
-
-    Exhaustive search over ``2 * n! * 2**n`` candidates.
-    """
-    n = table.num_vars
-    if n > 6:
-        raise ValueError("npn_canonical is limited to 6 inputs")
-    best: int | None = None
-    for output_negated in (False, True):
-        base = ~table if output_negated else table
-        for phase in range(1 << n):
-            phased = base.apply_phase(phase)
-            for perm in permutations(range(n)):
-                candidate = phased.permute_inputs(perm).bits
-                if best is None or candidate < best:
-                    best = candidate
-    assert best is not None
-    return TruthTable(n, best)
 
 
 def npn_equivalent(a: TruthTable, b: TruthTable) -> bool:

@@ -294,8 +294,11 @@ class Aig:
         Runs on the array-backed view: reachability is a batched backward
         sweep over the level groups and the surviving nodes are compacted
         directly (old node order, canonical fanin order and levels are all
-        preserved, so the result is bit-identical to a node-by-node rebuild
-        through :meth:`and_gate`).
+        preserved).  No node has a constant or duplicated fanin -- neither
+        :meth:`and_gate` nor the passes' graph builder emits one -- so no
+        simplification could fire on a rebuild, and the result is node for
+        node the rebuild through :meth:`and_gate` that
+        ``tests/oracles/aig.py`` keeps as the oracle.
         """
         import numpy as np
 
@@ -303,15 +306,6 @@ class Aig:
 
         arrays = aig_arrays(self)
         and_nodes = arrays.and_nodes
-        if and_nodes.size:
-            source0 = arrays.fanin0[and_nodes] >> 1
-            source1 = arrays.fanin1[and_nodes] >> 1
-            if bool((source0 == 0).any() or (source1 == 0).any() or (source0 == source1).any()):
-                # Constant or duplicated fanins would re-trigger and_gate
-                # simplification; take the straightforward rebuild so
-                # behaviour stays identical.
-                return self._cleanup_rebuild()
-
         reachable = np.zeros(arrays.num_nodes, dtype=bool)
         if arrays.po_literals.size:
             reachable[arrays.po_literals >> 1] = True
@@ -346,35 +340,6 @@ class Aig:
         mapping_list = mapping.tolist()
         for name, literal in zip(self._po_names, self._po_literals):
             new.add_po(name, mapping_list[literal >> 1] ^ (literal & 1))
-        return new
-
-    def _cleanup_rebuild(self) -> "Aig":
-        """Reference node-by-node cleanup (used when simplification may fire)."""
-        reachable: set[int] = set()
-        stack = [lit_node(l) for l in self._po_literals]
-        while stack:
-            node = stack.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                stack.append(lit_node(f0))
-                stack.append(lit_node(f1))
-        new = Aig(self.name)
-        mapping: dict[int, AigLiteral] = {0: CONST0}
-        for name, node in zip(self._pi_names, self._pi_nodes):
-            mapping[node] = new.add_pi(name)
-        for node in self.and_nodes():
-            if node not in reachable:
-                continue
-            f0, f1 = self.fanins(node)
-            new_f0 = mapping[lit_node(f0)] ^ (f0 & 1)
-            new_f1 = mapping[lit_node(f1)] ^ (f1 & 1)
-            mapping[node] = new.and_gate(new_f0, new_f1)
-        for name, literal in zip(self._po_names, self._po_literals):
-            new_literal = mapping[lit_node(literal)] ^ (literal & 1)
-            new.add_po(name, new_literal)
         return new
 
     def fanout_counts(self) -> dict[int, int]:

@@ -32,10 +32,11 @@ one chunk -- O(log) vector operations per insertion, with the masks
 precomputed once per position.
 
 All kernels are pure and exactly bit-compatible with their scalar
-references (``table_support`` and ``project_table`` in
-:mod:`repro.synthesis.cuts`, ``_expand_at_positions`` in
-``tests/oracles/cuts.py``); the hypothesis property tests in
-``tests/synthesis/test_cut_properties.py`` pin that equivalence.
+references (``table_support`` in :mod:`repro.synthesis.cuts`,
+``project_table`` in ``tests/oracles/matcher.py``, ``_expand_at_positions``
+in ``tests/oracles/cuts.py``); the hypothesis property tests in
+``tests/synthesis/test_cut_properties.py`` and
+``tests/synthesis/test_matcher_batch.py`` pin that equivalence.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def support_positions(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_table_batch(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Project every table onto the variables named by its support mask.
 
-    Batched equivalent of ``repro.synthesis.cuts.project_table`` (variables
+    Batched equivalent of the scalar ``project_table`` oracle (variables
     outside the mask are removed keeping the negative cofactor, i.e. the
     minterms with those variables at 0): projected minterm ``m`` reads source
     bit :data:`_COMPRESS_INDEX` ``[mask, m]``.  A full mask is the identity

@@ -114,29 +114,6 @@ def table_support(table: int, num_vars: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=1 << 16)
-def project_table(table: int, num_vars: int, support_mask: int) -> int:
-    """Project a truth table onto the variables named by ``support_mask``.
-
-    Variables outside the mask are removed by keeping their negative
-    cofactor (they must be don't-cares for the projection to preserve the
-    function).  Removal proceeds from the highest position down so lower
-    positions stay valid while the table shrinks.
-    """
-    for position in range(num_vars - 1, -1, -1):
-        if (support_mask >> position) & 1:
-            continue
-        block = 1 << position
-        chunk_mask = (1 << block) - 1
-        rebuilt, shift, rest = 0, 0, table
-        while rest:
-            rebuilt |= (rest & chunk_mask) << shift
-            rest >>= block * 2
-            shift += block
-        table = rebuilt
-    return table
-
-
 def _validate_parameters(max_inputs: int, cut_limit: int, num_nodes: int) -> None:
     if max_inputs < 2 or max_inputs > 6:
         raise ValueError("max_inputs must be between 2 and 6")
@@ -167,26 +144,6 @@ class CutSet:
     size: np.ndarray  #: (nodes, slots) int8
     table: np.ndarray  #: (nodes, slots) uint64
     support: np.ndarray  #: (nodes, slots) uint8
-
-    def as_python(self) -> tuple[list, list, list, list, list]:
-        """The cut arrays as nested Python lists (memoized).
-
-        Scalar-heavy consumers -- the mapping DP and the rewrite pass -- read
-        one element at a time, where plain list indexing is several times
-        cheaper than numpy scalar access; ``tolist`` converts the whole block
-        in one C pass.  Returns ``(count, size, leaves, table, support)``.
-        """
-        cached = self.__dict__.get("_python_view")
-        if cached is None:
-            cached = (
-                self.count.tolist(),
-                self.size.tolist(),
-                self.leaves.tolist(),
-                self.table.tolist(),
-                self.support.tolist(),
-            )
-            object.__setattr__(self, "_python_view", cached)
-        return cached
 
     def cuts_of(self, node: int) -> list[Cut]:
         """The node's cuts as :class:`Cut` objects (ranked, trivial last)."""

@@ -82,12 +82,7 @@ from repro.synthesis.cost import (
     resolve_recovery,
 )
 from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS, cut_set_for
-from repro.synthesis.matcher import (
-    CellMatch,
-    _MatcherBase,
-    distinct_keys,
-    matcher_for,
-)
+from repro.synthesis.matcher import CellMatch, LibraryMatcher, matcher_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.activity import ActivityReport
@@ -507,24 +502,18 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
 
 
 def _build_candidate_table(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
+    arrays, cut_set, matcher: LibraryMatcher, prefer: str
 ) -> CandidateTable:
     """Vectorized candidate-table construction (batched Boolean matching).
 
     The valid ``(node, slot)`` pairs of the ranked cuts are flattened with
     one ``repeat``/``arange`` pass (the last valid slot of every node is the
-    trivial ``{node}`` cut, which is never matched on its own) and the
-    matcher is consulted once per *distinct* ``(size, table)`` function.
-    With a matcher exposing the columnar batch API
-    (:meth:`LibraryMatcher.match_table`) the whole match resolution is a
-    handful of vector passes -- signature filter, batched canonicalization
-    of the surviving functions, one ``searchsorted`` per arity, vectorized
-    transform composition -- and the candidate columns are gathered
-    straight out of the :class:`~repro.synthesis.matcher.MatchTable`.
-    Matchers without that API (e.g.
-    :class:`~repro.synthesis.matcher.ExhaustiveLibraryMatcher`) fall back to
-    the per-distinct-function ``match_positions`` loop over the same
-    :func:`~repro.synthesis.cut_kernels.distinct_keys` dedup.  The cell
+    trivial ``{node}`` cut, which is never matched on its own) and matched
+    through :meth:`LibraryMatcher.match_table`, once per *distinct* ``(size,
+    table)`` function: signature filter, batched canonicalization of the
+    surviving functions, one ``searchsorted`` per arity, vectorized
+    transform composition.  The candidate columns are gathered straight out
+    of the :class:`~repro.synthesis.matcher.MatchTable`, and the cell
     columns are the matches' :class:`MatchFigures`, gathered per row.  Rows
     are ordered nodes ascending, slot order within a node, and no
     :class:`MatchCandidate` objects are created.
@@ -542,62 +531,18 @@ def _build_candidate_table(
     slots = np.arange(total) - np.repeat(starts, per_node)
     cut_leaves = cut_set.leaves[nodes_rep, slots]
 
-    if hasattr(matcher, "match_table"):
-        match_table = matcher.match_table(cut_set, and_nodes, prefer)
-        inverse = match_table.inverse
-        matched = match_table.matched
-        widths = match_table.width
-        reduced = match_table.reduced
-        match_ids = match_table.match_index
-        matches = match_table.matches
-        positions = match_table.positions
-        if positions.shape[1] < max_inputs:
-            padded = np.zeros((positions.shape[0], max_inputs), dtype=np.int64)
-            padded[:, : positions.shape[1]] = positions
-            positions = padded
-        elif positions.shape[1] > max_inputs:
-            positions = positions[:, :max_inputs]
-    else:
-        sizes = cut_set.size[nodes_rep, slots]
-        tables = cut_set.table[nodes_rep, slots]
-        supports = cut_set.support[nodes_rep, slots]
-        first_index, inverse = distinct_keys(sizes, tables)
+    match_table = matcher.match_table(cut_set, and_nodes, prefer)
+    inverse = match_table.inverse
+    matches = match_table.matches
+    # Support positions are padded to six columns; K never exceeds six.
+    positions = match_table.positions[:, :max_inputs]
 
-        num_distinct = first_index.shape[0]
-        matched = np.zeros(num_distinct, dtype=bool)
-        positions = np.zeros((num_distinct, max_inputs), dtype=np.int64)
-        widths = np.zeros(num_distinct, dtype=np.int64)
-        reduced = np.zeros(num_distinct, dtype=np.uint64)
-        match_ids = np.zeros(num_distinct, dtype=np.int64)
-        matches = []
-
-        match_positions = matcher.match_positions
-        size_list = sizes[first_index].tolist()
-        table_list = tables[first_index].tolist()
-        support_list = supports[first_index].tolist()
-        for index in range(num_distinct):
-            found = match_positions(
-                size_list[index],
-                table_list[index],
-                prefer=prefer,
-                support_mask=support_list[index],
-            )
-            if found is None:
-                continue
-            match, match_pos, match_table_bits = found
-            matched[index] = True
-            widths[index] = len(match_pos)
-            positions[index, : len(match_pos)] = match_pos
-            reduced[index] = match_table_bits
-            match_ids[index] = len(matches)
-            matches.append(match)
-
-    kept = np.nonzero(matched[inverse])[0]
+    kept = np.nonzero(match_table.matched[inverse])[0]
     ref = inverse[kept]
-    match_rows = match_ids[ref]
+    match_rows = match_table.match_index[ref]
     figures = MatchFigures.resolve(matches, max_inputs)
     node_rows = nodes_rep[kept]
-    width_rows = widths[ref]
+    width_rows = match_table.width[ref]
     leaf_rows = np.take_along_axis(cut_leaves[kept], positions[ref], axis=1)
     leaf_rows = np.where(
         np.arange(max_inputs)[None, :] < width_rows[:, None], leaf_rows, 0
@@ -615,7 +560,7 @@ def _build_candidate_table(
         count=count,
         leaves=leaf_rows,
         width=width_rows,
-        table_bits=reduced[ref],
+        table_bits=match_table.reduced[ref],
         match_index=match_rows,
         delay=figures.intrinsic_delay[match_rows],
         area=figures.area[match_rows],
@@ -630,7 +575,7 @@ def _build_candidate_table(
 
 
 def _candidate_table_for(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
+    arrays, cut_set, matcher: LibraryMatcher, prefer: str
 ) -> CandidateTable:
     """The (memoized) candidate table of a cut set under one matcher/policy.
 
@@ -1090,7 +1035,7 @@ def _required_times(timing: TimingArrays, deadline: float) -> np.ndarray:
 def map_rounds(
     aig: Aig,
     library: GateLibrary,
-    matcher: _MatcherBase | None = None,
+    matcher: LibraryMatcher | None = None,
     objective: str = "delay",
     rounds: int = 0,
     recovery: str = "auto",
@@ -1288,7 +1233,7 @@ def map_rounds(
 def technology_map(
     aig: Aig,
     library: GateLibrary,
-    matcher: _MatcherBase | None = None,
+    matcher: LibraryMatcher | None = None,
     objective: str = "delay",
     max_inputs: int = DEFAULT_MAX_INPUTS,
     cut_limit: int = DEFAULT_CUT_LIMIT,
@@ -1400,8 +1345,7 @@ def _resimulate_words(
     mask = (1 << 64) - 1
     num_words = len(next(iter(patterns.values()))) if patterns else 1
     values: dict[int, list[int]] = {0: [0] * num_words}
-    for name in aig.pi_names:
-        node = aig.pi_literal(name) >> 1
+    for name, node in zip(aig.pi_names, aig.pi_nodes()):
         values[node] = [w & mask for w in patterns[name]]
 
     for gate in topological_gates(mapped.gates):

@@ -1,26 +1,29 @@
 """Boolean matching of cut functions against a gate library.
 
-Two matcher implementations share one interface (``match`` /
-``match_reduced`` / ``len``):
+:class:`LibraryMatcher` is the **NPN-canonical index** of one library.
+Every library cell is canonicalized once
+(:func:`repro.logic.npn.canonicalize_bits`) and the index stores a single
+entry per ``(arity, canonical class)``: the best cell of the class by area
+and by delay, with the cell's canonicalizing transform.  Matching is
+batched over columns of cut functions:
 
-* :class:`LibraryMatcher` -- the default **NPN-canonical index**.  Every
-  library cell is canonicalized once (:func:`repro.logic.npn.npn_canonicalize`)
-  and the index stores a single entry per ``(arity, canonical class)``.  A
-  cut is matched by canonicalizing its function (memoized) and composing the
-  cut's canonicalizing transform with the cell's stored transform, which
-  yields exactly the pin assignment the exhaustive matcher would have looked
-  up -- with orders of magnitude fewer index entries and no permutation/phase
-  pre-expansion at build time.
-* :class:`ExhaustiveLibraryMatcher` -- the original scheme, retained as the
-  reference implementation and for the matcher benchmarks: for every cell it
-  pre-computes every truth table reachable by permuting inputs,
-  complementing inputs and complementing the output, keyed by the raw table
-  bits.
+* :meth:`LibraryMatcher.match_table` resolves every distinct function of a
+  :class:`~repro.synthesis.cuts.CutSet` (its :class:`CutFunctionTable`) --
+  the path the mapper takes;
+* :meth:`LibraryMatcher.match_positions_batch` resolves raw ``(size,
+  table)`` arrays the same way.
 
-Both matchers resolve ties between equally good cells by a stable
-``(cost, cell name)`` order, so the selected cell -- and therefore every
-downstream artifact -- is bit-identical across runs, hash seeds and matcher
-implementations.
+Each function is projected onto its true support, filtered by an exact NPN
+signature, canonicalized only when a class of its arity carries that
+signature, looked up with ``np.searchsorted`` and given the pin assignment
+``compose_matches(t_cell, invert_match(t_cut))`` (cell -> canonical -> cut),
+composed column-wise.  The scalar one-function-at-a-time matcher and the
+exhaustive permutation/phase tables it replaced are the parity oracles in
+``tests/oracles/matcher.py``.
+
+Ties between equally good cells resolve by a stable ``(cost, cell name)``
+order, so the selected cell -- and therefore every downstream artifact -- is
+bit-identical across runs and hash seeds.
 
 The input/output phase freedom models the paper's statement that the mapping
 tool is aware of the extra gates obtained by swapping the signal polarities at
@@ -31,7 +34,6 @@ inverter providing both output polarities (Sec. 3.1 and 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -42,8 +44,6 @@ from repro.logic.npn import (
     InputMatch,
     canonicalize_bits,
     canonicalize_bits_batch_columns,
-    compose_matches,
-    invert_match,
 )
 from repro.synthesis.cut_kernels import (
     distinct_keys,
@@ -52,7 +52,6 @@ from repro.synthesis.cut_kernels import (
     support_positions,
     table_support_batch,
 )
-from repro.synthesis.cuts import project_table, table_support
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,6 @@ def _area_order(candidate: CellMatch) -> tuple[float, float, str]:
 def _delay_order(candidate: CellMatch) -> tuple[float, float, str]:
     """Stable total order for delay-optimal selection (ties -> cell name)."""
     return (candidate.delay, candidate.area, candidate.cell.name)
-
-
-_ALL_POSITIONS = tuple(tuple(range(n)) for n in range(8))
 
 
 @dataclass(frozen=True)
@@ -206,95 +202,7 @@ def cut_function_table(cut_set, and_nodes) -> CutFunctionTable:
     return table
 
 
-class _MatcherBase:
-    """The lookup interface shared by both matcher implementations."""
-
-    library: GateLibrary
-
-    def cache_clear(self) -> None:
-        """Drop the per-matcher match memos (cold-start hook for benchmarks)."""
-        self.__dict__.pop("_positions_memo", None)
-        memo = getattr(self, "_match_memo", None)
-        if memo is not None:
-            memo.clear()
-
-    def match(
-        self, num_leaves: int, table_bits: int, prefer: str = "delay"
-    ) -> CellMatch | None:
-        raise NotImplementedError
-
-    def match_positions(
-        self,
-        num_leaves: int,
-        table_bits: int,
-        prefer: str = "delay",
-        support_mask: int | None = None,
-    ) -> tuple[CellMatch, tuple[int, ...], int] | None:
-        """Match a cut function after projecting it onto its true support.
-
-        Returns the match, the leaf *positions* (indices into the cut's leaf
-        tuple) the matched table reads, and the reduced table bits -- or
-        ``None`` when the function is constant or no cell matches.  The
-        result depends only on ``(num_leaves, table_bits, prefer)``, so it is
-        memoized per matcher; the mapping DP resolves the position tuple
-        against each concrete cut's leaves.
-        """
-        memo = self.__dict__.get("_positions_memo")
-        if memo is None:
-            memo = self.__dict__["_positions_memo"] = {}
-        memo_key = (num_leaves, table_bits, prefer)
-        try:
-            return memo[memo_key]
-        except KeyError:
-            pass
-        if support_mask is None:
-            support_mask = table_support(table_bits, num_leaves)
-        result: tuple[CellMatch, tuple[int, ...], int] | None = None
-        if support_mask == 0:
-            pass
-        elif support_mask == (1 << num_leaves) - 1:
-            found = self.match(num_leaves, table_bits, prefer)
-            if found is not None:
-                result = (found, _ALL_POSITIONS[num_leaves], table_bits)
-        else:
-            reduced_bits = project_table(table_bits, num_leaves, support_mask)
-            support = tuple(
-                p for p in range(num_leaves) if (support_mask >> p) & 1
-            )
-            found = self.match(len(support), reduced_bits, prefer)
-            if found is not None:
-                result = (found, support, reduced_bits)
-        memo[memo_key] = result
-        return result
-
-    def match_reduced(
-        self,
-        leaves: tuple[int, ...],
-        table_bits: int,
-        prefer: str = "delay",
-        support_mask: int | None = None,
-    ) -> tuple[CellMatch, tuple[int, ...], int] | None:
-        """Match a cut after projecting its function onto its true support.
-
-        ``support_mask`` is the bitmask of leaf positions the function
-        depends on; pass the mask precomputed during cut enumeration
-        (:attr:`repro.synthesis.cuts.Cut.support`) to skip rederiving it.
-        Returns the match, the reduced leaf tuple (in the order seen by the
-        matched table) and the reduced table bits, or ``None`` when no cell
-        matches.  Thin wrapper over :meth:`match_positions`.
-        """
-        found = self.match_positions(
-            len(leaves), table_bits, prefer=prefer, support_mask=support_mask
-        )
-        if found is None:
-            return None
-        match, positions, reduced_bits = found
-        if len(positions) == len(leaves):
-            return match, tuple(leaves), reduced_bits
-        return match, tuple(leaves[p] for p in positions), reduced_bits
-
-
-class LibraryMatcher(_MatcherBase):
+class LibraryMatcher:
     """NPN-canonical match index for one library.
 
     The index stores, per ``(arity, canonical table)``, the best cell of the
@@ -303,7 +211,9 @@ class LibraryMatcher(_MatcherBase):
     canonical``).  At match time the cut function is canonicalized to the
     same form with transform ``t_cut`` and the returned pin assignment is
     ``compose_matches(t_cell, invert_match(t_cut))``, i.e. cell -> canonical
-    -> cut.
+    -> cut.  ``_by_area``/``_by_delay`` hold the index as dictionaries; the
+    batched resolution reads their sorted columnar form
+    (:meth:`_batch_index`).
     """
 
     def __init__(self, library: GateLibrary, allow_output_negation: bool = True) -> None:
@@ -311,7 +221,6 @@ class LibraryMatcher(_MatcherBase):
         self.allow_output_negation = allow_output_negation
         self._by_area: dict[tuple[int, int], CellMatch] = {}
         self._by_delay: dict[tuple[int, int], CellMatch] = {}
-        self._match_memo: dict[tuple[int, int, str], CellMatch | None] = {}
         self._build(allow_output_negation)
 
     def _build(self, allow_output_negation: bool) -> None:
@@ -331,33 +240,6 @@ class LibraryMatcher(_MatcherBase):
     def __len__(self) -> int:
         """Number of stored index entries (one per matched canonical class)."""
         return len(self._by_area)
-
-    def match(
-        self, num_leaves: int, table_bits: int, prefer: str = "delay"
-    ) -> CellMatch | None:
-        """Find the best cell realizing the cut function, or ``None``.
-
-        Functions that do not depend on all cut leaves are looked up on their
-        true support, so a 4-leaf cut whose function only uses 3 leaves can
-        still match a 3-input cell (the mapper handles the leaf projection).
-        """
-        memo_key = (num_leaves, table_bits, prefer)
-        try:
-            return self._match_memo[memo_key]
-        except KeyError:
-            pass
-        canon_bits, perm, phase, negated = canonicalize_bits(
-            table_bits, num_leaves, self.allow_output_negation
-        )
-        table = self._by_delay if prefer == "delay" else self._by_area
-        entry = table.get((num_leaves, canon_bits))
-        result: CellMatch | None = None
-        if entry is not None:
-            t_cut = InputMatch(perm, phase, negated)
-            composed = compose_matches(entry.match, invert_match(t_cut))
-            result = CellMatch(entry.cell, composed)
-        self._match_memo[memo_key] = result
-        return result
 
     def _batch_index(self) -> dict[str, dict[int, "_ArityIndex"]]:
         """The per-policy, per-arity sorted canonical-key index (built once).
@@ -388,8 +270,7 @@ class LibraryMatcher(_MatcherBase):
         each canonicalized row's class, and the returned pin assignments
         are the vectorized equivalent of ``compose_matches(entry.match,
         invert_match(t_cut))``.  :class:`CellMatch` objects are materialized
-        only for matched rows (in row order, exactly as the scalar
-        candidate-table build appends them).  Returns the table and the
+        only for matched rows, in row order.  Returns the table and the
         number of rows canonicalized.
         """
         per_arity = self._batch_index()[prefer if prefer == "delay" else "area"]
@@ -473,13 +354,14 @@ class LibraryMatcher(_MatcherBase):
         prefer: str = "delay",
         support_masks: np.ndarray | None = None,
     ) -> MatchTable:
-        """Batched :meth:`match_positions` over raw ``(size, table)`` arrays.
+        """Match raw ``(size, table)`` arrays, each on its true support.
 
         Computes supports, projected tables and signatures with the batch
         kernels and resolves the canonical index in one vectorized pass.
         Row ``i`` of the returned :class:`MatchTable` corresponds to input
-        row ``i`` (``inverse`` is the identity); the scalar
-        :meth:`match_positions` is the pinned oracle.
+        row ``i`` (``inverse`` is the identity): whether it matched, the
+        cell match, the leaf positions the matched table reads and the
+        reduced table bits.  A constant function matches nothing.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         tables = np.asarray(tables, dtype=np.uint64)
@@ -582,125 +464,24 @@ def _build_arity_index(
     return index
 
 
-class ExhaustiveLibraryMatcher(_MatcherBase):
-    """Pre-computed permutation/phase match tables for one library.
-
-    The original (reference) matcher: every reachable truth table of every
-    cell is materialized in a dictionary keyed by ``(arity, raw bits)``, so
-    matching is a single lookup but construction enumerates up to
-    ``2 * n! * 2**n`` variants per cell.
-    """
-
-    def __init__(self, library: GateLibrary, allow_output_negation: bool = True) -> None:
-        self.library = library
-        self.allow_output_negation = allow_output_negation
-        self._by_area: dict[tuple[int, int], CellMatch] = {}
-        self._by_delay: dict[tuple[int, int], CellMatch] = {}
-        self._build(allow_output_negation)
-
-    def _build(self, allow_output_negation: bool) -> None:
-        for cell in self.library.cells:
-            tables = _fast_permutation_phase_tables(
-                cell.function.bits, cell.arity, allow_output_negation
-            )
-            for bits, match in tables.items():
-                key = (cell.arity, bits)
-                candidate = CellMatch(cell, match)
-                best_area = self._by_area.get(key)
-                if best_area is None or _area_order(candidate) < _area_order(best_area):
-                    self._by_area[key] = candidate
-                best_delay = self._by_delay.get(key)
-                if best_delay is None or _delay_order(candidate) < _delay_order(
-                    best_delay
-                ):
-                    self._by_delay[key] = candidate
-
-    def __len__(self) -> int:
-        """Number of stored index entries (one per reachable raw table)."""
-        return len(self._by_area)
-
-    def match(
-        self, num_leaves: int, table_bits: int, prefer: str = "delay"
-    ) -> CellMatch | None:
-        """Single-dictionary-lookup match against the pre-expanded tables."""
-        table = self._by_delay if prefer == "delay" else self._by_area
-        return table.get((num_leaves, table_bits))
-
-
-def _fast_permutation_phase_tables(
-    bits: int, num_vars: int, include_output_negation: bool
-) -> dict[int, InputMatch]:
-    """Vectorized equivalent of :func:`repro.logic.npn.all_input_permutation_phase_tables`.
-
-    Enumerates every table reachable by permuting and complementing inputs
-    (and optionally complementing the output) using numpy gathers, which keeps
-    matcher construction fast even for the six-input cells (46k variants
-    each).  The returned matches carry the same semantics as the reference
-    implementation (verified by the matcher unit tests).
-    """
-    size = 1 << num_vars
-    column = np.fromiter(((bits >> i) & 1 for i in range(size)), dtype=np.uint8, count=size)
-    indices = np.arange(size, dtype=np.int64)
-    phases = np.arange(size, dtype=np.int64)
-    result: dict[int, InputMatch] = {}
-
-    for perm in permutations(range(num_vars)):
-        sigma = np.zeros(size, dtype=np.int64)
-        for new_position, old_position in enumerate(perm):
-            sigma |= ((indices >> new_position) & 1) << old_position
-        gathered = column[np.bitwise_xor.outer(phases, sigma)]
-        packed = np.packbits(gathered, axis=1, bitorder="little")
-        for phase in range(size):
-            table_bits = int.from_bytes(packed[phase].tobytes(), "little")
-            result.setdefault(table_bits, InputMatch(tuple(perm), phase, False))
-            if include_output_negation:
-                negated = table_bits ^ ((1 << size) - 1)
-                result.setdefault(negated, InputMatch(tuple(perm), phase, True))
-    return result
-
-
-_MATCHER_CACHE: dict[tuple[str, bool, str], _MatcherBase] = {}
+_MATCHER_CACHE: dict[tuple[str, bool], LibraryMatcher] = {}
 
 
 def matcher_for(
-    library: GateLibrary, allow_output_negation: bool = True, style: str = "npn"
-) -> _MatcherBase:
+    library: GateLibrary, allow_output_negation: bool = True
+) -> LibraryMatcher:
     """Build (and cache) the matcher of a library.
 
-    ``style`` selects the implementation: ``"npn"`` (default) builds the
-    canonical index, ``"exhaustive"`` the pre-expanded reference tables.
     One matcher per (library, flags) is reused across all benchmarks of an
     experiment run.  A build runs under a ``matcher`` span (category
     ``setup``): a run's first map job otherwise hides it outside every span.
     """
-    if style not in ("npn", "exhaustive"):
-        raise ValueError("style must be 'npn' or 'exhaustive'")
-    key = (library.name, allow_output_negation, style)
+    key = (library.name, allow_output_negation)
     cached = _MATCHER_CACHE.get(key)
     if cached is None or cached.library is not library:
-        factory = LibraryMatcher if style == "npn" else ExhaustiveLibraryMatcher
         with obs.span("matcher", category="setup", library=library.name):
-            cached = factory(library, allow_output_negation=allow_output_negation)
+            cached = LibraryMatcher(
+                library, allow_output_negation=allow_output_negation
+            )
         _MATCHER_CACHE[key] = cached
     return cached
-
-
-def _depends_on(table: int, num_vars: int, position: int) -> bool:
-    """Whether a raw truth table depends on the variable at ``position``.
-
-    Compatibility wrapper over the cached support computation in
-    :mod:`repro.synthesis.cuts`.
-    """
-    return bool((table_support(table, num_vars) >> position) & 1)
-
-
-def _project(table: int, num_vars: int, support: list[int]) -> int:
-    """Project a truth table onto a subset of its variables.
-
-    Compatibility wrapper over the cached projection in
-    :mod:`repro.synthesis.cuts`.
-    """
-    mask = 0
-    for position in support:
-        mask |= 1 << position
-    return project_table(table, num_vars, mask)

@@ -18,27 +18,22 @@ Because every transformation rebuilds the graph through the structurally
 hashing constructors, common subexpressions are shared automatically, which
 is where most of the practical reduction comes from.
 
-Both passes exist twice, mirroring how the mapper DP and the cut enumerator
-are organized:
+Both passes have one implementation, array-backed like the mapper DP and
+the cut enumerator: they read the graph through
+:class:`~repro.synthesis.aig_array.AigArrays` and the
+:class:`~repro.synthesis.cuts.CutSet` struct-of-arrays, select candidate
+cuts with one numpy scan, fetch pre-compiled cover programs from the
+NPN-class library of :mod:`repro.synthesis.rewrite_lib`, and emit gates into
+a flat :class:`_GraphBuilder` instead of a pointer-chasing :class:`Aig`.
+They run on every graph, however small.
 
-* :func:`balance` / :func:`rewrite` -- the **array-backed fast paths**.
-  They read the graph through :class:`~repro.synthesis.aig_array.AigArrays`
-  and the :class:`~repro.synthesis.cuts.CutSet` struct-of-arrays (no
-  ``as_python()`` round-trip), select candidate cuts with one numpy scan,
-  fetch pre-compiled cover programs from the NPN-class library of
-  :mod:`repro.synthesis.rewrite_lib`, and emit gates into a flat
-  :class:`_GraphBuilder` instead of a pointer-chasing :class:`Aig`.
-* :func:`balance_reference` / :func:`rewrite_reference` -- the original
-  per-node algorithms, retained as oracles.
-
-The fast paths are pinned **node-for-node identical** to the references:
-same candidate order, same gate-emission sequence (including the synthesis
-of losing candidates, whose structural-hash side effects feed later cost
-decisions), same structural hashing order, same levels.  Tiny graphs --
-where flattening overhead exceeds the win -- automatically fall back to the
-reference passes; both dispatch arms produce the same AIG, so artifacts are
-byte-identical either way.  ``tests/synthesis/test_optimize_vectorized.py``
-pins the parity per node and per choice.
+The per-node algorithms they replaced are the parity oracles in
+``tests/oracles/optimize.py``.  The passes are pinned **node-for-node
+identical** to them: same candidate order, same gate-emission sequence
+(including the synthesis of losing candidates, whose structural-hash side
+effects feed later cost decisions), same structural hashing order, same
+levels.  ``tests/synthesis/test_optimize_vectorized.py`` pins the parity per
+node and per choice.
 """
 
 from __future__ import annotations
@@ -47,34 +42,11 @@ import heapq
 
 import numpy as np
 
-from repro.synthesis.aig import (
-    Aig,
-    AigLiteral,
-    CONST0,
-    CONST1,
-    _Node,
-    lit_complement,
-    lit_is_complemented,
-    lit_node,
-)
+from repro.synthesis.aig import Aig, AigLiteral, CONST0, CONST1, _Node
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import distinct_keys
 from repro.synthesis.cuts import cut_set_for
-from repro.synthesis.rewrite_lib import (  # noqa: F401  (re-exported: tests and
-    REWRITE_LIBRARY,  # historical importers reach _isop and friends through here)
-    _cube_inside,
-    _cube_minterms,
-    _isop,
-    compile_ops,
-    replay_cover,
-    replay_ops,
-)
-
-#: Below this many AND nodes the reference passes run instead of the
-#: vectorized ones: the array view, numpy candidate scan and flat-builder
-#: setup cost more than they save on tiny graphs.  Both arms produce the
-#: identical AIG, so the dispatch is purely a performance choice.
-PASS_VECTOR_THRESHOLD = 16
+from repro.synthesis.rewrite_lib import REWRITE_LIBRARY, compile_ops
 
 
 class _GraphBuilder:
@@ -276,7 +248,7 @@ class _GraphBuilder:
 
 
 def balance(aig: Aig, trace: list | None = None) -> Aig:
-    """Depth-balance the AND trees of an AIG (array-backed fast path).
+    """Depth-balance the AND trees of an AIG.
 
     For every node the maximal single-fanout AND tree rooted at it is
     collapsed into its leaf literals and rebuilt as a balanced binary tree,
@@ -284,13 +256,10 @@ def balance(aig: Aig, trace: list | None = None) -> Aig:
     ``balance``).  The collapse runs bottom-up over ``AigArrays`` so shared
     subtrees contribute their leaf lists once, and the rebuild schedules
     literals through a ``heapq`` keyed on ``(level, insertion index)`` --
-    exactly the order of the reference's sorted-list scheduling.  Falls back
-    to :func:`balance_reference` below :data:`PASS_VECTOR_THRESHOLD`;
+    exactly the order of the reference pass's sorted-list scheduling.
     ``trace``, when given, receives the per-node choice stream
     ``(node, rebuilt_literal)`` for the parity tests.
     """
-    if aig.num_ands < PASS_VECTOR_THRESHOLD:
-        return balance_reference(aig, trace)
     arrays = aig_arrays(aig)
     fanin0 = arrays.fanin0.tolist()
     fanin1 = arrays.fanin1.tolist()
@@ -362,120 +331,27 @@ def balance(aig: Aig, trace: list | None = None) -> Aig:
     return builder.finish_cleaned(aig.name, aig.po_names, po_literals)
 
 
-def balance_reference(aig: Aig, trace: list | None = None) -> Aig:
-    """Reference depth-balancing (the pre-vectorization per-node algorithm).
-
-    Kept as the oracle for :func:`balance` and as the small-graph fast path.
-    The only change from its original form is the scheduling container: the
-    ``ordered.pop(0)`` / ``insert`` list (O(n^2) on wide collapsed trees) is
-    now a ``heapq`` keyed on ``(level, insertion index)``.  The heap pops in
-    exactly the old order -- the list was kept sorted by level with stable
-    insertion after ties, which is precisely the (level, sequence) total
-    order -- so the produced tree is identical gate for gate.
-    """
-    fanout = aig_arrays(aig).fanout.tolist()
-    new = Aig(aig.name)
-    mapping: dict[int, AigLiteral] = {0: CONST0}
-    for name in aig.pi_names:
-        mapping[lit_node(aig.pi_literal(name))] = new.add_pi(name)
-
-    def translate(literal: AigLiteral) -> AigLiteral:
-        return mapping[lit_node(literal)] ^ (literal & 1)
-
-    def collect_and_leaves(literal: AigLiteral, root: bool) -> list[AigLiteral]:
-        """Leaves of the maximal AND tree rooted at ``literal``."""
-        node = lit_node(literal)
-        if (
-            lit_is_complemented(literal)
-            or not aig.is_and(node)
-            or (not root and fanout[node] > 1)
-        ):
-            return [literal]
-        f0, f1 = aig.fanins(node)
-        return collect_and_leaves(f0, False) + collect_and_leaves(f1, False)
-
-    def rebuild(node: int) -> AigLiteral:
-        if node in mapping:
-            return mapping[node]
-        leaves = collect_and_leaves(node << 1, True)
-        translated = []
-        for leaf in leaves:
-            leaf_node = lit_node(leaf)
-            if leaf_node not in mapping:
-                rebuild(leaf_node)
-            translated.append(translate(leaf))
-        # Pair shallow literals first so the deepest signal sees the fewest
-        # levels; ties resolve by insertion order (combined gates last).
-        heap = [
-            (new.literal_level(literal), order, literal)
-            for order, literal in enumerate(translated)
-        ]
-        heapq.heapify(heap)
-        sequence = len(heap)
-        while len(heap) > 1:
-            _, _, a = heapq.heappop(heap)
-            _, _, b = heapq.heappop(heap)
-            combined = new.and_gate(a, b)
-            heapq.heappush(heap, (new.literal_level(combined), sequence, combined))
-            sequence += 1
-        result = heap[0][2] if heap else CONST1
-        mapping[node] = result
-        if trace is not None:
-            trace.append((node, result))
-        return result
-
-    for node in aig.and_nodes():
-        rebuild(node)
-    for name, literal in zip(aig.po_names, aig.po_literals):
-        node = lit_node(literal)
-        if node not in mapping:
-            rebuild(node)
-        new.add_po(name, translate(literal))
-    return new.cleanup()
-
-
 # -- rewrite -----------------------------------------------------------------
 
 
-def _synthesize_sop(
-    aig: Aig, leaves: list[AigLiteral], cubes: tuple[tuple[int, int], ...], num_vars: int
-) -> AigLiteral:
-    """Build an AND-OR implementation of a cube cover."""
-    terms: list[AigLiteral] = []
-    for care, value in cubes:
-        factors: list[AigLiteral] = []
-        for var in range(num_vars):
-            if not (care >> var) & 1:
-                continue
-            literal = leaves[var]
-            if not (value >> var) & 1:
-                literal = lit_complement(literal)
-            factors.append(literal)
-        terms.append(aig.and_many(factors) if factors else CONST1)
-    return aig.or_many(terms) if terms else CONST0
-
-
 def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
-    """Cut-based rewriting (array-backed fast path).
+    """Cut-based rewriting.
 
     For every AND node the candidate cuts are taken straight from the
     :class:`~repro.synthesis.cuts.CutSet` arrays -- one numpy scan selects
-    the valid (node, slot) pairs and their size/table/leaf columns, with no
-    ``as_python()`` round-trip -- and each distinct cut function is compiled
-    once into a cover program by the NPN-class library
+    the valid (node, slot) pairs and their size/table/leaf columns -- and
+    each distinct cut function is compiled once into a cover program by the
+    NPN-class library
     (:data:`~repro.synthesis.rewrite_lib.REWRITE_LIBRARY`, batch
     canonicalization + one ISOP per class representative or member).  Every
     candidate program is then replayed into a flat :class:`_GraphBuilder`;
     the cheapest result (strictly fewer added gates, first minimum wins) is
     kept per node, losing candidates included in the emission stream exactly
-    as the reference does -- their structural-hash side effects feed the
+    as the reference pass does -- their structural-hash side effects feed the
     costs of later nodes, so replaying them is part of the pinned contract.
-    Falls back to :func:`rewrite_reference` below
-    :data:`PASS_VECTOR_THRESHOLD`; ``trace`` receives the per-node choice
-    stream ``(node, winning slot, cost)`` for the parity tests.
+    ``trace`` receives the per-node choice stream ``(node, winning slot,
+    cost)`` for the parity tests.
     """
-    if aig.num_ands < PASS_VECTOR_THRESHOLD:
-        return rewrite_reference(aig, max_inputs, trace)
     cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=4)
     arrays = aig_arrays(aig)
     and_nodes = arrays.and_nodes
@@ -558,71 +434,6 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
         mapping[literal >> 1] ^ (literal & 1) for literal in aig.po_literals
     ]
     return builder.finish_cleaned(aig.name, aig.po_names, po_literals)
-
-
-def rewrite_reference(
-    aig: Aig, max_inputs: int = 4, trace: list | None = None
-) -> Aig:
-    """Reference cut-based rewriting (the pre-vectorization algorithm).
-
-    For every AND node the best small cut is taken, the node function over the
-    cut leaves is computed, and an AND-OR implementation of its irredundant
-    cover (or of the complement, whichever is smaller) is built in a fresh
-    AIG.  Structural hashing shares the rebuilt logic; the pass never
-    increases the size of an individual cone beyond its SOP cost but may keep
-    the existing structure when that is cheaper.  Kept as the oracle for
-    :func:`rewrite` and as the small-graph fast path.
-    """
-    cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=4)
-    cut_count, cut_size, cut_leaves, cut_table, _ = cut_set.as_python()
-    new = Aig(aig.name)
-    mapping: dict[int, AigLiteral] = {0: CONST0}
-    for name in aig.pi_names:
-        mapping[lit_node(aig.pi_literal(name))] = new.add_pi(name)
-
-    def translate(literal: AigLiteral) -> AigLiteral:
-        return mapping[lit_node(literal)] ^ (literal & 1)
-
-    for node in aig.and_nodes():
-        best_literal: AigLiteral | None = None
-        best_cost: int | None = None
-        best_slot = -1
-        node_sizes = cut_size[node]
-        node_leaves = cut_leaves[node]
-        node_tables = cut_table[node]
-        for slot in range(cut_count[node]):
-            num_vars = node_sizes[slot]
-            if num_vars == 1:
-                continue
-            cut_leaf_ids = node_leaves[slot][:num_vars]
-            if any(leaf not in mapping for leaf in cut_leaf_ids):
-                continue
-            leaves = [mapping[leaf] for leaf in cut_leaf_ids]
-            table = node_tables[slot]
-            size_before = new.num_ands
-            positive = _isop(table, num_vars)
-            negative = _isop(~table & ((1 << (1 << num_vars)) - 1), num_vars)
-            if len(negative) < len(positive):
-                literal = lit_complement(
-                    _synthesize_sop(new, leaves, negative, num_vars)
-                )
-            else:
-                literal = _synthesize_sop(new, leaves, positive, num_vars)
-            cost = new.num_ands - size_before
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_literal = literal
-                best_slot = slot
-        if best_literal is None:
-            f0, f1 = aig.fanins(node)
-            best_literal = new.and_gate(translate(f0), translate(f1))
-        mapping[node] = best_literal
-        if trace is not None:
-            trace.append((node, best_slot, -1 if best_cost is None else best_cost))
-
-    for name, literal in zip(aig.po_names, aig.po_literals):
-        new.add_po(name, translate(literal))
-    return new.cleanup()
 
 
 def optimize(aig: Aig, max_rounds: int = 3) -> Aig:

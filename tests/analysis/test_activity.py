@@ -1,8 +1,8 @@
 """Signal probability / switching activity engine.
 
 The hypothesis property pins the word-parallel exact enumeration against the
-one-assignment-at-a-time reference on random cones of up to 10 inputs; the
-Monte-Carlo estimator must converge to the exact probabilities within a
+one-assignment-at-a-time reference of ``tests/oracles/activity.py`` on
+random cones of up to 10 inputs; the Monte-Carlo estimator must converge to the exact probabilities within a
 statistical tolerance on a mid-size benchmark and be bit-for-bit
 reproducible under a fixed seed.
 """
@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.analysis.activity import (
     compute_activities,
     exact_activities,
-    exact_activities_reference,
     exact_pi_words,
     monte_carlo_activities,
 )
 from repro.bench.registry import benchmark_by_name
 from repro.synthesis.aig import Aig
+from tests.oracles.activity import exact_activities_reference
 
 
 def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:

@@ -517,11 +517,6 @@ BUILTIN_FLOW_FINGERPRINTS = {
         "deep|prologue=balance|round=rewrite,balance,rewrite3,balance"
         "|max_rounds=6|keep_best=1|compare_input=1"
     ),
-    "resyn2rs-reference": (
-        "resyn2rs-reference|prologue=balance_reference"
-        "|round=rewrite_reference,balance_reference|max_rounds=3"
-        "|keep_best=1|compare_input=1"
-    ),
 }
 
 

@@ -50,6 +50,34 @@ class TestRegistries:
     def test_builtin_passes_registered(self):
         assert {"balance", "rewrite", "rewrite3", "rewrite5"} <= set(available_passes())
 
+    def test_fresh_process_registers_no_oracle(self):
+        """The reference passes and flow are test fixtures: a fresh process
+        that imports the package registers none of them."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import json\n"
+            "from repro.flow import available_flows, available_passes\n"
+            "print(json.dumps([available_flows(), available_passes()]))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        flows, passes = json.loads(completed.stdout)
+        assert flows == ["deep", "none", "quick", "resyn2rs"]
+        assert not any("reference" in name for name in passes)
+
     def test_unknown_names_raise_with_suggestions(self):
         with pytest.raises(KeyError, match="resyn2rs"):
             get_flow("not-a-flow")

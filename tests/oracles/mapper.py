@@ -35,6 +35,7 @@ from repro.synthesis.mapper import (
     _pin_bindings,
     topological_gates,
 )
+from tests.oracles.matcher import match_positions
 
 
 def gate_delay(gate: MappedGate, loads: int) -> float:
@@ -56,8 +57,11 @@ def build_candidates(
 ) -> list[list[MatchCandidate]]:
     """Per-node candidate lists: every matched ranked cut of every AND node.
 
-    Candidate order per node is slot order (the cut ranking), nodes in
-    topological order -- the sequence the DP scans.
+    Each cut is matched by the scalar oracle
+    (:func:`tests.oracles.matcher.match_positions`), so ``matcher`` may be a
+    :class:`~repro.synthesis.matcher.LibraryMatcher` or the exhaustive
+    oracle matcher.  Candidate order per node is slot order (the cut
+    ranking), nodes in topological order -- the sequence the DP scans.
     """
     candidates: list[list[MatchCandidate]] = [[] for _ in range(arrays.num_nodes)]
     and_nodes = arrays.and_nodes
@@ -80,9 +84,9 @@ def build_candidates(
     support_list = cut_set.support[nodes_rep, slots].tolist()
     leaves_rows = cut_set.leaves[nodes_rep, slots].tolist()
 
-    match_positions = matcher.match_positions
     for index in range(total):
         found = match_positions(
+            matcher,
             size_list[index],
             table_list[index],
             prefer=prefer,
@@ -405,8 +409,7 @@ def verify_mapping_reference(
     mask = (1 << 64) - 1
     num_words = len(next(iter(patterns.values()))) if patterns else 1
     values: dict[int, list[int]] = {0: [0] * num_words}
-    for name in aig.pi_names:
-        node = aig.pi_literal(name) >> 1
+    for name, node in zip(aig.pi_names, aig.pi_nodes()):
         values[node] = [w & mask for w in patterns[name]]
 
     for gate in topological_gates(mapped.gates):

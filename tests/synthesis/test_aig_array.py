@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.synthesis import CircuitBuilder
-from repro.synthesis.aig import Aig
+from repro.synthesis.aig import CONST0, Aig
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import cut_set_for
+from tests.oracles.aig import cleanup_rebuild
 
 
 def _sample_aig() -> Aig:
@@ -78,6 +81,41 @@ class TestVectorizedSimulation:
             aig.simulate_words({"a": [1]})
 
 
+def _node_signature(aig: Aig) -> tuple:
+    """Every node's fanins and level, the strash table, PIs and POs."""
+    return (
+        tuple((node.fanin0, node.fanin1, node.level) for node in aig._nodes),
+        aig._strash,
+        aig.pi_names,
+        aig.pi_nodes(),
+        aig.po_names,
+        aig.po_literals,
+    )
+
+
+@st.composite
+def _random_aigs(draw) -> Aig:
+    """Random AIGs with PIs added between gates, dangling cones, and outputs
+    on constants, on PIs and on complemented literals."""
+    aig = Aig("random")
+    literals = [aig.add_pi("x0")]
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            literals.append(aig.add_pi(f"x{aig.num_pis}"))
+            continue
+        a = draw(st.sampled_from(literals)) ^ draw(st.integers(0, 1))
+        b = draw(st.sampled_from(literals)) ^ draw(st.integers(0, 1))
+        literals.append(aig.and_gate(a, b))
+    # The newest literal always drives an output, so the deepest cone --
+    # the one most likely to mix late PIs with early gates -- stays live.
+    aig.add_po("last", literals[-1] ^ draw(st.integers(0, 1)))
+    drivers = literals + [CONST0]
+    for index in range(draw(st.integers(min_value=0, max_value=6))):
+        driver = draw(st.sampled_from(drivers))
+        aig.add_po(f"y{index}", driver ^ draw(st.integers(0, 1)))
+    return aig
+
+
 class TestCleanupFastPath:
     def test_cleanup_matches_reference_rebuild(self):
         builder = CircuitBuilder("dangling")
@@ -85,13 +123,9 @@ class TestCleanupFastPath:
         _ = builder.xor_(builder.and_(a, b), c)  # dangling cone
         builder.output("y", builder.and_(a, c))
         aig = builder.finish()
-        fast = aig.cleanup()
-        slow = aig._cleanup_rebuild()
-        assert fast.statistics() == slow.statistics()
-        assert fast.pi_names == slow.pi_names
-        assert fast.po_literals == slow.po_literals
-        for node in fast.and_nodes():
-            assert fast.fanins(node) == slow.fanins(node)
+        assert _node_signature(aig.cleanup()) == _node_signature(
+            cleanup_rebuild(aig)
+        )
 
     def test_cleanup_interleaved_pi_and_gate_ids(self):
         aig = Aig("interleaved")
@@ -100,12 +134,16 @@ class TestCleanupFastPath:
         gate = aig.and_gate(a, b)
         late = aig.add_pi("late")  # PI id greater than the AND id
         aig.add_po("y", aig.and_gate(gate, late))
-        fast = aig.cleanup()
-        slow = aig._cleanup_rebuild()
-        assert fast.po_literals == slow.po_literals
-        assert [fast.fanins(n) for n in fast.and_nodes()] == [
-            slow.fanins(n) for n in slow.and_nodes()
-        ]
+        assert _node_signature(aig.cleanup()) == _node_signature(
+            cleanup_rebuild(aig)
+        )
+
+    @given(aig=_random_aigs())
+    @settings(max_examples=80, deadline=None)
+    def test_cleanup_equals_rebuild_node_for_node(self, aig):
+        assert _node_signature(aig.cleanup()) == _node_signature(
+            cleanup_rebuild(aig)
+        )
 
 
 class TestCutSetMemo:

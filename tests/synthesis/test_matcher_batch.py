@@ -3,14 +3,13 @@
 The batched pipeline (``cut_function_table``: lexsort dedup, projection and
 NPN signatures -> ``LibraryMatcher.match_positions_batch`` /
 ``match_table``: signature filter, ``canonicalize_bits_batch_columns``,
-index lookup) must be a bit-for-bit drop-in for the retained scalar path:
-the same cut functions match, the same cells win, the composed pin
-assignments are *tuple-equal* (not merely equivalent), and the candidate
-tables the mapper builds from either path produce byte-identical mappings.
-The scalar ``match_positions`` (and, at the mapper level, its
-per-distinct-function candidate-table branch) is the pinned oracle
-throughout.  The signature kernel is pinned to a scalar reference and to
-NPN invariance, and the dedup to ``np.unique``.
+index lookup) must resolve every cut function exactly as the scalar
+one-function-at-a-time matcher of ``tests/oracles/matcher.py`` does: the
+same cut functions match, the same cells win, and the composed pin
+assignments are *tuple-equal* (not merely equivalent).  The oracle's
+``match_positions`` is the pinned reference throughout.  The signature
+kernel is pinned to a scalar reference and to NPN invariance, and the dedup
+to ``np.unique``.
 """
 
 import numpy as np
@@ -35,13 +34,13 @@ from repro.synthesis.cut_kernels import (
     project_table_batch,
     table_support_batch,
 )
-from repro.synthesis.cuts import cut_set_for, project_table, table_support
-from repro.synthesis.mapper import technology_map
+from repro.synthesis.cuts import cut_set_for, table_support
 from repro.synthesis.matcher import (
     LibraryMatcher,
     cut_function_table,
     matcher_for,
 )
+from tests.oracles.matcher import match_positions, project_table
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +236,7 @@ class TestBatchedMatchParity:
         result = matcher.match_positions_batch(sizes, values, prefer)
         assert result.inverse.tolist() == list(range(len(tables)))
         for row, bits in enumerate(tables):
-            scalar = matcher.match_positions(arity, bits, prefer=prefer)
+            scalar = match_positions(matcher, arity, bits, prefer=prefer)
             _assert_row_equals_scalar(result, row, scalar)
 
     @settings(max_examples=80, deadline=None)
@@ -351,45 +350,5 @@ def test_match_tables_equal_scalar_oracle(name, family_matchers):
             result = matcher.match_table(cut_set, and_nodes, prefer)
             assert result.inverse is functions.inverse
             for row, (size, bits) in enumerate(rows):
-                scalar = matcher.match_positions(size, bits, prefer=prefer)
+                scalar = match_positions(matcher, size, bits, prefer=prefer)
                 _assert_row_equals_scalar(result, row, scalar)
-
-
-class _PerFunctionMatcher:
-    """The same matcher without the batch API (no ``match_table``), so the
-    mapper builds its candidate table through the per-distinct-function
-    ``match_positions`` branch."""
-
-    def __init__(self, matcher):
-        self.library = matcher.library
-        self.match_positions = matcher.match_positions
-
-
-class TestMapperPathParity:
-    @pytest.mark.parametrize("max_inputs", [4, 6])
-    def test_scalar_forced_mapping_is_identical(self, tg_library, max_inputs):
-        """The per-function candidate-table branch must reproduce the batched
-        mapping gate-for-gate at every cut width (the mapper-level parity
-        pin)."""
-        aig = run_flow("resyn2rs", benchmark_by_name("t481").build()).aig
-        matcher = matcher_for(tg_library)
-        batched = technology_map(
-            aig, tg_library, matcher=matcher, max_inputs=max_inputs
-        )
-        # A distinct matcher object, so the candidate-table memo on the
-        # shared cut set misses and the table is rebuilt per function.
-        scalar = technology_map(
-            aig,
-            tg_library,
-            matcher=_PerFunctionMatcher(matcher),
-            max_inputs=max_inputs,
-        )
-        assert [
-            (g.output, g.cell_name, g.leaves, g.table, g.inverted)
-            for g in batched.gates
-        ] == [
-            (g.output, g.cell_name, g.leaves, g.table, g.inverted)
-            for g in scalar.gates
-        ]
-        assert batched.normalized_delay == scalar.normalized_delay
-        assert batched.area == scalar.area

@@ -1,10 +1,13 @@
 """Equivalence of the NPN-canonical matcher with the exhaustive reference.
 
-The canonical index must be a drop-in replacement: the same cuts match, the
-same cells win (stable tie-break), the composed pin assignments realize the
-cut functions, and the Table-3 statistics of every mapping are bit-identical
-at every cut width.  The fast lane exercises a benchmark subset; the full
-15-benchmark sweep rides in ``benchmarks/test_flow_bench.py`` (slow lane).
+The canonical index must be a drop-in replacement for the pre-expanded
+permutation/phase tables of ``tests/oracles/matcher.py``: the same cuts
+match, the same cells win (stable tie-break), the composed pin assignments
+realize the cut functions, and the Table-3 statistics of every mapping are
+bit-identical at every cut width.  The production side is the batched
+``LibraryMatcher.match_positions_batch`` and ``technology_map``; the
+exhaustive side is the scalar oracle lookup and the per-candidate oracle
+mapper of ``tests/oracles/mapper.py``.
 """
 
 import random
@@ -14,13 +17,18 @@ import pytest
 from repro.bench.registry import benchmark_by_name
 from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
-from repro.logic.npn import apply_match
-from repro.synthesis.matcher import (
-    ExhaustiveLibraryMatcher,
-    LibraryMatcher,
-    matcher_for,
-)
+from repro.logic.npn import InputMatch, apply_match
+from repro.synthesis.aig_array import aig_arrays
+from repro.synthesis.cost import MappingContext, cost_model_for
+from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, cut_set_for
 from repro.synthesis.mapper import technology_map
+from repro.synthesis.matcher import LibraryMatcher
+from tests.oracles import mapper as mapper_oracle
+from tests.oracles.matcher import (
+    ExhaustiveLibraryMatcher,
+    match_positions,
+    match_reduced,
+)
 
 SUBSET = ("add-16", "C1355", "t481")
 
@@ -41,8 +49,17 @@ def npn_matcher(tg_static_library):
 
 
 @pytest.fixture(scope="module")
-def exhaustive_matcher(tg_static_library):
-    return ExhaustiveLibraryMatcher(tg_static_library)
+def exhaustive_matchers(tg_static_library, cmos_library):
+    """One exhaustive oracle matcher per library, built once per module."""
+    return {
+        library.name: ExhaustiveLibraryMatcher(library)
+        for library in (tg_static_library, cmos_library)
+    }
+
+
+@pytest.fixture(scope="module")
+def exhaustive_matcher(exhaustive_matchers, tg_static_library):
+    return exhaustive_matchers[tg_static_library.name]
 
 
 class TestIndexShape:
@@ -57,35 +74,51 @@ class TestIndexShape:
         assert 0 < len(npn_matcher) <= len(tg_static_library)
 
 
-class TestMatchEquivalence:
-    def _assert_same_match(self, npn, exhaustive, num_vars, bits, prefer):
-        ours = npn.match(num_vars, bits, prefer)
-        reference = exhaustive.match(num_vars, bits, prefer)
-        assert (ours is None) == (reference is None), (num_vars, bits, prefer)
-        if ours is not None:
-            assert ours.cell.name == reference.cell.name
-            full = (1 << (1 << num_vars)) - 1
-            rebuilt = apply_match(ours.cell.function, ours.match)
-            assert rebuilt.bits == bits & full
+def _assert_same_matches(npn, exhaustive, probes, prefer="delay"):
+    """Every ``(num_vars, bits)`` probe resolves alike: the batched index
+    against the scalar lookup in the exhaustive tables, both on the true
+    support.  Returns the number of probes that matched."""
+    result = npn.match_positions_batch(
+        [num_vars for num_vars, _ in probes], [bits for _, bits in probes], prefer
+    )
+    matched = 0
+    for row, (num_vars, bits) in enumerate(probes):
+        reference = match_positions(exhaustive, num_vars, bits, prefer)
+        assert bool(result.matched[row]) == (reference is not None), (
+            num_vars, bits, prefer,
+        )
+        if reference is None:
+            continue
+        ours = result.matches[int(result.match_index[row])]
+        cell_match, positions, reduced = reference
+        width = len(positions)
+        assert ours.cell.name == cell_match.cell.name
+        assert tuple(result.positions[row, :width].tolist()) == positions
+        assert int(result.reduced[row]) == reduced
+        assert apply_match(ours.cell.function, ours.match).bits == reduced
+        matched += 1
+    return matched
 
+
+class TestMatchEquivalence:
     def test_random_tables_match_identically(self, npn_matcher, exhaustive_matcher):
         rng = random.Random(23)
+        probes = []
         for _ in range(1500):
             num_vars = rng.randint(2, 4)
-            bits = rng.getrandbits(1 << num_vars)
-            for prefer in ("delay", "area"):
-                self._assert_same_match(
-                    npn_matcher, exhaustive_matcher, num_vars, bits, prefer
-                )
+            probes.append((num_vars, rng.getrandbits(1 << num_vars)))
+        for prefer in ("delay", "area"):
+            assert _assert_same_matches(
+                npn_matcher, exhaustive_matcher, probes, prefer
+            )
 
     def test_cell_function_variants_match_identically(
         self, npn_matcher, exhaustive_matcher, tg_static_library
     ):
         # Every cell's own orbit, including the 5/6-input cells random
         # sampling would practically never hit.
-        from repro.logic.npn import InputMatch
-
         rng = random.Random(24)
+        probes = []
         for cell in tg_static_library.cells:
             n = cell.arity
             for _ in range(5):
@@ -97,9 +130,10 @@ class TestMatchEquivalence:
                         rng.random() < 0.5,
                     ),
                 )
-                self._assert_same_match(
-                    npn_matcher, exhaustive_matcher, n, variant.bits, "delay"
-                )
+                probes.append((n, variant.bits))
+        assert _assert_same_matches(npn_matcher, exhaustive_matcher, probes) == len(
+            probes
+        )
 
     def test_np_only_mode_equivalent(self, tg_static_library):
         npn = LibraryMatcher(tg_static_library, allow_output_negation=False)
@@ -107,15 +141,15 @@ class TestMatchEquivalence:
             tg_static_library, allow_output_negation=False
         )
         rng = random.Random(25)
+        probes = []
         for _ in range(500):
             num_vars = rng.randint(2, 4)
-            bits = rng.getrandbits(1 << num_vars)
-            ours = npn.match(num_vars, bits)
-            reference = exhaustive.match(num_vars, bits)
-            assert (ours is None) == (reference is None)
-            if ours is not None:
-                assert ours.cell.name == reference.cell.name
-                assert not ours.match.output_negated
+            probes.append((num_vars, rng.getrandbits(1 << num_vars)))
+        assert _assert_same_matches(npn, exhaustive, probes)
+        result = npn.match_positions_batch(
+            [num_vars for num_vars, _ in probes], [bits for _, bits in probes]
+        )
+        assert not any(match.match.output_negated for match in result.matches)
 
     def test_match_reduced_equivalent(self, npn_matcher, exhaustive_matcher):
         # A 3-leaf cut whose function ignores the middle leaf: x0 & x2.
@@ -123,45 +157,59 @@ class TestMatchEquivalence:
         for minterm in range(8):
             if (minterm & 1) and (minterm & 4):
                 table |= 1 << minterm
-        ours = npn_matcher.match_reduced((10, 11, 12), table)
-        reference = exhaustive_matcher.match_reduced((10, 11, 12), table)
-        assert ours is not None and reference is not None
-        assert ours[1] == reference[1] == (10, 12)
-        assert ours[2] == reference[2]
-        assert ours[0].cell.name == reference[0].cell.name
+        leaves = (10, 11, 12)
+        reference = match_reduced(exhaustive_matcher, leaves, table)
+        result = npn_matcher.match_positions_batch([3], [table])
+        assert reference is not None and result.matched[0]
+        ours = result.matches[int(result.match_index[0])]
+        positions = result.positions[0, : int(result.width[0])].tolist()
+        assert tuple(leaves[p] for p in positions) == reference[1] == (10, 12)
+        assert int(result.reduced[0]) == reference[2]
+        assert ours.cell.name == reference[0].cell.name
+
+
+def _oracle_technology_map(aig, library, matcher, max_inputs):
+    """Round-0 delay mapping through the per-candidate oracle pipeline
+    (``build_candidates`` -> ``price_candidates`` -> ``dp_round`` ->
+    ``cover``) with the given matcher, as ``technology_map`` runs it."""
+    model = cost_model_for("delay")
+    arrays = aig_arrays(aig)
+    cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=DEFAULT_CUT_LIMIT)
+    and_node_list = arrays.and_nodes.tolist()
+    context = MappingContext(pin_capacitances=mapper_oracle.pin_capacitances)
+    candidates = mapper_oracle.build_candidates(arrays, cut_set, matcher, model.prefer)
+    prices = mapper_oracle.price_candidates(and_node_list, candidates, model, context)
+    references = [max(float(count), 1.0) for count in arrays.fanout.tolist()]
+    choices, _arrival, _flow = mapper_oracle.dp_round(
+        aig, library, and_node_list, candidates, prices, model, references
+    )
+    mapped, _report = mapper_oracle.cover(
+        aig, library, choices, mapper_oracle.pin_capacitances
+    )
+    return mapped
 
 
 class TestMappingBitIdentity:
     @pytest.mark.parametrize("benchmark_name", SUBSET)
     @pytest.mark.parametrize("max_inputs", (4, 6))
     def test_mapping_statistics_identical(
-        self, benchmark_name, max_inputs, tg_static_library, cmos_library
+        self,
+        benchmark_name,
+        max_inputs,
+        tg_static_library,
+        cmos_library,
+        exhaustive_matchers,
     ):
         """NPN-matched mapping reproduces the exhaustive (seed) Table-3 numbers."""
         aig = run_flow("resyn2rs", benchmark_by_name(benchmark_name).build()).aig
         for library in (tg_static_library, cmos_library):
             ours = technology_map(
-                aig,
-                library,
-                matcher=matcher_for(library, style="npn"),
-                max_inputs=max_inputs,
+                aig, library, matcher=LibraryMatcher(library), max_inputs=max_inputs
             )
-            reference = technology_map(
-                aig,
-                library,
-                matcher=matcher_for(library, style="exhaustive"),
-                max_inputs=max_inputs,
+            reference = _oracle_technology_map(
+                aig, library, exhaustive_matchers[library.name], max_inputs
             )
             assert ours.statistics() == reference.statistics()
             assert [gate.cell_name for gate in ours.gates] == [
                 gate.cell_name for gate in reference.gates
             ]
-
-    def test_matcher_for_styles_and_validation(self, tg_static_library):
-        assert isinstance(matcher_for(tg_static_library, style="npn"), LibraryMatcher)
-        assert isinstance(
-            matcher_for(tg_static_library, style="exhaustive"),
-            ExhaustiveLibraryMatcher,
-        )
-        with pytest.raises(ValueError):
-            matcher_for(tg_static_library, style="magic")

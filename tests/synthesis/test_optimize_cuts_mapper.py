@@ -142,19 +142,33 @@ class TestCuts:
             enumerate_cuts(aig, cut_limit=0)
 
 
+def _match(matcher, num_leaves, bits):
+    """The production batch lookup of one cut function: ``(cell match, leaf
+    positions, reduced bits)`` or ``None``."""
+    result = matcher.match_positions_batch([num_leaves], [bits])
+    if not result.matched[0]:
+        return None
+    width = int(result.width[0])
+    return (
+        result.matches[int(result.match_index[0])],
+        tuple(result.positions[0, :width].tolist()),
+        int(result.reduced[0]),
+    )
+
+
 class TestMatcher:
     def test_matcher_finds_and2_and_xor2(self, tg_static_library):
         matcher = LibraryMatcher(tg_static_library)
         and2 = 0b1000
         xor2 = 0b0110
-        assert matcher.match(2, and2) is not None
-        assert matcher.match(2, xor2) is not None
-        assert matcher.match(2, xor2).cell.function_id == "F01"
+        assert _match(matcher, 2, and2) is not None
+        assert _match(matcher, 2, xor2) is not None
+        assert _match(matcher, 2, xor2)[0].cell.function_id == "F01"
 
     def test_cmos_matcher_has_no_xor(self, cmos_library):
         matcher = LibraryMatcher(cmos_library)
-        assert matcher.match(2, 0b0110) is None
-        assert matcher.match(2, 0b1000) is not None
+        assert _match(matcher, 2, 0b0110) is None
+        assert _match(matcher, 2, 0b1000) is not None
 
     def test_match_reduced_projects_support(self, tg_static_library):
         matcher = LibraryMatcher(tg_static_library)
@@ -163,10 +177,10 @@ class TestMatcher:
         for minterm in range(8):
             if (minterm & 1) and (minterm & 4):
                 table |= 1 << minterm
-        found = matcher.match_reduced((10, 11, 12), table)
+        found = _match(matcher, 3, table)
         assert found is not None
-        match, leaves, reduced_bits = found
-        assert leaves == (10, 12)
+        match, positions, reduced_bits = found
+        assert positions == (0, 2)
         assert reduced_bits == 0b1000
         assert match.cell.arity == 2
 
@@ -175,7 +189,7 @@ class TestMatcher:
         # NAND2 (output negation of AND2) must match because every cell
         # provides both output polarities.
         nand2 = (~0b1000) & 0xF
-        assert matcher.match(2, nand2) is not None
+        assert _match(matcher, 2, nand2) is not None
 
 
 class TestMapper:
@@ -298,13 +312,15 @@ class TestPinBindings:
         probes += [(4, rng.getrandbits(16)) for _ in range(60)]
         checked = 0
         for num_leaves, bits in probes:
-            found = matcher.match(num_leaves, bits)
+            found = _match(matcher, num_leaves, bits)
             if found is None:
                 continue
-            cell, transform = found.cell, found.match
-            bindings = _pin_bindings(found)
+            # The matcher resolves the function on its true support.
+            match, positions, reduced = found
+            cell, transform = match.cell, match.match
+            bindings = _pin_bindings(match)
             pin_index = {name: i for i, name in enumerate(cell.input_names)}
-            for assignment in range(1 << num_leaves):
+            for assignment in range(1 << len(positions)):
                 minterm = 0
                 for j, (pin, negated) in enumerate(bindings):
                     value = ((assignment >> j) & 1) ^ negated
@@ -312,9 +328,9 @@ class TestPinBindings:
                 value = (cell.function.bits >> minterm) & 1
                 if transform.output_negated:
                     value ^= 1
-                assert value == (bits >> assignment) & 1, (
+                assert value == (reduced >> assignment) & 1, (
                     f"{cell.name}: binding {bindings} does not reproduce "
-                    f"table {bits:#x} at assignment {assignment}"
+                    f"table {reduced:#x} at assignment {assignment}"
                 )
             checked += 1
         assert checked > 20

@@ -1,19 +1,19 @@
-"""Vectorized resynthesis passes vs the retained reference oracles.
+"""Array-backed resynthesis passes vs the per-node reference oracles.
 
-PR 6 pinned the mapper DP to its scalar oracle decision for decision; the
-vectorized ``balance``/``rewrite`` passes carry the same contract: the
-array-backed fast paths must reproduce the reference passes **node for
-node** -- same candidate order, same gate-emission stream (losing rewrite
-candidates included, since their structural-hash side effects feed later
-cost decisions), same structural hashing order, same levels -- so that every
-table2/table3/figure6/pareto artifact stays byte-identical whichever arm the
-dispatch picks.  These tests pin that contract:
+The ``balance``/``rewrite`` passes carry the same contract as the mapper
+DP: they must reproduce the reference passes of ``tests/oracles/optimize.py``
+**node for node** -- same candidate order, same gate-emission stream (losing
+rewrite candidates included, since their structural-hash side effects feed
+later cost decisions), same structural hashing order, same levels -- so that
+every table2/table3/figure6/pareto artifact stays byte-identical to what the
+per-node algorithms produced.  These tests pin that contract:
 
 * full-graph signatures and per-node choice streams (``trace``) compared on
   registered benchmarks and hypothesis-generated AIGs, for rewrite at
-  K=3/4/5 and balance, with the vectorized arm forced on small graphs too;
-* the complete ``resyn2rs`` flow against ``resyn2rs-reference`` (the oracle
-  flow registered from the reference passes);
+  K=3/4/5 and balance, on graphs of every size (none, one or a few AND
+  nodes included, and outputs on PIs and constants);
+* the complete ``resyn2rs`` flow against ``RESYN2RS_REFERENCE`` (the same
+  flow built from the reference passes, run unregistered);
 * the heapq scheduling of ``balance_reference`` against a verbatim copy of
   the original ``ordered.pop(0)``/``insert`` algorithm;
 * the NPN-class rewrite library: member programs replayed through
@@ -25,27 +25,19 @@ dispatch picks.  These tests pin that contract:
   oracle in ``tests/oracles/cuts.py``, cut for cut.
 """
 
-import importlib
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-# ``repro.synthesis`` re-exports the ``optimize`` *function*, which shadows
-# the submodule attribute -- fetch the module itself for threshold patching.
-optimize_module = importlib.import_module("repro.synthesis.optimize")
 from repro.bench.registry import benchmark_by_name
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig, CONST0, CONST1, lit_is_complemented, lit_node
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import enumerate_cuts_arrays
-from repro.synthesis.optimize import (
-    balance,
-    balance_reference,
-    rewrite,
-    rewrite_reference,
-)
+from repro.synthesis.optimize import balance, rewrite
 from repro.synthesis.rewrite_lib import (
     REWRITE_LIBRARY,
     _cube_minterms,
@@ -55,13 +47,22 @@ from repro.synthesis.rewrite_lib import (
     replay_ops,
 )
 from tests.oracles.cuts import _cut_set_from_dict, enumerate_cuts_reference
+from tests.oracles.optimize import (
+    RESYN2RS_REFERENCE,
+    balance_reference,
+    oracle_passes,
+    rewrite_reference,
+)
 
 FAST_BENCHMARKS = ("add-16", "t481")
 
 
 def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:
-    import random
+    """A random AIG of up to ``num_nodes`` AND nodes (none at all allowed).
 
+    Outputs sit on the last few literals, in either polarity; depending on
+    the seed a PI and a constant drive outputs of their own.
+    """
     rng = random.Random(seed)
     aig = Aig(f"rand-{seed}")
     literals = [aig.add_pi(f"x{i}") for i in range(num_inputs)]
@@ -71,6 +72,10 @@ def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:
         literals.append(aig.and_gate(a, b))
     for i, literal in enumerate(literals[-max(2, num_inputs // 2):]):
         aig.add_po(f"y{i}", literal ^ rng.randint(0, 1))
+    if rng.random() < 0.5:
+        aig.add_po("pi", literals[rng.randrange(num_inputs)] ^ rng.randint(0, 1))
+    if rng.random() < 0.5:
+        aig.add_po("const", rng.choice((CONST0, CONST1)))
     return aig
 
 
@@ -84,24 +89,11 @@ def _signature(aig: Aig) -> tuple:
     )
 
 
-class _forced_vectorized:
-    """Temporarily drop the dispatch threshold so tiny graphs take the
-    vectorized arm (the dispatch must be behaviourally invisible)."""
-
-    def __enter__(self):
-        self._saved = optimize_module.PASS_VECTOR_THRESHOLD
-        optimize_module.PASS_VECTOR_THRESHOLD = 0
-
-    def __exit__(self, *exc):
-        optimize_module.PASS_VECTOR_THRESHOLD = self._saved
-
-
 def _compare_rewrite(aig: Aig, max_inputs: int) -> None:
     reference_trace: list = []
     reference = rewrite_reference(aig, max_inputs=max_inputs, trace=reference_trace)
-    with _forced_vectorized():
-        fast_trace: list = []
-        fast = rewrite(aig, max_inputs=max_inputs, trace=fast_trace)
+    fast_trace: list = []
+    fast = rewrite(aig, max_inputs=max_inputs, trace=fast_trace)
     assert fast_trace == reference_trace, "rewrite choice streams diverge"
     assert _signature(fast) == _signature(reference)
 
@@ -109,11 +101,29 @@ def _compare_rewrite(aig: Aig, max_inputs: int) -> None:
 def _compare_balance(aig: Aig) -> None:
     reference_trace: list = []
     reference = balance_reference(aig, trace=reference_trace)
-    with _forced_vectorized():
-        fast_trace: list = []
-        fast = balance(aig, trace=fast_trace)
+    fast_trace: list = []
+    fast = balance(aig, trace=fast_trace)
     assert fast_trace == reference_trace, "balance choice streams diverge"
     assert _signature(fast) == _signature(reference)
+
+
+def _compare_flow(aig: Aig) -> None:
+    fast = run_flow("resyn2rs", aig)
+    with oracle_passes():
+        reference = run_flow(RESYN2RS_REFERENCE, aig)
+    assert _signature(fast.aig) == _signature(reference.aig)
+    assert len(fast.passes) == len(reference.passes)
+
+
+def _flat_aig(num_pis: int) -> Aig:
+    """No AND node: outputs on both constants and on every PI."""
+    aig = Aig(f"flat-{num_pis}")
+    literals = [aig.add_pi(f"x{i}") for i in range(num_pis)]
+    aig.add_po("zero", CONST0)
+    aig.add_po("one", CONST1)
+    for i, literal in enumerate(literals):
+        aig.add_po(f"y{i}", literal ^ (i & 1))
+    return aig
 
 
 class TestPassParity:
@@ -130,16 +140,21 @@ class TestPassParity:
 
     @pytest.mark.parametrize("bench_name", FAST_BENCHMARKS)
     def test_benchmark_resyn2rs_flow(self, bench_name):
-        aig = benchmark_by_name(bench_name).build()
-        fast = run_flow("resyn2rs", aig)
-        reference = run_flow("resyn2rs-reference", aig)
-        assert _signature(fast.aig) == _signature(reference.aig)
-        assert len(fast.passes) == len(reference.passes)
+        _compare_flow(benchmark_by_name(bench_name).build())
+
+    @pytest.mark.parametrize("num_pis", (0, 1, 3))
+    def test_aigs_without_and_nodes(self, num_pis):
+        aig = _flat_aig(num_pis)
+        assert aig.num_ands == 0
+        _compare_balance(aig)
+        for max_inputs in (3, 4, 5):
+            _compare_rewrite(aig, max_inputs)
+        _compare_flow(aig)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        num_inputs=st.integers(min_value=3, max_value=7),
-        num_nodes=st.integers(min_value=5, max_value=60),
+        num_inputs=st.integers(min_value=1, max_value=7),
+        num_nodes=st.integers(min_value=0, max_value=60),
         max_inputs=st.sampled_from((3, 4, 5)),
     )
     @settings(max_examples=25, deadline=None)
@@ -148,8 +163,8 @@ class TestPassParity:
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        num_inputs=st.integers(min_value=3, max_value=7),
-        num_nodes=st.integers(min_value=5, max_value=60),
+        num_inputs=st.integers(min_value=1, max_value=7),
+        num_nodes=st.integers(min_value=0, max_value=60),
     )
     @settings(max_examples=25, deadline=None)
     def test_random_balance(self, seed, num_inputs, num_nodes):
@@ -157,28 +172,32 @@ class TestPassParity:
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        num_inputs=st.integers(min_value=3, max_value=6),
-        num_nodes=st.integers(min_value=8, max_value=50),
+        num_inputs=st.integers(min_value=1, max_value=6),
+        num_nodes=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=15, deadline=None)
     def test_random_resyn2rs_flow(self, seed, num_inputs, num_nodes):
-        aig = _random_aig(seed, num_inputs, num_nodes)
-        fast = run_flow("resyn2rs", aig)
-        reference = run_flow("resyn2rs-reference", aig)
-        assert _signature(fast.aig) == _signature(reference.aig)
+        _compare_flow(_random_aig(seed, num_inputs, num_nodes))
+
+    def test_oracle_passes_leave_no_registration(self):
+        from repro.flow import available_passes
+
+        with oracle_passes():
+            assert "balance_reference" in available_passes()
+        assert not any(name.endswith("_reference") for name in available_passes())
 
 
 def _balance_original(aig: Aig) -> Aig:
     """Verbatim pre-heapq balance: sorted list with pop(0)/insert-after-ties.
 
-    The oracle for the satellite fix: ``balance_reference``'s heap keyed on
-    ``(level, insertion index)`` must reproduce this scheduling exactly.
+    ``balance_reference``'s heap keyed on ``(level, insertion index)`` must
+    reproduce this scheduling exactly.
     """
     fanout = aig_arrays(aig).fanout.tolist()
     new = Aig(aig.name)
     mapping: dict[int, int] = {0: CONST0}
-    for name in aig.pi_names:
-        mapping[lit_node(aig.pi_literal(name))] = new.add_pi(name)
+    for name, node in zip(aig.pi_names, aig.pi_nodes()):
+        mapping[node] = new.add_pi(name)
 
     def translate(literal: int) -> int:
         return mapping[lit_node(literal)] ^ (literal & 1)
@@ -384,12 +403,7 @@ class TestEnumeratorParity:
     @pytest.mark.parametrize("num_pis", (0, 3))
     def test_aigs_without_and_nodes(self, num_pis):
         """Constant-only and PI-only AIGs have no level to enumerate."""
-        aig = Aig(f"flat-{num_pis}")
-        literals = [aig.add_pi(f"x{i}") for i in range(num_pis)]
-        aig.add_po("zero", CONST0)
-        aig.add_po("one", CONST1)
-        for i, literal in enumerate(literals):
-            aig.add_po(f"y{i}", literal ^ (i & 1))
+        aig = _flat_aig(num_pis)
         assert aig.num_ands == 0
         for params in ((2, 3), (4, 4), (6, 8)):
             self._assert_parity(aig, *params)
