@@ -13,12 +13,13 @@ from repro.bench.generators.adders import ripple_adder_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily, build_family_cells
 from repro.core.library import build_library
-from repro.logic.npn import clear_canonicalizer_memo
+from repro.logic.npn import canonicalize_bits, clear_canonicalizer_memo
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import technology_map
-from repro.synthesis.matcher import LibraryMatcher
+from repro.synthesis.matcher import LibraryMatcher, cut_function_table
 from repro.synthesis.optimize import balance, optimize, rewrite
+from tests.oracles import matcher as matcher_oracle
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,16 @@ def test_bench_matcher_construction(benchmark):
     library = build_library(LogicFamily.TG_STATIC)
     matcher = benchmark(LibraryMatcher, library)
     # One entry per matched canonical class -- tiny compared to the
-    # pre-expanded tables of the exhaustive oracle (see
-    # test_bench_matcher_build_npn_vs_exhaustive in test_flow_bench.py).
+    # pre-expanded tables (see test_bench_exhaustive_matcher_construction).
     assert 0 < len(matcher) <= len(library)
+
+
+def test_bench_exhaustive_matcher_construction(benchmark):
+    """Enumerate the permutation/phase match tables of the exhaustive
+    matching oracle (``tests/oracles/matcher.py``)."""
+    library = build_library(LogicFamily.TG_STATIC)
+    matcher = benchmark(matcher_oracle.ExhaustiveLibraryMatcher, library)
+    assert len(matcher) > 1000
 
 
 def test_bench_balance(benchmark, multiplier_aig):
@@ -97,6 +105,31 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     assert table.inverse.shape[0] == int(
         (cut_set.count[arrays.and_nodes] - 1).sum()
     )
+
+
+def test_bench_matching_scalar(benchmark, multiplier_aig, libraries, matchers):
+    """Scalar oracle (``match_positions`` of ``tests/oracles/matcher.py`` per
+    distinct cut function) on the same workload as
+    ``test_bench_matching_batch``, memos cleared per round."""
+    matcher = matchers[LogicFamily.TG_STATIC]
+    arrays = aig_arrays(multiplier_aig)
+    cut_set = cut_set_for(multiplier_aig)
+    functions = cut_function_table(cut_set, arrays.and_nodes)
+    sizes = [int(v) for v in functions.sizes]
+    tables = [int(v) for v in functions.tables]
+
+    def run():
+        matcher_oracle.cache_clear(matcher)
+        canonicalize_bits.cache_clear()
+        hits = 0
+        for size, bits in zip(sizes, tables):
+            found = matcher_oracle.match_positions(matcher, size, bits, prefer="delay")
+            if found is not None:
+                hits += 1
+        return hits
+
+    hits = benchmark(run)
+    assert hits > 0
 
 
 def test_bench_mapping_only(benchmark, multiplier_aig, libraries, matchers):

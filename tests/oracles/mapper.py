@@ -19,6 +19,7 @@ import numpy as np
 from repro.analysis.timing import TimingReport
 from repro.core.library import GateLibrary
 from repro.synthesis.aig import Aig, lit_node
+from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cost import (
     EPSILON,
     CostModel,
@@ -26,6 +27,7 @@ from repro.synthesis.cost import (
     MatchCandidate,
     cost_model_for,
 )
+from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, cut_set_for
 from repro.synthesis.mapper import (
     CandidateTable,
     MappedCircuit,
@@ -263,6 +265,28 @@ def cover(aig: Aig, library: GateLibrary, choices, pin_capacitances):
     mapped.levels = report.levels
     mapped.worst_slack = report.worst_slack()
     return mapped, report
+
+
+def technology_map(
+    aig: Aig, library: GateLibrary, matcher, max_inputs: int
+) -> MappedCircuit:
+    """Round-0 delay mapping through the per-candidate pipeline
+    (:func:`build_candidates` -> :func:`price_candidates` -> :func:`dp_round`
+    -> :func:`cover`) with the given matcher, as
+    :func:`repro.synthesis.mapper.technology_map` runs it."""
+    model = cost_model_for("delay")
+    arrays = aig_arrays(aig)
+    cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=DEFAULT_CUT_LIMIT)
+    and_node_list = arrays.and_nodes.tolist()
+    context = MappingContext(pin_capacitances=pin_capacitances)
+    candidates = build_candidates(arrays, cut_set, matcher, model.prefer)
+    prices = price_candidates(and_node_list, candidates, model, context)
+    references = [max(float(count), 1.0) for count in arrays.fanout.tolist()]
+    choices, _arrival, _flow = dp_round(
+        aig, library, and_node_list, candidates, prices, model, references
+    )
+    mapped, _report = cover(aig, library, choices, pin_capacitances)
+    return mapped
 
 
 def cover_cost(mapped: MappedCircuit, choices, model: CostModel, context) -> float:

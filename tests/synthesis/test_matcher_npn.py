@@ -18,9 +18,6 @@ from repro.bench.registry import benchmark_by_name
 from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
 from repro.logic.npn import InputMatch, apply_match
-from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cost import MappingContext, cost_model_for
-from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, cut_set_for
 from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import LibraryMatcher
 from tests.oracles import mapper as mapper_oracle
@@ -168,27 +165,6 @@ class TestMatchEquivalence:
         assert ours.cell.name == reference[0].cell.name
 
 
-def _oracle_technology_map(aig, library, matcher, max_inputs):
-    """Round-0 delay mapping through the per-candidate oracle pipeline
-    (``build_candidates`` -> ``price_candidates`` -> ``dp_round`` ->
-    ``cover``) with the given matcher, as ``technology_map`` runs it."""
-    model = cost_model_for("delay")
-    arrays = aig_arrays(aig)
-    cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=DEFAULT_CUT_LIMIT)
-    and_node_list = arrays.and_nodes.tolist()
-    context = MappingContext(pin_capacitances=mapper_oracle.pin_capacitances)
-    candidates = mapper_oracle.build_candidates(arrays, cut_set, matcher, model.prefer)
-    prices = mapper_oracle.price_candidates(and_node_list, candidates, model, context)
-    references = [max(float(count), 1.0) for count in arrays.fanout.tolist()]
-    choices, _arrival, _flow = mapper_oracle.dp_round(
-        aig, library, and_node_list, candidates, prices, model, references
-    )
-    mapped, _report = mapper_oracle.cover(
-        aig, library, choices, mapper_oracle.pin_capacitances
-    )
-    return mapped
-
-
 class TestMappingBitIdentity:
     @pytest.mark.parametrize("benchmark_name", SUBSET)
     @pytest.mark.parametrize("max_inputs", (4, 6))
@@ -206,7 +182,7 @@ class TestMappingBitIdentity:
             ours = technology_map(
                 aig, library, matcher=LibraryMatcher(library), max_inputs=max_inputs
             )
-            reference = _oracle_technology_map(
+            reference = mapper_oracle.technology_map(
                 aig, library, exhaustive_matchers[library.name], max_inputs
             )
             assert ours.statistics() == reference.statistics()
