@@ -61,33 +61,26 @@ def test_bench_mapping_rounds(
 
 
 @pytest.mark.parametrize("name", sorted(MAPPING_CASES))
-def test_bench_incremental_recovery(benchmark, libraries, matchers, subject_aigs, name):
-    """Time the warm rounds=2 recovery driver on the incremental DP path.
+def test_bench_warm_recovery(benchmark, libraries, matchers, subject_aigs, name):
+    """Time the warm rounds=2 recovery driver.
 
     Unlike :func:`test_bench_mapping_rounds` this keeps the cut-set memo, so
-    the measurement isolates what recovery re-solves actually cost once the
-    candidate tables exist: the incremental diff should re-choose only the
-    nodes whose required times or references moved between retries.  The
-    oracle assertion pins the incremental result to the full re-solve.
+    the measurement isolates what the recovery rounds cost once the
+    candidate tables exist: their DP solves, covers and re-timing.
     """
     aig = subject_aigs[name]
     family = LogicFamily.TG_STATIC
-    library, matcher = libraries[family], matchers[family]
     result = benchmark(
         map_rounds,
         aig,
-        library,
-        matcher=matcher,
+        libraries[family],
+        matcher=matchers[family],
         objective="delay",
         rounds=2,
-        incremental=True,
     )
-    full = map_rounds(
-        aig, library, matcher=matcher, objective="delay", rounds=2, incremental=False
-    )
-    assert [r.area for r in result.rounds] == [r.area for r in full.rounds]
-    assert result.final.normalized_delay == full.final.normalized_delay
-    assert result.final.area == full.final.area
+    round0, final = result.rounds[0], result.final
+    assert final.normalized_delay <= round0.normalized_delay + 1e-9
+    assert final.area <= round0.area + 1e-9
 
 
 def test_recovery_qor_across_families(libraries, matchers, subject_aigs):

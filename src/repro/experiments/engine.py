@@ -91,7 +91,7 @@ from repro.experiments.table3 import (
 )
 from repro import obs
 from repro.experiments import faults, resilience
-from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
+from repro.flow import DEFAULT_FLOW, get_flow, run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, DEFAULT_MAX_INPUTS
 from repro.synthesis.mapper import technology_map
@@ -967,7 +967,6 @@ class ExperimentEngine:
         families: tuple[LogicFamily, ...] = TABLE3_FAMILIES,
         objective: str = "delay",
         flow: str = DEFAULT_FLOW,
-        optimize_first: bool = True,
         power_vectors: int = DEFAULT_VECTORS,
         power_seed: int = DEFAULT_SEED,
         rounds: int = 0,
@@ -976,13 +975,11 @@ class ExperimentEngine:
         """Regenerate Table 3 through the job engine.
 
         ``flow`` names the registered technology-independent flow run before
-        mapping; ``optimize_first=False`` is shorthand for the ``none`` flow
-        (kept for backward compatibility) and is rejected when combined with
-        an explicitly selected flow.  ``rounds``/``recovery`` select the
-        mapper's required-time recovery configuration (``--map-rounds`` /
-        ``--map-recovery`` on the runner).
+        mapping (``"none"`` maps the unoptimized subject); an unknown name
+        raises ``KeyError`` from the key pass, before any job runs.
+        ``rounds``/``recovery`` select the mapper's required-time recovery
+        configuration (``--map-rounds`` / ``--map-recovery`` on the runner).
         """
-        flow_name = resolve_flow(flow, optimize_first)
         cases = _resolve_cases(benchmark_names)
 
         def job_for(case_name: str, family: LogicFamily) -> MapJob:
@@ -990,7 +987,7 @@ class ExperimentEngine:
                 case_name,
                 family,
                 objective=objective,
-                flow=flow_name,
+                flow=flow,
                 power_vectors=power_vectors,
                 power_seed=power_seed,
                 rounds=rounds,
@@ -1001,7 +998,7 @@ class ExperimentEngine:
         by_job = self.run_map_jobs(jobs)
 
         result = Table3Result(
-            flow=flow_name, objective=objective, rounds=rounds, recovery=recovery
+            flow=flow, objective=objective, rounds=rounds, recovery=recovery
         )
         for case in cases:
             stats: dict[LogicFamily, MappingStats] = {}

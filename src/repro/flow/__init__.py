@@ -41,7 +41,6 @@ from repro.flow.pipeline import (
     available_flows,
     get_flow,
     register_flow,
-    resolve_flow,
     run_flow,
 )
 from repro.flow.mapping import MappingPass, mapping_pass
@@ -62,6 +61,5 @@ __all__ = [
     "mapping_pass",
     "register_flow",
     "register_pass",
-    "resolve_flow",
     "run_flow",
 ]

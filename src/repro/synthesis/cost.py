@@ -17,89 +17,56 @@ cell of a canonical class to prefer -- is owned by a :class:`CostModel`:
     as tie-break, smallest cell per class (switched capacitance is monotone
     in the device widths, i.e. in the area).
 
-A model's :meth:`~CostModel.gate_cost` is a pure function of the candidate
-match, so the multi-round recovery driver can price the same pre-matched
-candidate table under different models without re-running Boolean matching.
-Comparisons keep the historical ``1e-9`` epsilons so the selected cells --
-and therefore every downstream artifact -- stay bit-identical to the
-pre-refactor single-pass mapper.
-
-The built-in models additionally implement the vectorized hooks
-:meth:`~CostModel.price_batch` / :meth:`~CostModel.better_batch` consumed by
-the batched DP of :mod:`repro.synthesis.mapper`: one numpy expression over a
-whole :class:`~repro.synthesis.mapper.CandidateTable` (or one candidate slot
-across all nodes of an AIG level) instead of one Python call per candidate.
-Both hooks are required to reproduce the scalar semantics *bitwise* --
-elementwise IEEE-754 operations in the same order as the scalar code, no
-reassociating reductions -- because the ``1e-9`` tie-breaks are not
-transitive: a reordered comparison sequence can select a different (equally
-"best") cell and change downstream artifacts.  Third-party models registered
-without the hooks map through an adapter that calls their scalar
-``gate_cost``/``better`` once per row (``repro.synthesis.mapper._RowwiseHooks``).
+A model is two array hooks over a whole
+:class:`~repro.synthesis.mapper.CandidateTable`: :meth:`~CostModel.price_batch`
+prices every candidate row once (a pure function of the pre-matched row, so
+the multi-round recovery driver re-prices the same table under different
+models without re-running Boolean matching), and
+:meth:`~CostModel.better_batch` is the incumbent comparison the DP applies
+to one candidate slot across all nodes of an AIG level.  Comparisons keep
+the historical ``1e-9`` epsilons, and both hooks apply elementwise IEEE-754
+operations in the order of the per-candidate reference
+(``tests/oracles/cost.py``) with no reassociating reductions: the epsilon
+tie-breaks are not transitive, so a reordered comparison sequence can
+select a different (equally "best") cell and change downstream artifacts.
+:func:`register_cost_model` rejects a model without both hooks.
 
 Models are stateless singletons looked up by objective name
-(:func:`cost_model_for`); the per-mapping context (activities, resolved pin
-capacitances) travels in the :class:`MappingContext` handed to every
-``gate_cost`` call.
+(:func:`cost_model_for`); the per-mapping signal statistics travel in the
+:class:`MappingContext` handed to every ``price_batch`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synthesis.mapper import CandidateTable
-    from repro.synthesis.matcher import CellMatch
 
 #: Comparison tolerance of the DP tie-breaks (historical value, load-bearing
 #: for bit-identical artifacts).
 EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class MatchCandidate:
-    """One pre-matched cut of a node: the unit the DP and the recovery
-    rounds price repeatedly.
-
-    ``leaves`` are the cut's leaf nodes in the order the matched cell reads
-    them (support-reduced), ``table`` the reduced truth table realized by
-    ``match``; ``delay``/``area`` are the matched cell's FO4 delay and area
-    and ``parasitic``/``effort`` its load-delay decomposition
-    (``gate delay = parasitic + effort * loads``, the timing engine's
-    model), all hoisted out of the hot loop.
-    """
-
-    leaves: tuple[int, ...]
-    table: int
-    match: "CellMatch"
-    delay: float
-    area: float
-    parasitic: float
-    effort: float
-
-
 @dataclass
 class MappingContext:
-    """Per-mapping state shared between the DP rounds and the cost models.
+    """Per-mapping state the cost models price under.
 
-    ``activity``/``probability`` are the per-node signal statistics (plain
-    lists indexed by node id; ``None`` until a power model asks for them),
-    ``pin_capacitances`` resolves a match's per-leaf pin loads (the
-    scalar ``gate_cost`` reads it; ``price_batch`` reads the candidate
-    table's per-match figures).
+    ``activity``/``probability`` are the per-node signal statistics, the
+    :class:`~repro.analysis.activity.ActivityReport`'s float64 arrays
+    indexed by node id (``None`` unless a power model takes part).
     """
 
-    pin_capacitances: Callable[["CellMatch"], tuple[float, ...]]
-    activity: list[float] | None = None
-    probability: list[float] | None = None
+    activity: np.ndarray | None = None
+    probability: np.ndarray | None = None
 
 
 @runtime_checkable
 class CostModel(Protocol):
-    """The mapping-objective policy: per-cut cost, tie-break, cell choice."""
+    """The mapping-objective policy: per-row cost, tie-break, cell choice."""
 
     #: Objective name (``technology_map``'s ``objective=`` vocabulary).
     name: str
@@ -107,33 +74,15 @@ class CostModel(Protocol):
     #: the fastest cell, ``"area"`` the smallest; the matcher's vocabulary).
     prefer: str
 
-    def gate_cost(
-        self, candidate: MatchCandidate, node: int, context: MappingContext
-    ) -> float:
-        """Local cost of instantiating the candidate at ``node``.
-
-        The DP folds this into the cost flow as
-        ``(gate_cost + sum(leaf flows)) / references``.
-        """
-        ...  # pragma: no cover - protocol stub
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        """Whether ``(arrival, flow)`` beats the incumbent ``(best_*)``."""
-        ...  # pragma: no cover - protocol stub
-
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
     ) -> np.ndarray:
-        """Vectorized :meth:`gate_cost`: one float64 per candidate row.
+        """Local cost of instantiating each candidate row at its node: one
+        float64 per row.
 
-        Must return, for every row of the table, exactly the float
-        :meth:`gate_cost` would return for the equivalent
-        :class:`MatchCandidate` (same operations in the same order).  The
-        returned array may alias table storage and must not be mutated by
-        callers.  Optional: for models that do not provide it the mapper
-        calls :meth:`gate_cost` once per row instead.
+        The DP folds it into the cost flow as
+        ``(price + sum(leaf flows)) / references``.  The returned array may
+        alias table storage and must not be mutated by callers.
         """
         ...  # pragma: no cover - protocol stub
 
@@ -144,12 +93,10 @@ class CostModel(Protocol):
         best_arrival: np.ndarray,
         best_flow: np.ndarray,
     ) -> np.ndarray:
-        """Elementwise :meth:`better` over candidate batches (bool array).
-
-        Optional, paired with :meth:`price_batch`; must apply the same
-        epsilon comparisons elementwise so the batched incumbent scan
-        reproduces the scalar scan decision-for-decision.
-        """
+        """Elementwise whether ``(arrival, flow)`` beats the incumbent
+        ``(best_*)`` (bool array), with the epsilon comparisons applied
+        per element so the DP's slot scan makes one node's comparisons in
+        cut-rank order."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -158,18 +105,6 @@ class DelayCost:
 
     name = "delay"
     prefer = "delay"
-
-    def gate_cost(
-        self, candidate: MatchCandidate, node: int, context: MappingContext
-    ) -> float:
-        return candidate.area
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return arrival < best_arrival - EPSILON or (
-            abs(arrival - best_arrival) <= EPSILON and flow < best_flow - EPSILON
-        )
 
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
@@ -194,18 +129,6 @@ class AreaFlowCost:
 
     name = "area"
     prefer = "area"
-
-    def gate_cost(
-        self, candidate: MatchCandidate, node: int, context: MappingContext
-    ) -> float:
-        return candidate.area
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return flow < best_flow - EPSILON or (
-            abs(flow - best_flow) <= EPSILON and arrival < best_arrival - EPSILON
-        )
 
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
@@ -239,47 +162,15 @@ class PowerFlowCost:
     name = "power"
     prefer = "area"
 
-    def gate_cost(
-        self, candidate: MatchCandidate, node: int, context: MappingContext
-    ) -> float:
-        activity = context.activity
-        probability = context.probability
+    def price_batch(
+        self, table: "CandidateTable", context: MappingContext
+    ) -> np.ndarray:
+        activity, probability = context.activity, context.probability
         if activity is None or probability is None:
             raise ValueError(
                 "the power cost model needs signal activities; pass "
                 "activities= to technology_map or compute them first"
             )
-        match = candidate.match
-        power_report = match.cell.power
-        cost = activity[node] * power_report.switched_capacitance
-        leaves = candidate.leaves
-        for position, capacitance in enumerate(context.pin_capacitances(match)):
-            cost += activity[leaves[position]] * capacitance
-        probability_on = (
-            1.0 - probability[node]
-            if match.match.output_negated
-            else probability[node]
-        )
-        cost += power_report.static_power(probability_on)
-        return cost
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return flow < best_flow - EPSILON or (
-            abs(flow - best_flow) <= EPSILON and arrival < best_arrival - EPSILON
-        )
-
-    def price_batch(
-        self, table: "CandidateTable", context: MappingContext
-    ) -> np.ndarray:
-        if context.activity is None or context.probability is None:
-            raise ValueError(
-                "the power cost model needs signal activities; pass "
-                "activities= to technology_map or compute them first"
-            )
-        activity = np.asarray(context.activity, dtype=np.float64)
-        probability = np.asarray(context.probability, dtype=np.float64)
         # Cell figures once per distinct match, gathered per row.
         reports = [match.cell.power for match in table.matches]
         gather = table.match_index
@@ -289,7 +180,7 @@ class PowerFlowCost:
         negated = table.figures.inverted[gather]
         nodes = table.node
         cost = activity[nodes] * switched
-        # Column-by-column accumulation in leaf order: the scalar loop's
+        # Column-by-column accumulation in leaf order: the per-candidate
         # addition sequence, extended by exact ``+ 0.0`` terms on the padded
         # slots (padded leaves point at node 0, padded capacitances are 0).
         leaves = table.leaves
@@ -320,6 +211,16 @@ def register_cost_model(model: CostModel, replace: bool = False) -> CostModel:
     """Add a cost model to the registry (pluggable mapping objectives)."""
     if not model.name:
         raise ValueError("a cost model must have a non-empty name")
+    missing = [
+        hook
+        for hook in ("price_batch", "better_batch")
+        if not callable(getattr(model, hook, None))
+    ]
+    if missing:
+        raise ValueError(
+            f"cost model {model.name!r} lacks {' and '.join(missing)}; the "
+            "mapping DP prices and compares candidates only through them"
+        )
     if not replace and model.name in _COST_MODELS:
         raise ValueError(f"cost model {model.name!r} is already registered")
     _COST_MODELS[model.name] = model

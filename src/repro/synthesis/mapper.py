@@ -19,13 +19,9 @@ layer has one production path over struct-of-arrays tables:
    the DP itself is objective agnostic.  Nodes are processed one AIG level
    at a time (``aig_array`` level buckets) and the per-node candidate scan
    is a slot-indexed incumbent update across the whole level, decision for
-   decision the scalar scan (see :func:`_dp_round_batched`).  A cost model
-   registered without the batch hooks is wrapped in an elementwise adapter
-   (:class:`_RowwiseHooks`) that calls its ``gate_cost`` and ``better`` per
-   row.  Recovery re-solves are *incremental*: only nodes whose required
-   time, reference count or leaf arrivals/flows actually changed since the
-   previous round are re-chosen (:class:`_DpState` carries the previous
-   solution).
+   decision the scalar scan (see :func:`_dp_round_batched`).  Every call is
+   a full solve, recovery rounds included: the model's batch hooks
+   (``price_batch``/``better_batch``) are its whole contract.
 3. **Covering.**  :func:`_cover_rows` marks the nodes the primary outputs
    need, one AIG level at a time from the top, and gathers the chosen rows
    into the netlist's gate columns (:class:`GateColumns`, ascending output
@@ -77,7 +73,6 @@ from repro.synthesis.cost import (
     EPSILON,
     CostModel,
     MappingContext,
-    MatchCandidate,
     cost_model_for,
     resolve_recovery,
 )
@@ -86,7 +81,6 @@ from repro.synthesis.matcher import CellMatch, LibraryMatcher, matcher_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.activity import ActivityReport
-    from repro.analysis.power import NetlistPower
     from repro.analysis.timing import TimingArrays
 
 
@@ -250,9 +244,8 @@ class MappedCircuit:
     The netlist is :attr:`columns`; gate count, area, timing and power are
     computed from them, and :attr:`gates` builds :class:`MappedGate` objects
     on first read only.  Hand-built netlists come from a gate list through
-    :meth:`from_gates`.  Equality compares the netlist and the scalar fields
-    but not ``power_report``, so two identical mappings compare equal
-    whether or not they were analyzed.
+    :meth:`from_gates`.  Equality compares the netlist and the scalar
+    fields.
     """
 
     name: str
@@ -267,11 +260,6 @@ class MappedCircuit:
     #: Worst ``required - arrival`` over all nets (0 on a timing-feasible
     #: circuit; recorded by the timing engine alongside the delay figures).
     worst_slack: float = 0.0
-    #: Power report attached by :meth:`attach_power` when the circuit has
-    #: been analyzed (``None`` until then).
-    power_report: "NetlistPower | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def from_gates(cls, gates: Iterable[MappedGate], **attributes) -> MappedCircuit:
@@ -309,12 +297,8 @@ class MappedCircuit:
         function_ids = self.columns.figures.function_id
         return dict(Counter(function_ids[i] for i in self.columns.match.tolist()))
 
-    def attach_power(self, report: "NetlistPower") -> None:
-        """Attach a power analysis so :meth:`statistics` can report it."""
-        self.power_report = report
-
     def statistics(self) -> dict[str, float]:
-        stats = {
+        return {
             "gates": self.gate_count,
             "area": self.area,
             "levels": self.levels,
@@ -322,13 +306,6 @@ class MappedCircuit:
             "absolute_delay_ps": self.absolute_delay_ps,
             "worst_slack": self.worst_slack,
         }
-        if self.power_report is not None:
-            stats["dynamic_power"] = (
-                self.power_report.dynamic + self.power_report.input_dynamic
-            )
-            stats["static_power"] = self.power_report.static
-            stats["total_power"] = self.power_report.total
-        return stats
 
 
 @dataclass
@@ -412,9 +389,8 @@ class CandidateTable:
     distinct :class:`~repro.synthesis.matcher.CellMatch` objects and
     ``figures`` their :class:`MatchFigures`, resolved once per table for
     pricing and covering alike; ``match_index`` maps rows onto both.
-    ``level_rows``/``level_local``
-    mirror ``level_nodes`` (the AIG's level buckets): the row indices of a
-    level's nodes and, per row, the position of its node within the bucket.
+    ``level_rows`` mirrors ``level_nodes`` (the AIG's level buckets): the
+    row indices of each level's nodes.
     """
 
     num_nodes: int
@@ -435,45 +411,25 @@ class CandidateTable:
     figures: MatchFigures
     level_nodes: tuple[np.ndarray, ...]
     level_rows: tuple[np.ndarray, ...]
-    level_local: tuple[np.ndarray, ...]
 
     @property
     def num_rows(self) -> int:
         return int(self.node.shape[0])
 
-    def candidate(self, row: int) -> MatchCandidate:
-        """Materialize one row as a :class:`MatchCandidate`: the argument of
-        a cost model's scalar :meth:`~repro.synthesis.cost.CostModel.gate_cost`
-        (see :class:`_RowwiseHooks`)."""
-        width = int(self.width[row])
-        return MatchCandidate(
-            leaves=tuple(int(leaf) for leaf in self.leaves[row, :width]),
-            table=int(self.table_bits[row]),
-            match=self.matches[int(self.match_index[row])],
-            delay=float(self.delay[row]),
-            area=float(self.area[row]),
-            parasitic=float(self.parasitic[row]),
-            effort=float(self.effort[row]),
-        )
 
-
-def _level_row_groups(
+def _level_rows(
     level_nodes: tuple[np.ndarray, ...], start: np.ndarray, count: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Row indices (and within-bucket node positions) per AIG level."""
+) -> tuple[np.ndarray, ...]:
+    """Row indices per AIG level."""
     level_rows: list[np.ndarray] = []
-    level_local: list[np.ndarray] = []
     for nodes in level_nodes:
         counts = count[nodes]
-        total = int(counts.sum())
-        local = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rows = np.repeat(start[nodes] - offsets, counts) + np.arange(
-            total, dtype=np.int64
+        level_rows.append(
+            np.repeat(start[nodes] - offsets, counts)
+            + np.arange(int(counts.sum()), dtype=np.int64)
         )
-        level_rows.append(rows)
-        level_local.append(local)
-    return tuple(level_rows), tuple(level_local)
+    return tuple(level_rows)
 
 
 def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
@@ -497,7 +453,6 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
         figures=MatchFigures.resolve([], max_inputs),
         level_nodes=arrays.level_groups,
         level_rows=tuple(zero_rows for _ in arrays.level_groups),
-        level_local=tuple(zero_rows for _ in arrays.level_groups),
     )
 
 
@@ -515,8 +470,7 @@ def _build_candidate_table(
     transform composition.  The candidate columns are gathered straight out
     of the :class:`~repro.synthesis.matcher.MatchTable`, and the cell
     columns are the matches' :class:`MatchFigures`, gathered per row.  Rows
-    are ordered nodes ascending, slot order within a node, and no
-    :class:`MatchCandidate` objects are created.
+    are ordered nodes ascending, slot order within a node.
     """
     and_nodes = arrays.and_nodes
     max_inputs = cut_set.max_inputs
@@ -550,7 +504,6 @@ def _build_candidate_table(
 
     count = np.bincount(node_rows, minlength=arrays.num_nodes).astype(np.int64)
     start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    level_rows, level_local = _level_row_groups(arrays.level_groups, start, count)
     return CandidateTable(
         num_nodes=arrays.num_nodes,
         max_inputs=max_inputs,
@@ -569,8 +522,7 @@ def _build_candidate_table(
         matches=matches,
         figures=figures,
         level_nodes=arrays.level_groups,
-        level_rows=level_rows,
-        level_local=level_local,
+        level_rows=_level_rows(arrays.level_groups, start, count),
     )
 
 
@@ -631,7 +583,6 @@ def _concat_candidate_tables(
         base.match_index, extra.match_index + len(base.matches)
     )
     merged_matches = base.matches + extra.matches
-    level_rows, level_local = _level_row_groups(base.level_nodes, start, count)
     merged = CandidateTable(
         num_nodes=base.num_nodes,
         max_inputs=base.max_inputs,
@@ -650,95 +601,9 @@ def _concat_candidate_tables(
         matches=merged_matches,
         figures=MatchFigures.resolve(merged_matches, base.max_inputs),
         level_nodes=base.level_nodes,
-        level_rows=level_rows,
-        level_local=level_local,
+        level_rows=_level_rows(base.level_nodes, start, count),
     )
     return merged, dest_base, dest_extra
-
-
-@dataclass
-class _DpState:
-    """A batched DP solution plus the inputs it was solved under.
-
-    Carries everything the incremental re-solve needs: identity of the
-    candidate table / price array / model / arrival model, the per-node
-    inputs (references, required times) and the full per-row and per-node
-    outputs.  :func:`_dp_round_batched` mutates the state in place on an
-    incremental call -- any previous solve of the same configuration is a
-    valid diff base, accepted or not, because the DP is a pure function of
-    its inputs.
-    """
-
-    table: CandidateTable
-    prices: np.ndarray
-    model_name: str
-    load_aware: bool
-    references: np.ndarray
-    required: np.ndarray | None
-    row_arrival: np.ndarray
-    row_flow: np.ndarray
-    arrival: np.ndarray
-    flow: np.ndarray
-    choice: np.ndarray
-
-
-def _supports_batch(model: CostModel) -> bool:
-    """Whether a cost model implements the vectorized DP hooks."""
-    return callable(getattr(model, "price_batch", None)) and callable(
-        getattr(model, "better_batch", None)
-    )
-
-
-class _RowwiseHooks:
-    """Batch hooks for a cost model that defines only the scalar ones.
-
-    ``price_batch`` calls the model's ``gate_cost`` on every candidate row
-    and ``better_batch`` calls its ``better`` on every element, so the DP's
-    incumbent scan makes exactly the comparisons the model defines, one row
-    at a time.  Third-party models registered without the vectorized hooks
-    map through this adapter.
-    """
-
-    def __init__(self, model: CostModel) -> None:
-        self.model = model
-        self.name = model.name
-        self.prefer = model.prefer
-
-    def price_batch(self, table: CandidateTable, context: MappingContext) -> np.ndarray:
-        gate_cost = self.model.gate_cost
-        return np.array(
-            [
-                gate_cost(table.candidate(row), node, context)
-                for row, node in enumerate(table.node.tolist())
-            ],
-            dtype=np.float64,
-        )
-
-    def better_batch(
-        self,
-        arrival: np.ndarray,
-        flow: np.ndarray,
-        best_arrival: np.ndarray,
-        best_flow: np.ndarray,
-    ) -> np.ndarray:
-        better = self.model.better
-        return np.array(
-            [
-                better(*values)
-                for values in zip(
-                    arrival.tolist(),
-                    flow.tolist(),
-                    best_arrival.tolist(),
-                    best_flow.tolist(),
-                )
-            ],
-            dtype=bool,
-        )
-
-
-def _with_batch_hooks(model: CostModel) -> CostModel:
-    """The model itself if it has the vectorized hooks, else its adapter."""
-    return model if _supports_batch(model) else _RowwiseHooks(model)
 
 
 _DELAY_TIEBREAK = cost_model_for("delay")
@@ -753,9 +618,11 @@ def _dp_round_batched(
     references: np.ndarray,
     required: np.ndarray | None = None,
     load_aware: bool = False,
-    state: _DpState | None = None,
-) -> _DpState:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One forward DP pass: best candidate row, arrival and flow per node.
+
+    Returns the per-node arrays ``(choice, arrival, flow)``; ``choice`` is
+    the chosen row (``-1`` for nodes without candidates).
 
     Without ``required`` this is the classical single-pass mapping under
     ``model`` with FO4 cell delays (round 0).  With ``required`` only
@@ -776,14 +643,6 @@ def _dp_round_batched(
     slots in cut-rank order reproduces the per-node comparison sequence
     exactly (pinned against the scalar oracle DP), so the selected rows --
     and all downstream artifacts -- are bit-identical.
-
-    When ``state`` holds a previous solve of the same configuration (same
-    table, prices, model, arrival model, constraint shape), the pass is
-    *incremental*: a node is re-chosen only if its reference count or
-    required time changed, or the arrival/flow of any of its candidate
-    leaves did.  Unchanged nodes provably reproduce their stored outputs
-    (the per-node solve is a pure function of exactly those inputs), so the
-    incremental result equals a full re-solve bit for bit.
     """
     num_nodes = table.num_nodes
     if table.and_nodes.size:
@@ -793,63 +652,15 @@ def _dp_round_batched(
                 f"node {int(missing[0])} of {aig.name!r} has no matching cell "
                 f"in library {library.name!r}"
             )
-    full = (
-        state is None
-        or state.table is not table
-        or state.prices is not prices
-        or state.model_name != model.name
-        or state.load_aware != load_aware
-        or (state.required is None) != (required is None)
-    )
-    if full:
-        state = _DpState(
-            table=table,
-            prices=prices,
-            model_name=model.name,
-            load_aware=load_aware,
-            references=references,
-            required=required,
-            row_arrival=np.zeros(table.num_rows, dtype=np.float64),
-            row_flow=np.zeros(table.num_rows, dtype=np.float64),
-            arrival=np.zeros(num_nodes, dtype=np.float64),
-            flow=np.zeros(num_nodes, dtype=np.float64),
-            choice=np.full(num_nodes, -1, dtype=np.int64),
-        )
-        node_dirty = out_changed = None
-    else:
-        node_dirty = references != state.references
-        if required is not None:
-            # inf != inf is False, so unconstrained nodes stay clean.
-            node_dirty |= required != state.required
-        out_changed = np.zeros(num_nodes, dtype=bool)
-        state.references = references
-        state.required = required
-
-    arrival, flow, choice = state.arrival, state.flow, state.choice
-    row_arrival, row_flow = state.row_arrival, state.row_flow
+    row_arrival = np.zeros(table.num_rows, dtype=np.float64)
+    row_flow = np.zeros(table.num_rows, dtype=np.float64)
+    arrival = np.zeros(num_nodes, dtype=np.float64)
+    flow = np.zeros(num_nodes, dtype=np.float64)
+    choice = np.full(num_nodes, -1, dtype=np.int64)
     better = model.better_batch
     fallback_better = _DELAY_TIEBREAK.better_batch
 
-    for level_index, nodes in enumerate(table.level_nodes):
-        rows = table.level_rows[level_index]
-        if not full:
-            dirty = node_dirty[nodes]
-            if rows.size:
-                leaf_changed = out_changed[table.leaves[rows]].any(axis=1)
-                if leaf_changed.any():
-                    dirty = dirty | (
-                        np.bincount(
-                            table.level_local[level_index],
-                            weights=leaf_changed,
-                            minlength=nodes.size,
-                        )
-                        > 0
-                    )
-            if not dirty.any():
-                continue
-            if not dirty.all():
-                nodes = nodes[dirty]
-                rows = rows[dirty[table.level_local[level_index]]]
+    for nodes, rows in zip(table.level_nodes, table.level_rows):
         if rows.size == 0:
             continue
 
@@ -911,14 +722,10 @@ def _dp_round_batched(
             best_flow = np.where(use_fb, fb_flow, best_flow)
             best_row = np.where(use_fb, fb_row, best_row)
 
-        if not full:
-            out_changed[nodes] = (arrival[nodes] != best_arrival) | (
-                flow[nodes] != best_flow
-            )
         arrival[nodes] = best_arrival
         flow[nodes] = best_flow
         choice[nodes] = best_row
-    return state
+    return choice, arrival, flow
 
 
 @dataclass(frozen=True)
@@ -1042,7 +849,6 @@ def map_rounds(
     max_inputs: int = DEFAULT_MAX_INPUTS,
     cut_limit: int = DEFAULT_CUT_LIMIT,
     activities: "ActivityReport | None" = None,
-    incremental: bool = True,
 ) -> MappingResult:
     """Map an AIG with ``rounds`` required-time recovery rounds.
 
@@ -1055,24 +861,17 @@ def map_rounds(
     improve -- slower than round 0, or costlier than the incumbent under
     the recovery model -- are recorded but not accepted, so
     :attr:`MappingResult.final` never regresses either axis.
-
-    ``incremental=False`` forces every recovery re-solve to run the DP from
-    scratch instead of diffing against the previous round's
-    :class:`_DpState`; the results are identical (pinned by the equivalence
-    property tests), the flag exists for oracle comparisons.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    model = _with_batch_hooks(cost_model_for(objective))
+    model = cost_model_for(objective)
     recovery_model: CostModel | None = None
     if rounds > 0:
-        recovery_model = _with_batch_hooks(
-            cost_model_for(resolve_recovery(objective, recovery))
-        )
+        recovery_model = cost_model_for(resolve_recovery(objective, recovery))
     if matcher is None:
         matcher = matcher_for(library)
 
-    context = MappingContext(pin_capacitances=_pin_capacitances)
+    context = MappingContext()
     needs_activities = model.name == "power" or (
         recovery_model is not None and recovery_model.name == "power"
     )
@@ -1082,8 +881,8 @@ def map_rounds(
             from repro.analysis.activity import compute_activities
 
             activities = compute_activities(aig)
-        context.activity = activities.activity.tolist()
-        context.probability = activities.probability.tolist()
+        context.activity = activities.activity
+        context.probability = activities.probability
 
     with obs.stage("cuts"):
         cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
@@ -1141,7 +940,7 @@ def map_rounds(
                 merged_prices[dest_extra] = cost_prices
                 recovery_prices = merged_prices
         with obs.stage("dp"):
-            dp_state = _dp_round_batched(
+            choice, _, _ = _dp_round_batched(
                 aig,
                 library,
                 table,
@@ -1149,7 +948,7 @@ def map_rounds(
                 model,
                 np.maximum(arrays.fanout, 1).astype(np.float64),
             )
-        best = cover(table, dp_state.choice, cost_prices)
+        best = cover(table, choice, cost_prices)
         round_span.set("gates", best.mapped.gate_count)
         round_span.set("delay", best.mapped.normalized_delay)
 
@@ -1187,11 +986,7 @@ def map_rounds(
             attempts = _RECOVERY_RETRIES
             while True:
                 with obs.stage("dp"):
-                    # Incremental re-solve: between rounds (and deadline
-                    # retries) only the required/reference inputs move, so
-                    # the DP diffs against the previous solution and
-                    # re-chooses the affected cone only.
-                    dp_state = _dp_round_batched(
+                    choice, _, _ = _dp_round_batched(
                         aig,
                         library,
                         recovery_table,
@@ -1202,9 +997,8 @@ def map_rounds(
                             best.timing, baseline_delay - margin
                         ),
                         load_aware=True,
-                        state=dp_state if incremental else None,
                     )
-                candidate = cover(recovery_table, dp_state.choice, recovery_prices)
+                candidate = cover(recovery_table, choice, recovery_prices)
                 overshoot = candidate.mapped.normalized_delay - baseline_delay
                 if overshoot > EPSILON and attempts > 0:
                     attempts -= 1

@@ -327,20 +327,13 @@ class TestParallelExecution:
                 benchmark_names=SUBSET, flow="no-such-flow"
             )
 
-    def test_explicit_flow_conflicts_with_optimize_first_false(self):
-        # optimize_first=False must not silently discard an explicit flow.
-        with pytest.raises(ValueError, match="conflicts"):
-            ExperimentEngine(use_cache=False).run_table3(
-                benchmark_names=SUBSET, flow="deep", optimize_first=False
-            )
-
     def test_flows_run_end_to_end_with_distinct_results_or_stats(self):
         # Both named flows run through the engine; `none` must reflect the
         # unoptimized subject graph while resyn2rs shrinks or preserves it.
         engine = ExperimentEngine(use_cache=False)
         via_resyn = engine.run_table3(benchmark_names=SUBSET)
         via_quick = engine.run_table3(benchmark_names=SUBSET, flow="quick")
-        via_none = engine.run_table3(benchmark_names=SUBSET, optimize_first=False)
+        via_none = engine.run_table3(benchmark_names=SUBSET, flow="none")
         assert via_none.rows[0].aig_nodes >= via_resyn.rows[0].aig_nodes
         for result in (via_resyn, via_quick, via_none):
             for row in result.rows:
@@ -394,7 +387,7 @@ class TestArtifacts:
         table3 = engine.run_table3(benchmark_names=SUBSET, flow="quick")
         assert table3.flow == "quick"
         assert table3_payload(table3)["flow"] == "quick"
-        none_result = engine.run_table3(benchmark_names=SUBSET, optimize_first=False)
+        none_result = engine.run_table3(benchmark_names=SUBSET, flow="none")
         assert none_result.flow == "none"
 
     def test_payload_helpers_are_json_serializable(self, tmp_path):

@@ -5,9 +5,11 @@ Production (:mod:`repro.synthesis.mapper`) prices and solves a
 struct-of-arrays :class:`~repro.synthesis.mapper.CandidateTable` level by
 level, covers the chosen rows with array passes and times the cover with the
 array core of :mod:`repro.analysis.timing`.  The functions here do the same
-work the way the mapper did before that: one :class:`MatchCandidate` object
-per matched cut, a Python incumbent scan per node, a depth-first cover that
-materializes one candidate per gate, and a timing walk over dicts in
+work the way the mapper did before that: one
+:class:`~tests.oracles.cost.MatchCandidate` object per matched cut, priced
+and compared by the per-candidate cost models of :mod:`tests.oracles.cost`,
+a Python incumbent scan per node, a depth-first cover that materializes one
+candidate per gate, and a timing walk over dicts in
 :func:`~repro.synthesis.mapper.topological_gates` order.  Production must
 reproduce them exactly, floats included.
 """
@@ -20,13 +22,7 @@ from repro.analysis.timing import TimingReport
 from repro.core.library import GateLibrary
 from repro.synthesis.aig import Aig, lit_node
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cost import (
-    EPSILON,
-    CostModel,
-    MappingContext,
-    MatchCandidate,
-    cost_model_for,
-)
+from repro.synthesis.cost import EPSILON, CostModel, MappingContext, cost_model_for
 from repro.synthesis.cuts import DEFAULT_CUT_LIMIT, cut_set_for
 from repro.synthesis.mapper import (
     CandidateTable,
@@ -34,8 +30,14 @@ from repro.synthesis.mapper import (
     MappedGate,
     MappingError,
     _outputs_match,
-    _pin_bindings,
     topological_gates,
+)
+from tests.oracles.cost import (
+    BETTER,
+    GATE_COST,
+    MatchCandidate,
+    candidate,
+    pin_capacitances,
 )
 from tests.oracles.matcher import match_positions
 
@@ -43,15 +45,6 @@ from tests.oracles.matcher import match_positions
 def gate_delay(gate: MappedGate, loads: int) -> float:
     """Instance delay under the paper's load model (one unit per fanout)."""
     return gate.parasitic_delay + gate.effort_delay * max(loads, 1)
-
-
-def pin_capacitances(match) -> tuple[float, ...]:
-    """Per-leaf pin loads of a match, resolved pin by pin from its cell's
-    power report (``MappedGate.leaf_loads``)."""
-    power = match.cell.power
-    return tuple(
-        power.pin_capacitance(pin, negated) for pin, negated in _pin_bindings(match)
-    )
 
 
 def build_candidates(
@@ -122,7 +115,7 @@ def price_candidates(
     context: MappingContext,
 ) -> list[list[float]]:
     """Per-candidate local gate costs under one cost model."""
-    gate_cost = model.gate_cost
+    gate_cost = GATE_COST[model.name]
     prices: list[list[float]] = [[] for _ in range(len(candidates))]
     for node in and_node_list:
         prices[node] = [gate_cost(cand, node, context) for cand in candidates[node]]
@@ -146,8 +139,8 @@ def dp_round(
     arrival_list = [0.0] * num_nodes
     flow_list = [0.0] * num_nodes
     choices: dict[int, MatchCandidate] = {}
-    better = model.better
-    fallback_better = cost_model_for("delay").better
+    better = BETTER[model.name]
+    fallback_better = BETTER["delay"]
 
     for node in and_node_list:
         best: MatchCandidate | None = None
@@ -156,12 +149,12 @@ def dp_round(
         fallback_arrival = fallback_flow = 0.0
         node_required = required[node] if required is not None else None
         node_references = references[node]
-        for candidate, cost in zip(candidates[node], prices[node]):
-            leaves = candidate.leaves
+        for option, cost in zip(candidates[node], prices[node]):
+            leaves = option.leaves
             gate_delay_value = (
-                candidate.parasitic + candidate.effort * node_references
+                option.parasitic + option.effort * node_references
                 if load_aware
-                else candidate.delay
+                else option.delay
             )
             arrival = (
                 max((arrival_list[leaf] for leaf in leaves), default=0.0)
@@ -174,12 +167,12 @@ def dp_round(
                 if fallback is None or fallback_better(
                     arrival, flow, fallback_arrival, fallback_flow
                 ):
-                    fallback = candidate
+                    fallback = option
                     fallback_arrival, fallback_flow = arrival, flow
                 if arrival > node_required + EPSILON:
                     continue
             if best is None or better(arrival, flow, best_arrival, best_flow):
-                best = candidate
+                best = option
                 best_arrival, best_flow = arrival, flow
         if best is None:
             if fallback is None:
@@ -209,7 +202,7 @@ class BatchedChoices:
             row = int(self._rows[node])
             if row < 0:
                 raise KeyError(node)
-            cached = self._memo[node] = self._table.candidate(row)
+            cached = self._memo[node] = candidate(self._table, row)
         return cached
 
 
@@ -278,7 +271,7 @@ def technology_map(
     arrays = aig_arrays(aig)
     cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=DEFAULT_CUT_LIMIT)
     and_node_list = arrays.and_nodes.tolist()
-    context = MappingContext(pin_capacitances=pin_capacitances)
+    context = MappingContext()
     candidates = build_candidates(arrays, cut_set, matcher, model.prefer)
     prices = price_candidates(and_node_list, candidates, model, context)
     references = [max(float(count), 1.0) for count in arrays.fanout.tolist()]
@@ -291,8 +284,9 @@ def technology_map(
 
 def cover_cost(mapped: MappedCircuit, choices, model: CostModel, context) -> float:
     """A cover's cost under ``model``, summed in gate order."""
+    gate_cost = GATE_COST[model.name]
     return sum(
-        model.gate_cost(choices[gate.output], gate.output, context)
+        gate_cost(choices[gate.output], gate.output, context)
         for gate in mapped.gates
     )
 

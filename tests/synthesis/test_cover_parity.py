@@ -135,9 +135,7 @@ def _map_checked(monkeypatch, aig, library, objective, rounds, **kwargs):
             expected, arrays.fanout.tolist()
         )
         context = MappingContext(
-            pin_capacitances=oracle.pin_capacitances,
-            activity=activities.activity.tolist(),
-            probability=activities.probability.tolist(),
+            activity=activities.activity, probability=activities.probability
         )
         assert produced.cost == oracle.cover_cost(
             expected, choices, cost_model, context
@@ -302,9 +300,9 @@ class TestMappingFailure:
         original = mapper._dp_round_batched
 
         def doctored(*args, **kwargs):
-            state = original(*args, **kwargs)
-            state.choice[victim] = -1
-            return state
+            choice, arrival, flow = original(*args, **kwargs)
+            choice[victim] = -1
+            return choice, arrival, flow
 
         monkeypatch.setattr(mapper, "_dp_round_batched", doctored)
         with pytest.raises(

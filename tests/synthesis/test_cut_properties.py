@@ -198,21 +198,32 @@ KEY_WIDTHS = (
 def dedup_inputs(draw, num_nodes):
     """Signature rows drawn from small id pools, so equal rows repeat and
     rows that differ only by their largest leaf (the id ``num_nodes - 1``
-    against padding) are common."""
+    against padding) are common.
+
+    Hypothesis draws the pools, the row count and a seed; a numpy generator
+    then draws every row at once from the pools (a uniformly sized subset
+    of the leaf pool per row, ascending, padded with ``LEAF_SENTINEL``).
+    """
     width = draw(st.sampled_from((6, 4, 2)))
     top = num_nodes - 1
     ids = st.integers(min_value=0, max_value=top)
-    pool = sorted(set(draw(st.lists(ids, min_size=1, max_size=5))) | {0, top})
-    locals_ = sorted(set(draw(st.lists(ids, min_size=1, max_size=2))) | {top})
+    pool = np.array(
+        sorted(set(draw(st.lists(ids, min_size=1, max_size=5))) | {0, top})
+    )
+    locals_ = np.array(
+        sorted(set(draw(st.lists(ids, min_size=1, max_size=2))) | {top})
+    )
     num_rows = draw(st.integers(min_value=1, max_value=200))
-    local = np.empty(num_rows, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    local = rng.choice(locals_, size=num_rows)
+    # A random order of the pool per row; the first ``sizes[row]`` ids of it
+    # are the row's leaves.
+    span = min(width, pool.size)
+    picked = pool[np.argsort(rng.random((num_rows, pool.size)), axis=1)[:, :span]]
+    sizes = rng.integers(1, span, size=num_rows, endpoint=True)
+    leaves = np.where(np.arange(span) < sizes[:, None], picked, LEAF_SENTINEL)
     rows = np.full((num_rows, width), LEAF_SENTINEL, dtype=np.int64)
-    for row in range(num_rows):
-        local[row] = draw(st.sampled_from(locals_))
-        leaves = draw(
-            st.lists(st.sampled_from(pool), min_size=1, max_size=width, unique=True)
-        )
-        rows[row, : len(leaves)] = sorted(leaves)
+    rows[:, :span] = np.sort(leaves, axis=1)
     return local, rows
 
 

@@ -13,12 +13,9 @@ These tests pin that contract:
   constraints;
 * ``_required_times`` edge cases (deadline below the worst arrival, values
   off the cover's nets, empty covers);
-* the incremental recovery re-solve against the full re-solve
-  (``map_rounds(incremental=True)`` == ``incremental=False``), and the
-  row-wise hook adapter for cost models without batch hooks.
+* the cost-model contract: a model without the batch hooks is rejected at
+  registration.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -31,19 +28,20 @@ from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cost import MappingContext, cost_model_for
+from repro.synthesis.cost import (
+    MappingContext,
+    available_objectives,
+    cost_model_for,
+    register_cost_model,
+)
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import (
     _candidate_table_for,
     _dp_round_batched,
-    _pin_bindings,
     _required_times,
-    _RowwiseHooks,
-    _supports_batch,
-    _with_batch_hooks,
-    map_rounds,
 )
 from repro.synthesis.matcher import matcher_for
+from tests.oracles.cost import pin_capacitances
 from tests.oracles.mapper import (
     BatchedChoices,
     build_candidates,
@@ -88,27 +86,12 @@ def _subject(name: str) -> Aig:
 
 def _context(aig: Aig, objective: str) -> MappingContext:
     """A mapping context equivalent to the one ``map_rounds`` builds."""
-    memo: dict[int, tuple] = {}
+    if objective != "power":
+        return MappingContext()
+    from repro.analysis.activity import compute_activities
 
-    def pin_capacitances(match):
-        entry = memo.get(id(match))
-        if entry is None:
-            power = match.cell.power
-            caps = tuple(
-                power.pin_capacitance(pin, negated)
-                for pin, negated in _pin_bindings(match)
-            )
-            memo[id(match)] = entry = (match, caps)
-        return entry[1]
-
-    context = MappingContext(pin_capacitances=pin_capacitances)
-    if objective == "power":
-        from repro.analysis.activity import compute_activities
-
-        report = compute_activities(aig)
-        context.activity = report.activity.tolist()
-        context.probability = report.probability.tolist()
-    return context
+    report = compute_activities(aig)
+    return MappingContext(activity=report.activity, probability=report.probability)
 
 
 def _candidate_key(candidate) -> tuple:
@@ -124,7 +107,6 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
     """Scalar and batched DP must agree on every node's selected candidate
     (and bitwise on every arrival/flow) under identical inputs."""
     model = cost_model_for(objective)
-    assert _supports_batch(model)
     context = _context(aig, objective)
     arrays = aig_arrays(aig)
     cut_set = cut_set_for(aig)
@@ -146,7 +128,7 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
         choices, _arr, _flow = dp_round(
             aig, _LIBRARY, and_node_list, candidates, prices, model, references
         )
-        mapped, report = cover(aig, _LIBRARY, choices, context.pin_capacitances)
+        mapped, report = cover(aig, _LIBRARY, choices, pin_capacitances)
         references = cover_references(mapped, arrays.fanout.tolist())
         references_np = np.asarray(references, dtype=np.float64)
         required = required_times(num_nodes, report, report.normalized_delay)
@@ -164,7 +146,7 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
         required=required,
         load_aware=load_aware,
     )
-    state = _dp_round_batched(
+    choice, arrival, flow = _dp_round_batched(
         aig,
         _LIBRARY,
         table,
@@ -174,15 +156,15 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
         required=required_np,
         load_aware=load_aware,
     )
-    batched_choices = BatchedChoices(table, state.choice)
+    batched_choices = BatchedChoices(table, choice)
 
     for node in and_node_list:
         assert _candidate_key(batched_choices[node]) == _candidate_key(
             scalar_choices[node]
         ), f"choice stream diverges at node {node} ({objective}, constrained={constrained})"
     # Bitwise equality, not approx: the whole point of the slot-ordered scan.
-    assert state.arrival.tolist() == scalar_arrival
-    assert state.flow.tolist() == scalar_flow
+    assert arrival.tolist() == scalar_arrival
+    assert flow.tolist() == scalar_flow
 
 
 class TestChoiceStreamParity:
@@ -265,67 +247,9 @@ class TestRequiredTimesEdges:
         assert _required_times(timing, deadline=1.0).tolist() == [float("inf")] * 3
 
 
-def _round_digests(result) -> list[str]:
-    digests = []
-    for mapped in result.rounds:
-        digest = hashlib.sha256()
-        for gate in sorted(mapped.gates, key=lambda g: g.output):
-            digest.update(
-                f"{gate.output}:{gate.cell_name}:{gate.leaves}:{gate.table}:"
-                f"{int(gate.inverted)};".encode()
-            )
-        digests.append(digest.hexdigest())
-    return digests
-
-
-class TestIncrementalEquivalence:
-    """Incremental recovery re-solves must equal the full re-solve bit for bit."""
-
-    @pytest.mark.parametrize("bench_name", FAST_BENCHMARKS)
-    @pytest.mark.parametrize("objective", ("delay", "area", "power"))
-    def test_benchmark_equivalence(self, bench_name, objective):
-        aig = _subject(bench_name)
-        incremental = map_rounds(
-            aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=3
-        )
-        full = map_rounds(
-            aig,
-            _LIBRARY,
-            matcher=_MATCHER,
-            objective=objective,
-            rounds=3,
-            incremental=False,
-        )
-        assert incremental.accepted == full.accepted
-        assert _round_digests(incremental) == _round_digests(full)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        num_inputs=st.integers(min_value=3, max_value=7),
-        num_nodes=st.integers(min_value=5, max_value=50),
-        objective=st.sampled_from(("delay", "area", "power")),
-        rounds=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_random_equivalence(self, seed, num_inputs, num_nodes, objective, rounds):
-        aig = _random_aig(seed, num_inputs, num_nodes)
-        incremental = map_rounds(
-            aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=rounds
-        )
-        full = map_rounds(
-            aig,
-            _LIBRARY,
-            matcher=_MATCHER,
-            objective=objective,
-            rounds=rounds,
-            incremental=False,
-        )
-        assert incremental.accepted == full.accepted
-        assert _round_digests(incremental) == _round_digests(full)
-
-
 class _ScalarOnlyDelay:
-    """DelayCost semantics without the batch hooks."""
+    """DelayCost's name and policy with a per-candidate ``gate_cost`` and
+    ``better`` but neither batch hook."""
 
     name = "delay-scalar-test"
     prefer = "delay"
@@ -339,58 +263,11 @@ class _ScalarOnlyDelay:
         )
 
 
-class _ScalarOnlyArea:
-    """AreaFlowCost semantics without the batch hooks."""
-
-    name = "area-scalar-test"
-    prefer = "area"
-
-    def gate_cost(self, candidate, node, context):
-        return candidate.area
-
-    def better(self, arrival, flow, best_arrival, best_flow):
-        return flow < best_flow - 1e-9 or (
-            abs(flow - best_flow) <= 1e-9 and arrival < best_arrival - 1e-9
-        )
-
-
-def test_models_without_batch_hooks_map_through_the_adapter():
-    """Third-party models lacking price_batch/better_batch still map, through
-    the row-wise adapter, and (with DelayCost's and AreaFlowCost's semantics)
-    reproduce the built-in models' round digests, recovery included."""
-    from repro.synthesis.cost import _COST_MODELS
-
-    delay, area = _ScalarOnlyDelay(), _ScalarOnlyArea()
-    assert not _supports_batch(delay) and not _supports_batch(area)
-    adapted = _with_batch_hooks(delay)
-    assert isinstance(adapted, _RowwiseHooks) and _supports_batch(adapted)
-    assert _with_batch_hooks(cost_model_for("delay")) is cost_model_for("delay")
-    for model in (delay, area):
-        _COST_MODELS[model.name] = model
-    try:
-        aig = _subject("add-16")
-        scalar = map_rounds(
-            aig,
-            _LIBRARY,
-            matcher=_MATCHER,
-            objective=delay.name,
-            rounds=2,
-            recovery=area.name,
-        )
-        batched = map_rounds(
-            aig, _LIBRARY, matcher=_MATCHER, objective="delay", rounds=2
-        )
-        assert scalar.accepted == batched.accepted
-        assert len(scalar.rounds) > 1
-        assert _round_digests(scalar) == _round_digests(batched)
-        # The adapter prices exactly like the built-in hook.
-        arrays = aig_arrays(aig)
-        table = _candidate_table_for(arrays, cut_set_for(aig), _MATCHER, "delay")
-        context = _context(aig, "delay")
-        assert (
-            adapted.price_batch(table, context).tolist()
-            == cost_model_for("delay").price_batch(table, context).tolist()
-        )
-    finally:
-        for model in (delay, area):
-            _COST_MODELS.pop(model.name, None)
+def test_models_without_batch_hooks_are_rejected():
+    """``price_batch`` and ``better_batch`` are the whole cost-model
+    contract: a model defining only the per-candidate methods is refused at
+    registration and never reaches the DP."""
+    model = _ScalarOnlyDelay()
+    with pytest.raises(ValueError, match="lacks price_batch and better_batch"):
+        register_cost_model(model)
+    assert model.name not in available_objectives()

@@ -7,6 +7,9 @@ Three layers of guarantees:
   a single selected gate: the golden digests below were captured from the
   pre-refactor mapper for every (benchmark, family, objective) probe at
   K=6 and K=4 and pin the mapped netlist gate for gate.
+* **Recovery bit-identity.**  The recovered netlists are pinned too: every
+  round's digest and ``accepted`` flag of a ``rounds=3`` run, for both fast
+  benchmarks under every objective on a CNTFET and the CMOS library.
 * **Recovery safety.**  However many rounds run, the final circuit is never
   slower than round 0 and never costlier on the recovered axis, and every
   intermediate round's netlist stays functionally equivalent to the subject
@@ -265,6 +268,101 @@ GOLDEN_K4 = {
     ),
 }
 
+# Golden recovery runs at K=6, ``rounds=3``: every round's netlist digest (as
+# in GOLDEN_K6, round 0 first) and the ``accepted`` flags of
+# ``MappingResult``.  Keys are "benchmark|family|objective"; recovery is
+# ``"auto"`` (area for delay/area, power for power).
+GOLDEN_RECOVERY = {
+    "add-16|cmos-static|area": (
+        (
+            "3cc5e6ab35f7c7f13e315d5ed12efff786b2ebbbaba7b47bc767245f6275ae91",
+            "3cc5e6ab35f7c7f13e315d5ed12efff786b2ebbbaba7b47bc767245f6275ae91",
+        ),
+        (True, True),
+    ),
+    "add-16|cmos-static|delay": (
+        (
+            "ce4f5cea2479e2b5a17dacad00e92287e378a045b46f37cf86fa6115541286a9",
+            "61c6b4a9f4e7c893bcd50cdad7c8934080188d6715a3edf32d2a9b945deaa88f",
+        ),
+        (True, False),
+    ),
+    "add-16|cmos-static|power": (
+        (
+            "12c19fc1b034cfbe5c7a57bd61bc2cdebc75172a74229ee4827ec7767b792784",
+            "12c19fc1b034cfbe5c7a57bd61bc2cdebc75172a74229ee4827ec7767b792784",
+        ),
+        (True, True),
+    ),
+    "add-16|cntfet-tg-static|area": (
+        (
+            "97b501b117550dc9abefe5bad8c241e0144648b9dd582d8ef84df38490461700",
+            "97b501b117550dc9abefe5bad8c241e0144648b9dd582d8ef84df38490461700",
+        ),
+        (True, True),
+    ),
+    "add-16|cntfet-tg-static|delay": (
+        (
+            "a8f2feb47fd944970bbaf3fcf11383edb98e3134929f24e49536dc34ad04c705",
+            "a8f2feb47fd944970bbaf3fcf11383edb98e3134929f24e49536dc34ad04c705",
+        ),
+        (True, True),
+    ),
+    "add-16|cntfet-tg-static|power": (
+        (
+            "5e6f649a16938812fa80d519c2960ce53f6215a4071972b730a3bd3d29fd66b3",
+            "5e6f649a16938812fa80d519c2960ce53f6215a4071972b730a3bd3d29fd66b3",
+        ),
+        (True, True),
+    ),
+    "t481|cmos-static|area": (
+        (
+            "4ea6ab0a095b72cb5c0813cdfc3dd7f004c11bcb8d22e26a7bcfb2f8541976d7",
+            "4ea6ab0a095b72cb5c0813cdfc3dd7f004c11bcb8d22e26a7bcfb2f8541976d7",
+        ),
+        (True, True),
+    ),
+    "t481|cmos-static|delay": (
+        (
+            "b1c91457da406eb2e0196d6432892c9a6af9a130b941fe026e692fbe8a501b57",
+            "ae1985b2bf1220e9c762be1469f12b41a92a619ed789c4a2451e874819975ce7",
+            "16ba51ea9b85aaeff5eceffed3beff01020bf4ea1f9ab7990db89609a59662ee",
+            "2e158b02a1b10dba6e09d430cfb0992d12c1717dd02482e1d4012f45e4770ba5",
+        ),
+        (True, True, True, True),
+    ),
+    "t481|cmos-static|power": (
+        (
+            "323f87f648565ab5391ca4bfabc4fd6bcf61fb135f53ffd4c6302b5bee332124",
+            "323f87f648565ab5391ca4bfabc4fd6bcf61fb135f53ffd4c6302b5bee332124",
+        ),
+        (True, True),
+    ),
+    "t481|cntfet-tg-static|area": (
+        (
+            "7ea433a32fd23c4ac272b99459dc52c341f5d98d0ccccf765d659067bae04138",
+            "1b7edccaf2fb2da7faa50d2c53f437f6debff5dcb8b6be75025d25b742d5b252",
+        ),
+        (True, False),
+    ),
+    "t481|cntfet-tg-static|delay": (
+        (
+            "b9c35ac7df67b4de191c3f68389265179b96b35558cb8537e479a8d401429a86",
+            "80fb210ec3d794fadc3136c8610f6e7c4493da0692fead7af788131ee20611bb",
+            "73069063515155ab1de689592b0aa8b5382abe7db0f49cffabb4f64db464f55a",
+            "73069063515155ab1de689592b0aa8b5382abe7db0f49cffabb4f64db464f55a",
+        ),
+        (True, True, True, True),
+    ),
+    "t481|cntfet-tg-static|power": (
+        (
+            "bdde9f0f329b392790b1ed14c994c1f4afa09a2df3b2c501b12d1be4dc678eeb",
+            "bdde9f0f329b392790b1ed14c994c1f4afa09a2df3b2c501b12d1be4dc678eeb",
+        ),
+        (True, True),
+    ),
+}
+
 FAMILIES = {
     "cntfet-tg-static": LogicFamily.TG_STATIC,
     "cntfet-tg-pseudo": LogicFamily.TG_PSEUDO,
@@ -348,6 +446,25 @@ class TestRound0Golden:
         assert result.rounds == [result.final]
         assert result.accepted == [True]
         assert _netlist_digest(direct) == _netlist_digest(result.final)
+
+
+class TestRecoveryGolden:
+    """Every recovery round stays bit-identical, accepted or not."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_RECOVERY))
+    def test_recovered_rounds_bit_identical(self, key):
+        benchmark, family_key, objective = key.split("|")
+        library = build_library(FAMILIES[family_key])
+        result = map_rounds(
+            _subject(benchmark),
+            library,
+            matcher=matcher_for(library),
+            objective=objective,
+            rounds=3,
+        )
+        digests, accepted = GOLDEN_RECOVERY[key]
+        assert tuple(result.accepted) == accepted
+        assert tuple(_netlist_digest(m) for m in result.rounds) == digests
 
 
 def _objective_total(mapped, objective: str, library, aig) -> float:

@@ -252,18 +252,6 @@ class TestMapper:
         # Timing-feasible circuits have non-positive slack bounded by zero.
         assert stats["worst_slack"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_statistics_include_power_when_attached(self, tg_static_library):
-        from repro.analysis.power import analyze_power
-
-        aig = _small_adder(width=2, name="add2p")
-        mapped = technology_map(aig, tg_static_library)
-        mapped.attach_power(analyze_power(mapped, aig, tg_static_library))
-        stats = mapped.statistics()
-        assert {"dynamic_power", "static_power", "total_power"} <= set(stats)
-        assert stats["total_power"] == pytest.approx(
-            stats["dynamic_power"] + stats["static_power"]
-        )
-
     def test_mapping_preserves_function(self, tg_static_library):
         # Re-simulate the mapped netlist from the recorded per-gate truth
         # tables and compare every primary output against the subject AIG.
