@@ -701,8 +701,8 @@ class ExperimentEngine:
     results live under ``cache_dir`` (default: :func:`default_cache_dir`)
     bounded by ``cache_max_bytes`` (default: ``REPRO_CACHE_MAX_BYTES``,
     unbounded when unset).  ``retry_policy`` governs the parallel batches'
-    per-job timeouts and crash/timeout retries (default:
-    :meth:`repro.experiments.resilience.RetryPolicy.from_env`); every
+    per-job timeouts and crash/timeout retries (default: a plain
+    :class:`repro.experiments.resilience.RetryPolicy`); every
     abnormal event is collected on :attr:`failures` and summarized by
     :meth:`robustness_stats`.  ``progress`` is an optional
     :class:`repro.obs.LiveProgress` fed from the completion callbacks
@@ -721,7 +721,7 @@ class ExperimentEngine:
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.progress = progress
-        self.retry_policy = retry_policy or resilience.RetryPolicy.from_env()
+        self.retry_policy = retry_policy or resilience.RetryPolicy()
         self.failures: list[resilience.JobFailure] = []
         self.pool_rebuilds = 0
         self.degraded_jobs = 0

@@ -46,7 +46,6 @@ failure-classification artifact assert against.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -94,25 +93,6 @@ class RetryPolicy:
     backoff_max: float = 2.0
     jitter: float = 0.25
     seed: int = 0
-
-    @classmethod
-    def from_env(cls, environ=None) -> "RetryPolicy":
-        """Policy with ``REPRO_JOB_TIMEOUT`` / ``REPRO_JOB_RETRIES`` applied.
-
-        ``REPRO_JOB_TIMEOUT`` is the per-job budget in seconds (``0`` or
-        unset: unbounded); ``REPRO_JOB_RETRIES`` the number of retries after
-        the first attempt (so ``max_attempts = retries + 1``).
-        """
-        env = os.environ if environ is None else environ
-        kwargs: dict = {}
-        raw = env.get("REPRO_JOB_TIMEOUT")
-        if raw:
-            timeout = float(raw)
-            kwargs["timeout"] = timeout if timeout > 0 else None
-        raw = env.get("REPRO_JOB_RETRIES")
-        if raw:
-            kwargs["max_attempts"] = max(1, int(raw) + 1)
-        return cls(**kwargs)
 
 
 def backoff_delay(policy: RetryPolicy, index: int, attempt: int) -> float:

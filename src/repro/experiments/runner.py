@@ -78,9 +78,8 @@ Scheduling goes through the parallel experiment engine
     default) and is retried up to N times (default: 2) with exponential
     backoff when its worker crashes or times out, rebuilding the process
     pool as needed; a job that exhausts its retries is computed on the
-    deterministic in-process path instead.  Environment defaults:
-    ``REPRO_JOB_TIMEOUT`` / ``REPRO_JOB_RETRIES``.  Real flow exceptions
-    are never retried.
+    deterministic in-process path instead.  Real flow exceptions are never
+    retried.
 
 ``--cache-stats``
     Print the robustness counters after the run as JSON: result-cache
@@ -257,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SEC",
         help="wall-clock budget per mapping job in parallel runs "
-        "(0 = unbounded; default: $REPRO_JOB_TIMEOUT or unbounded)",
+        "(0 = unbounded, the default)",
     )
     parser.add_argument(
         "--job-retries",
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="crash/timeout retries per job in parallel runs "
-        "(default: $REPRO_JOB_RETRIES or 2)",
+        "(default: 2)",
     )
     parser.add_argument(
         "--cache-stats",
@@ -357,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile or args.trace or args.metrics_out or args.events_out:
         trace_run_id = obs.enable_tracing()
 
-    retry_policy = RetryPolicy.from_env()
+    retry_policy = RetryPolicy()
     if args.job_timeout is not None:
         timeout = args.job_timeout if args.job_timeout > 0 else None
         retry_policy = replace(retry_policy, timeout=timeout)

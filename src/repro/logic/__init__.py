@@ -6,8 +6,8 @@ This subpackage provides the foundation used throughout the reproduction:
   the usual Boolean algebra, cofactors, support computation and composition.
 * :mod:`~repro.logic.expr` -- a small Boolean expression AST with a parser for
   the textual function forms used in the paper (e.g. ``"(A ^ B) & C"``).
-* :mod:`~repro.logic.npn` -- input permutation / phase enumeration and
-  NPN-canonicalization used by the Boolean matcher of the technology mapper.
+* :mod:`~repro.logic.npn` -- NPN canonicalization and the input/output
+  transform algebra used by the Boolean matcher of the technology mapper.
 * :mod:`~repro.logic.simulation` -- vectorized multi-pattern simulation
   helpers shared by the verification tests.
 """
@@ -25,13 +25,11 @@ from repro.logic.expr import (
 )
 from repro.logic.npn import (
     InputMatch,
-    all_input_permutation_phase_tables,
     apply_match,
     compose_matches,
     invert_match,
     npn_canonical,
     npn_canonicalize,
-    p_canonical,
 )
 
 __all__ = [
@@ -45,11 +43,9 @@ __all__ = [
     "Xor",
     "parse_expr",
     "InputMatch",
-    "all_input_permutation_phase_tables",
     "apply_match",
     "compose_matches",
     "invert_match",
     "npn_canonical",
     "npn_canonicalize",
-    "p_canonical",
 ]

@@ -1,4 +1,4 @@
-"""Input permutation / phase enumeration and NPN canonicalization.
+"""NPN canonicalization and the algebra of input/output transforms.
 
 Technology mapping matches the Boolean function computed by a cut of the
 subject graph against the functions implemented by library cells.  The paper
@@ -7,24 +7,24 @@ obtained by swapping signal polarities at the transmission gates; we model
 that freedom by matching modulo input permutation and input/output
 complementation (NPN equivalence).
 
-Three services are provided:
+Two services are provided:
 
-* :func:`all_input_permutation_phase_tables` enumerates every table obtained
-  from a base function by permuting and/or complementing inputs (and
-  optionally the output).  Retained as the reference enumeration; the
-  canonical matcher no longer pre-expands these dictionaries.
 * :func:`npn_canonicalize` computes the canonical representative of a
   function's NPN (or NP) class *together with the witnessing transform*, so
   two functions can be matched by canonicalizing each side and composing the
   transforms (:func:`compose_matches`, :func:`invert_match`).  The search is
-  exact (minimum over the full orbit) but vectorized with numpy, and the
-  raw-bits entry point :func:`canonicalize_bits` is memoized, which is what
-  makes canonical matching practical in the mapper's inner loop.
-* :func:`npn_canonical` / :func:`p_canonical` return only the canonical
-  table, used to group functions into equivalence classes in tests and
-  analyses.  The brute-force search over the whole orbit,
-  ``npn_canonical_exhaustive``, is the parity oracle in
-  ``tests/oracles/npn.py``.
+  exact (minimum over the full orbit) but vectorized with numpy.  It has two
+  production entry points: the memoized scalar :func:`canonicalize_bits`,
+  which builds the matcher's library index, and the columnar
+  :func:`canonicalize_bits_batch_columns`, which canonicalizes the cut
+  functions of a mapping job.
+* :func:`npn_canonical` returns only the canonical table, used to group
+  functions into equivalence classes in tests and analyses.
+
+The reference enumerations (every table reachable by permuting and
+complementing inputs, the permutation-only canonical form) and the
+brute-force search over the whole orbit are the parity oracles in
+``tests/oracles/npn.py``.
 
 A transform is an :class:`InputMatch` ``t`` applied as ``apply_match(f, t) =
 [~] f.apply_phase(t.phase).permute_inputs(t.permutation)``: evaluated at
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,54 +59,6 @@ class InputMatch(NamedTuple):
     permutation: tuple[int, ...]
     phase: int
     output_negated: bool
-
-
-def enumerate_permutation_phase(
-    table: TruthTable, include_output_negation: bool = False
-) -> Iterator[tuple[TruthTable, InputMatch]]:
-    """Yield every (table, match) pair reachable by permuting/complementing inputs.
-
-    The ``match`` describes how to wire the *original* function's inputs so
-    that it realizes the yielded table; this is exactly the information the
-    technology mapper needs to instantiate a library cell for a matched cut.
-    """
-    n = table.num_vars
-    seen_phase_tables: dict[int, TruthTable] = {}
-    for phase in range(1 << n):
-        seen_phase_tables[phase] = table.apply_phase(phase)
-    for perm in permutations(range(n)):
-        for phase, phased in seen_phase_tables.items():
-            permuted = phased.permute_inputs(perm)
-            match = InputMatch(tuple(perm), phase, False)
-            yield permuted, match
-            if include_output_negation:
-                yield ~permuted, InputMatch(tuple(perm), phase, True)
-
-
-def all_input_permutation_phase_tables(
-    table: TruthTable, include_output_negation: bool = False
-) -> dict[int, InputMatch]:
-    """Map every reachable table's bit pattern to one witnessing match.
-
-    When several permutation/phase combinations produce the same table, the
-    first one found is kept (they are functionally interchangeable).
-    """
-    result: dict[int, InputMatch] = {}
-    for reachable, match in enumerate_permutation_phase(
-        table, include_output_negation=include_output_negation
-    ):
-        result.setdefault(reachable.bits, match)
-    return result
-
-
-def p_canonical(table: TruthTable) -> TruthTable:
-    """Canonical representative under input permutation only."""
-    best = table.bits
-    for perm in permutations(range(table.num_vars)):
-        candidate = table.permute_inputs(perm).bits
-        if candidate < best:
-            best = candidate
-    return TruthTable(table.num_vars, best)
 
 
 def npn_canonical(table: TruthTable) -> TruthTable:
@@ -137,9 +89,9 @@ def apply_match(table: TruthTable, match: InputMatch) -> TruthTable:
     """Apply a transform: phase the inputs, permute them, maybe negate the output.
 
     This is the single definition of what an :class:`InputMatch` *means*;
-    :func:`enumerate_permutation_phase` yields pairs satisfying
-    ``apply_match(base, match) == reachable`` and the canonical matcher relies
-    on the same convention.
+    the canonical matcher relies on it, and the reference enumeration of
+    ``tests/oracles/npn.py`` yields pairs satisfying ``apply_match(base,
+    match) == reachable``.
     """
     result = table.apply_phase(match.phase).permute_inputs(match.permutation)
     return ~result if match.output_negated else result
@@ -351,7 +303,9 @@ def canonicalize_bits_batch_columns(
     ]
     if missing:
         if len(memo) + len(missing) > _COLUMN_MEMO_LIMIT:
+            # The clear drops this batch's memoized tables too: recompute them.
             memo.clear()
+            missing = list(range(len(unique_values)))
         todo = unique[missing]
         perms, _index = _candidate_matrix(num_vars)
         best, perm_index, best_phase = _min_variant_batch(todo, num_vars)
@@ -390,32 +344,6 @@ def canonicalize_bits_batch_columns(
         unique_phase[inverse],
         unique_neg[inverse],
     )
-
-
-def canonicalize_bits_batch(
-    bits: "Sequence[int] | np.ndarray",
-    num_vars: int,
-    include_output_negation: bool = True,
-) -> list[tuple[int, tuple[int, ...], int, bool]]:
-    """Canonicalize a batch of raw tables of one arity.
-
-    Deduplicates the batch with one ``np.unique`` pass, sends each distinct
-    table through the memoized vectorized canonicalizer
-    (:func:`canonicalize_bits`, one numpy orbit scan per polarity) and
-    scatters the results back in input order.  This is the entry point the
-    rewrite library uses to register all distinct cut functions of a pass
-    at once; results are element-for-element identical to calling
-    :func:`canonicalize_bits` in a loop.
-    """
-    array = np.asarray(bits, dtype=np.uint64)
-    if array.size == 0:
-        return []
-    unique, inverse = np.unique(array, return_inverse=True)
-    results = [
-        canonicalize_bits(int(value), num_vars, include_output_negation)
-        for value in unique.tolist()
-    ]
-    return [results[index] for index in inverse.tolist()]
 
 
 def npn_canonicalize(

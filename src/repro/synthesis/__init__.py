@@ -14,8 +14,8 @@ self-contained flow:
   (balancing and cut-based rewriting, our stand-in for ``resyn2rs``; both
   passes are array-backed, pinned node-for-node to the per-node oracles in
   ``tests/oracles/optimize.py``);
-* :mod:`repro.synthesis.rewrite_lib` -- the NPN-class rewrite library of
-  compiled SOP cover programs backing the fast ``rewrite`` pass;
+* :mod:`repro.synthesis.rewrite_lib` -- the per-function memo of compiled
+  SOP cover schedules that the ``rewrite`` pass replays;
 * :mod:`repro.synthesis.cuts` -- k-feasible priority-cut enumeration with cut
   functions;
 * :mod:`repro.synthesis.matcher` -- batched NPN-canonical Boolean matching of
@@ -36,7 +36,6 @@ from repro.synthesis.blif import read_blif, write_blif
 from repro.synthesis.cost import CostModel, cost_model_for, register_cost_model
 from repro.synthesis.optimize import optimize, balance, rewrite
 from repro.synthesis.cuts import enumerate_cuts
-from repro.synthesis.rewrite_lib import REWRITE_LIBRARY, RewriteLibrary
 from repro.synthesis.matcher import LibraryMatcher
 from repro.synthesis.mapper import (
     MappedCircuit,
@@ -55,8 +54,6 @@ __all__ = [
     "optimize",
     "balance",
     "rewrite",
-    "REWRITE_LIBRARY",
-    "RewriteLibrary",
     "cost_model_for",
     "enumerate_cuts",
     "LibraryMatcher",

@@ -22,9 +22,10 @@ Both passes have one implementation, array-backed like the mapper DP and
 the cut enumerator: they read the graph through
 :class:`~repro.synthesis.aig_array.AigArrays` and the
 :class:`~repro.synthesis.cuts.CutSet` struct-of-arrays, select candidate
-cuts with one numpy scan, fetch pre-compiled cover programs from the
-NPN-class library of :mod:`repro.synthesis.rewrite_lib`, and emit gates into
-a flat :class:`_GraphBuilder` instead of a pointer-chasing :class:`Aig`.
+cuts with one numpy scan, fetch each cut function's compiled cover
+schedule from the memo of :mod:`repro.synthesis.rewrite_lib`, and emit
+gates into a flat :class:`_GraphBuilder` instead of a pointer-chasing
+:class:`Aig`.
 They run on every graph, however small.
 
 The per-node algorithms they replaced are the parity oracles in
@@ -46,7 +47,7 @@ from repro.synthesis.aig import Aig, AigLiteral, CONST0, CONST1, _Node
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import distinct_keys
 from repro.synthesis.cuts import cut_set_for
-from repro.synthesis.rewrite_lib import REWRITE_LIBRARY, compile_ops
+from repro.synthesis.rewrite_lib import cover_schedule
 
 
 class _GraphBuilder:
@@ -112,10 +113,11 @@ class _GraphBuilder:
     ) -> AigLiteral:
         """Run a :func:`~repro.synthesis.rewrite_lib.compile_ops` schedule.
 
-        Semantically ``replay_ops(self.and_gate, leaves, ops, result)`` with
-        the gate constructor inlined into the op loop -- the rewrite pass
-        replays thousands of schedules per graph and the two function frames
-        per gate are its hottest remaining overhead.
+        Semantically one :meth:`and_gate` call per op (the reference
+        executor in ``tests/oracles/optimize.py``) with the gate constructor
+        inlined into the op loop -- the rewrite pass replays thousands of
+        schedules per graph and the two function frames per gate are its
+        hottest remaining overhead.
         """
         fanin0 = self.fanin0
         fanin1 = self.fanin1
@@ -340,11 +342,10 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     For every AND node the candidate cuts are taken straight from the
     :class:`~repro.synthesis.cuts.CutSet` arrays -- one numpy scan selects
     the valid (node, slot) pairs and their size/table/leaf columns -- and
-    each distinct cut function is compiled once into a cover program by the
-    NPN-class library
-    (:data:`~repro.synthesis.rewrite_lib.REWRITE_LIBRARY`, batch
-    canonicalization + one ISOP per class representative or member).  Every
-    candidate program is then replayed into a flat :class:`_GraphBuilder`;
+    each distinct cut function's cover schedule is read from the
+    process-wide memo :func:`~repro.synthesis.rewrite_lib.cover_schedule`
+    (one ISOP compile per function for the life of the process).  Every
+    candidate schedule is then replayed into a flat :class:`_GraphBuilder`;
     the cheapest result (strictly fewer added gates, first minimum wins) is
     kept per node, losing candidates included in the emission stream exactly
     as the reference pass does -- their structural-hash side effects feed the
@@ -369,13 +370,14 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     candidate_tables = cut_set.table[candidate_nodes, slot_of]
     candidate_leaves = cut_set.leaves[candidate_nodes, slot_of]
 
-    # One cover program per distinct (size, table); the library batches the
-    # canonicalization of whatever this pass has not seen before.
+    # One schedule lookup per distinct (size, table).
     first, inverse = distinct_keys(candidate_sizes, candidate_tables)
-    unique_programs = REWRITE_LIBRARY.programs_batch(
-        candidate_sizes[first].tolist(), candidate_tables[first].tolist()
-    )
-    unique_ops = [compile_ops(program) for program in unique_programs]
+    unique_ops = [
+        cover_schedule(table, num_vars)
+        for num_vars, table in zip(
+            candidate_sizes[first].tolist(), candidate_tables[first].tolist()
+        )
+    ]
     ops_of = [unique_ops[index] for index in inverse.tolist()]
 
     per_node = valid.sum(axis=1).tolist()

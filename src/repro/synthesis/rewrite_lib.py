@@ -1,4 +1,4 @@
-"""NPN-class rewrite library: compiled SOP cover programs for cut functions.
+"""Compiled SOP cover schedules: the gate streams of the rewrite pass.
 
 The rewrite pass re-synthesizes every cut function as an AND-OR network of
 its irredundant cover (:func:`_isop`).  Three observations make that cheap:
@@ -11,62 +11,45 @@ its irredundant cover (:func:`_isop`).  Three observations make that cheap:
 * **Cover programs.**  The gate sequence `_synthesize_sop` emits for a cover
   is a pure function of the truth table: polarity choice, cube order and the
   ascending-variable factor order are all fixed.  :func:`compile_cover`
-  captures that sequence once per distinct ``(arity, table)`` as a
-  :class:`CoverProgram` -- ``(negate, ((var, invert), ...) per cube)`` --
-  and :func:`replay_cover` re-emits it through any ``and_gate``-shaped
-  constructor, gate for gate identical to the original synthesis.
-* **NPN classes.**  Distinct cut functions collapse ~150x under NPN
-  equivalence (PR 2's matcher measurement), so the :class:`RewriteLibrary`
-  organizes programs by canonical class: each member's table is
-  canonicalized through the vectorized exact canonicalizer of
-  :mod:`repro.logic.npn` (batched over the distinct tables of a pass via
-  :func:`repro.logic.npn.canonicalize_bits_batch`), the *canonical template*
-  is compiled once per class, and :meth:`RewriteLibrary.instantiate` can
-  replay a template under the composed transform for any member.
+  captures that sequence as a :class:`CoverProgram` -- ``(negate, ((var,
+  invert), ...) per cube)`` -- and :func:`replay_cover` re-emits it through
+  any ``and_gate``-shaped constructor, gate for gate identical to the
+  original synthesis.
+* **Op schedules.**  :func:`compile_ops` flattens a program into a linear
+  gate schedule, and :func:`cover_schedule` memoizes the schedule of each
+  distinct ``(arity, table)`` for the whole process, so a cut function is
+  compiled once however many cuts and passes compute it.
 
-One caveat keeps both representations around: the greedy ISOP does **not**
-commute with NPN transforms (the lowest-set-minterm seed and the ascending
-variable-drop order are not equivariant), so a template replayed under a
-transform is functionally equivalent but structurally different from the
-member's own cover.  The byte-identity contract of the rewrite pass
-therefore replays exact member programs -- the class structure still pays
-for itself through template reuse for canonical members, compression
-statistics, and the template-instantiation API (property-tested for
-functional equivalence in ``tests/synthesis/test_optimize_vectorized.py``).
-
-The library and the ISOP memo live for the whole process: both are keyed by
-the rewrite pass's cut functions, of at most four inputs in every registered
-flow.
+The memo is keyed by the raw table, not by NPN class.  The greedy ISOP does
+not commute with NPN transforms (the lowest-set-minterm seed and the
+ascending variable-drop order are not equivariant), so a class template
+replayed under a transform would be functionally equivalent to a member's
+own cover but structurally different, and the rewrite pass is pinned gate
+for gate to each function's own cover.  Its keys are the rewrite pass's cut
+functions, of at most four inputs in every registered flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from repro.logic.npn import (
-    InputMatch,
-    canonicalize_bits,
-    canonicalize_bits_batch,
-    invert_match,
-)
 from repro.synthesis.aig import AigLiteral, CONST0, CONST1
 from repro.synthesis.cut_kernels import VAR_PERIOD_MASKS
 
 __all__ = [
     "CoverProgram",
-    "NpnTemplate",
-    "RewriteLibrary",
-    "REWRITE_LIBRARY",
     "compile_cover",
     "compile_ops",
+    "cover_schedule",
     "replay_cover",
-    "replay_ops",
     "_isop",
     "_cube_minterms",
     "_cube_inside",
 ]
+
+#: A linear gate schedule ``(ops, result)``: see :func:`compile_ops`.
+Schedule = tuple[tuple[tuple[int, int], ...], int]
 
 
 @lru_cache(maxsize=None)
@@ -105,16 +88,15 @@ def _cube_inside(table: int, num_vars: int, care: int, value: int) -> bool:
     return not (_cube_minterms(num_vars, care, value & care) & ~table)
 
 
-@lru_cache(maxsize=1 << 16)
 def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
     """Irredundant sum of products of a truth table (cube tuple).
 
     Each cube is a pair ``(care_mask, value_mask)``: variable *i* appears
     positively when bit *i* is set in both masks, negatively when set in
     ``care_mask`` only.  Uses a simple expand-greedy cover; optimality is not
-    required, only irredundancy.  Memoized: the rewrite pass asks for the
-    cover of both polarities of every cut function, and distinct K<=4
-    functions are few across a whole flow.
+    required, only irredundancy.  Not memoized: the rewrite pass reaches it
+    only through :func:`cover_schedule`, once per polarity of each distinct
+    function for the life of the process.
     """
     size = 1 << num_vars
     full = (1 << size) - 1
@@ -159,10 +141,6 @@ class CoverProgram(NamedTuple):
 
     negate: bool
     cubes: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def num_cubes(self) -> int:
-        return len(self.cubes)
 
 
 def compile_cover(table: int, num_vars: int) -> CoverProgram:
@@ -222,10 +200,7 @@ def replay_cover(
     return result ^ 1 if negate else result
 
 
-@lru_cache(maxsize=1 << 14)
-def compile_ops(
-    program: CoverProgram,
-) -> tuple[tuple[tuple[int, int], ...], int]:
+def compile_ops(program: CoverProgram) -> Schedule:
     """Flatten a cover program into a linear gate schedule ``(ops, result)``.
 
     Each op is an operand pair feeding one ``and_gate`` call; operands are
@@ -235,7 +210,7 @@ def compile_ops(
     scan with no per-cube list churn.  Compiled by running
     :func:`replay_cover` symbolically (operand codes survive ``^ 1``
     unchanged in meaning), so the schedule is the reference gate stream by
-    construction.  Memoized on the (hashable) program.
+    construction.
     """
     ops: list[tuple[int, int]] = []
 
@@ -248,169 +223,12 @@ def compile_ops(
     return tuple(ops), result
 
 
-def replay_ops(
-    and_gate: Callable[[AigLiteral, AigLiteral], AigLiteral],
-    leaves: Sequence[AigLiteral],
-    ops: tuple[tuple[int, int], ...],
-    result: int,
-) -> AigLiteral:
-    """Execute a :func:`compile_ops` schedule; same gates as :func:`replay_cover`."""
-    temps: list[AigLiteral] = []
-    append = temps.append
-    for a, b in ops:
-        if a >= 2:
-            value_a = (temps[(a >> 2) - 1] if a & 2 else leaves[(a >> 2) - 1]) ^ (a & 1)
-        else:
-            value_a = a
-        if b >= 2:
-            value_b = (temps[(b >> 2) - 1] if b & 2 else leaves[(b >> 2) - 1]) ^ (b & 1)
-        else:
-            value_b = b
-        append(and_gate(value_a, value_b))
-    if result >= 2:
-        return (
-            temps[(result >> 2) - 1] if result & 2 else leaves[(result >> 2) - 1]
-        ) ^ (result & 1)
-    return result
+@lru_cache(maxsize=1 << 16)
+def cover_schedule(table: int, num_vars: int) -> Schedule:
+    """``compile_ops(compile_cover(table, num_vars))``, memoized per process.
 
-
-@dataclass(frozen=True)
-class NpnTemplate:
-    """One NPN class: its canonical table and the compiled canonical cover."""
-
-    num_vars: int
-    table: int
-    program: CoverProgram
-
-
-class RewriteLibrary:
-    """Per-process memo of cover programs, organized by NPN class.
-
-    ``program`` / ``programs_batch`` return the *exact* member program the
-    pinned rewrite pass replays (compiled once per distinct ``(arity,
-    table)``, shared with the class template when the member is its own
-    canonical form); ``instantiate`` replays the class template under the
-    member's composed transform instead -- functionally equivalent, one
-    compile per *class* (see the module docstring for why the pinned pass
-    cannot use it).  Lives for the whole process, like the ISOP memo.
+    The rewrite pass reads every distinct cut function's schedule from this
+    memo: each ``(num_vars, table)`` is compiled once, and later calls return
+    the same schedule object.
     """
-
-    __slots__ = ("_programs", "_templates", "_class_of")
-
-    def __init__(self) -> None:
-        self._programs: dict[tuple[int, int], CoverProgram] = {}
-        self._templates: dict[tuple[int, int], NpnTemplate] = {}
-        self._class_of: dict[tuple[int, int], tuple[tuple[int, int], InputMatch]] = {}
-
-    # -- registration ----------------------------------------------------
-
-    def _register(
-        self, num_vars: int, table: int, canonical: int, match: InputMatch
-    ) -> CoverProgram:
-        template_key = (num_vars, canonical)
-        template = self._templates.get(template_key)
-        if template is None:
-            template = NpnTemplate(num_vars, canonical, compile_cover(canonical, num_vars))
-            self._templates[template_key] = template
-        if table == canonical:
-            program = template.program  # canonical member: reuse, no recompile
-        else:
-            program = compile_cover(table, num_vars)
-        key = (num_vars, table)
-        self._programs[key] = program
-        self._class_of[key] = (template_key, match)
-        return program
-
-    def program(self, table: int, num_vars: int) -> CoverProgram:
-        """The exact cover program of one table (memoized, class-registered)."""
-        full = (1 << (1 << num_vars)) - 1
-        key = (num_vars, table & full)
-        program = self._programs.get(key)
-        if program is not None:
-            return program
-        canonical, perm, phase, negated = canonicalize_bits(key[1], num_vars, True)
-        return self._register(num_vars, key[1], canonical, InputMatch(perm, phase, negated))
-
-    def programs_batch(
-        self, sizes: Sequence[int], tables: Sequence[int]
-    ) -> list[CoverProgram]:
-        """Programs for parallel ``(size, table)`` arrays, batch-canonicalized.
-
-        The distinct uncached tables of each arity go through
-        :func:`canonicalize_bits_batch` in one call -- this is how the
-        vectorized rewrite pass registers a whole pass worth of cut
-        functions up front.
-        """
-        programs: list[CoverProgram | None] = [None] * len(tables)
-        missing: dict[int, list[tuple[int, int]]] = {}
-        cached = self._programs
-        for index, (num_vars, table) in enumerate(zip(sizes, tables)):
-            table &= (1 << (1 << num_vars)) - 1
-            program = cached.get((num_vars, table))
-            if program is not None:
-                programs[index] = program
-            else:
-                missing.setdefault(num_vars, []).append((index, table))
-        for num_vars, entries in missing.items():
-            canonicalized = canonicalize_bits_batch(
-                [table for _, table in entries], num_vars
-            )
-            for (index, table), (canonical, perm, phase, negated) in zip(
-                entries, canonicalized
-            ):
-                programs[index] = self._register(
-                    num_vars, table, canonical, InputMatch(perm, phase, negated)
-                )
-        return programs  # type: ignore[return-value]
-
-    # -- template instantiation ------------------------------------------
-
-    def template_for(self, table: int, num_vars: int) -> tuple[NpnTemplate, InputMatch]:
-        """The member's class template and its member-to-canonical transform."""
-        self.program(table, num_vars)
-        key = (num_vars, table & ((1 << (1 << num_vars)) - 1))
-        template_key, match = self._class_of[key]
-        return self._templates[template_key], match
-
-    def instantiate(
-        self, aig, leaves: Sequence[AigLiteral], table: int, num_vars: int
-    ) -> AigLiteral:
-        """Build ``table`` over ``leaves`` by replaying the class template.
-
-        The template leaves are rewired through the inverse of the stored
-        member-to-canonical transform (input ``j`` of the member drives
-        canonical position ``perm[j]``, phased in canonical input space) and
-        the output complemented per the transform.  Functionally equivalent
-        to replaying the member program, generally *not* structurally equal
-        (greedy ISOP is not NPN-equivariant).
-        """
-        template, match = self.template_for(table, num_vars)
-        perm, phase, negated = invert_match(match)
-        remapped: list[AigLiteral] = [CONST0] * num_vars
-        for j in range(num_vars):
-            position = perm[j]
-            remapped[position] = leaves[j] ^ ((phase >> position) & 1)
-        literal = replay_cover(aig.and_gate, remapped, template.program)
-        return literal ^ 1 if negated else literal
-
-    # -- statistics ------------------------------------------------------
-
-    @property
-    def class_count(self) -> int:
-        """Distinct NPN classes registered (templates compiled)."""
-        return len(self._templates)
-
-    @property
-    def member_count(self) -> int:
-        """Distinct (arity, table) members registered."""
-        return len(self._programs)
-
-    def cache_clear(self) -> None:
-        """Forget every program (cold-start hook for tests and benchmarks)."""
-        self._programs.clear()
-        self._templates.clear()
-        self._class_of.clear()
-
-
-#: The process-wide library shared by every rewrite invocation.
-REWRITE_LIBRARY = RewriteLibrary()
+    return compile_ops(compile_cover(table, num_vars))

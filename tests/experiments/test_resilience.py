@@ -14,6 +14,7 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from repro.experiments import resilience
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.faults import claim_once
 from repro.experiments.resilience import (
     CRASH,
@@ -67,20 +68,14 @@ def _record_then_raise(payload):
 
 
 class TestRetryPolicy:
-    def test_from_env_defaults(self):
-        policy = RetryPolicy.from_env({})
+    def test_engine_default_ignores_the_environment(self, monkeypatch):
+        """Only ``retry_policy=`` (the runner's ``--job-timeout`` /
+        ``--job-retries``) sets the policy; no variable changes the default."""
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")
+        monkeypatch.setenv("REPRO_JOB_RETRIES", "4")
+        policy = ExperimentEngine(use_cache=False).retry_policy
         assert policy == RetryPolicy()
         assert policy.timeout is None and policy.max_attempts == 3
-
-    def test_from_env_parses_timeout_and_retries(self):
-        policy = RetryPolicy.from_env(
-            {"REPRO_JOB_TIMEOUT": "1.5", "REPRO_JOB_RETRIES": "4"}
-        )
-        assert policy.timeout == 1.5
-        assert policy.max_attempts == 5
-
-    def test_from_env_zero_timeout_means_unbounded(self):
-        assert RetryPolicy.from_env({"REPRO_JOB_TIMEOUT": "0"}).timeout is None
 
     def test_backoff_is_deterministic_and_bounded(self):
         policy = RetryPolicy(seed=7)

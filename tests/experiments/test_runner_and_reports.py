@@ -177,6 +177,41 @@ class TestRunnerCli:
         assert stats["pool_rebuilds"] == 0
         assert stats["failures"] == []
 
+    @pytest.mark.parametrize(
+        "flags, timeout, max_attempts",
+        [
+            ([], None, 3),
+            (["--job-timeout", "0"], None, 3),
+            (["--job-timeout", "1.5", "--job-retries", "0"], 1.5, 1),
+            (["--job-retries", "4"], None, 5),
+        ],
+    )
+    def test_retry_flags_set_the_engine_policy(
+        self, monkeypatch, flags, timeout, max_attempts
+    ):
+        """``--job-timeout 0`` means unbounded and ``--job-retries N`` allows
+        ``N + 1`` attempts; without the flags the engine gets ``RetryPolicy()``."""
+        from repro.experiments import runner
+        from repro.experiments.resilience import RetryPolicy
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(**kwargs):
+            seen.append(kwargs["retry_policy"])
+            raise Stop
+
+        monkeypatch.setattr(runner, "ExperimentEngine", capture)
+        with pytest.raises(Stop):
+            main(flags + ["--no-cache"])
+        (policy,) = seen
+        assert policy.timeout == timeout
+        assert policy.max_attempts == max_attempts
+        if not flags:
+            assert policy == RetryPolicy()
+
     def test_negative_job_retries_rejected(self):
         with pytest.raises(SystemExit):
             main(["--job-retries", "-1", "--no-cache"])

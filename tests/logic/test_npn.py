@@ -4,18 +4,23 @@ import random
 
 import pytest
 
-from repro.logic import TruthTable, all_input_permutation_phase_tables, npn_canonical, p_canonical
+from repro.logic import TruthTable, npn, npn_canonical
 from repro.logic.npn import (
     InputMatch,
     apply_match,
     canonicalize_bits,
+    canonicalize_bits_batch_columns,
     compose_matches,
-    enumerate_permutation_phase,
     invert_match,
     npn_canonicalize,
     npn_equivalent,
 )
-from tests.oracles.npn import npn_canonical_exhaustive
+from tests.oracles.npn import (
+    all_input_permutation_phase_tables,
+    enumerate_permutation_phase,
+    npn_canonical_exhaustive,
+    p_canonical,
+)
 
 
 def _tt(func, n):
@@ -191,3 +196,20 @@ class TestFastCanonicalizer:
             canonicalize_bits(0, 7, True)
         with pytest.raises(ValueError):
             npn_canonical(TruthTable.constant(False, 7))
+
+    def test_batch_memo_overflow_keeps_every_row(self, monkeypatch):
+        """A batch that overflows the column memo mixes memoized and new
+        tables; the clear must not lose the memoized ones."""
+        monkeypatch.setattr(npn, "_COLUMN_MEMO", {})
+        monkeypatch.setattr(npn, "_COLUMN_MEMO_LIMIT", 4)
+        for batch in ([1, 2], [1, 2, 3, 4], [1, 2, 3, 4, 5]):
+            canonical, permutation, phase, negated = canonicalize_bits_batch_columns(
+                batch, 2
+            )
+            for row, bits in enumerate(batch):
+                assert (
+                    int(canonical[row]),
+                    tuple(int(v) for v in permutation[row]),
+                    int(phase[row]),
+                    bool(negated[row]),
+                ) == canonicalize_bits(bits, 2, True)

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from repro.logic import TruthTable, npn_canonical, parse_expr
 from repro.logic.npn import (
     InputMatch,
-    all_input_permutation_phase_tables,
     apply_match,
     invert_match,
     npn_canonicalize,
 )
+from tests.oracles.npn import all_input_permutation_phase_tables
 
 MAX_VARS = 4
 

@@ -103,7 +103,7 @@ class ExhaustiveLibraryMatcher:
 def _fast_permutation_phase_tables(
     bits: int, num_vars: int, include_output_negation: bool
 ) -> dict[int, InputMatch]:
-    """Vectorized equivalent of :func:`repro.logic.npn.all_input_permutation_phase_tables`.
+    """Vectorized equivalent of :func:`tests.oracles.npn.all_input_permutation_phase_tables`.
 
     Enumerates every table reachable by permuting and complementing inputs
     (and optionally complementing the output) using numpy gathers, which keeps

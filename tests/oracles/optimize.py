@@ -9,6 +9,8 @@ did before that: a recursive tree collapse per node into a pointer-chasing
 through :meth:`Aig.and_many`/:meth:`Aig.or_many`.  Production must reproduce
 them node for node: the same choice stream (``trace``), the same gate
 emission order, the same structural hashing and the same levels.
+:func:`replay_ops` is the one-call-per-gate executor of the op schedules
+the production pass replays through its inlined builder loop.
 
 :data:`RESYN2RS_REFERENCE` is ``resyn2rs`` built from these passes.  It is
 never registered: run it inside :func:`oracle_passes`, which registers the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.flow import FlowSpec, FunctionPass, register_pass
 from repro.flow.passes import _PASS_REGISTRY
@@ -191,6 +193,34 @@ def rewrite_reference(
     for name, literal in zip(aig.po_names, aig.po_literals):
         new.add_po(name, translate(literal))
     return new.cleanup()
+
+
+def replay_ops(
+    and_gate: Callable[[AigLiteral, AigLiteral], AigLiteral],
+    leaves: Sequence[AigLiteral],
+    ops: tuple[tuple[int, int], ...],
+    result: int,
+) -> AigLiteral:
+    """Reference executor of a :func:`~repro.synthesis.rewrite_lib.compile_ops`
+    schedule: the gates of :func:`~repro.synthesis.rewrite_lib.replay_cover`,
+    one ``and_gate`` call per op (``_GraphBuilder.replay`` inlines the call)."""
+    temps: list[AigLiteral] = []
+    append = temps.append
+    for a, b in ops:
+        if a >= 2:
+            value_a = (temps[(a >> 2) - 1] if a & 2 else leaves[(a >> 2) - 1]) ^ (a & 1)
+        else:
+            value_a = a
+        if b >= 2:
+            value_b = (temps[(b >> 2) - 1] if b & 2 else leaves[(b >> 2) - 1]) ^ (b & 1)
+        else:
+            value_b = b
+        append(and_gate(value_a, value_b))
+    if result >= 2:
+        return (
+            temps[(result >> 2) - 1] if result & 2 else leaves[(result >> 2) - 1]
+        ) ^ (result & 1)
+    return result
 
 
 _ORACLE_PASSES = (

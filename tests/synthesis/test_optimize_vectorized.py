@@ -16,10 +16,11 @@ per-node algorithms produced.  These tests pin that contract:
   flow built from the reference passes, run unregistered);
 * the heapq scheduling of ``balance_reference`` against a verbatim copy of
   the original ``ordered.pop(0)``/``insert`` algorithm;
-* the NPN-class rewrite library: member programs replayed through
-  ``compile_ops``/``replay_ops`` equal ``replay_cover`` gate for gate, and
-  ``instantiate`` (class template + composed transform) is functionally
-  equivalent to direct member synthesis for every class encountered;
+* the cover schedules: ``compile_ops`` schedules run through the oracle
+  executor ``replay_ops`` equal ``replay_cover`` gate for gate,
+  ``cover_schedule`` memoizes exactly ``compile_ops(compile_cover(...))``
+  and its schedules compute their truth tables, and a cold ``resyn2rs``
+  flow runs no NPN canonicalization;
 * the mask-based ``_cube_minterms`` against the per-minterm loop it
   replaced, and the cut enumerator's level kernel against the pure-Python
   oracle in ``tests/oracles/cuts.py``, cut for cut.
@@ -34,23 +35,25 @@ from hypothesis import strategies as st
 
 from repro.bench.registry import benchmark_by_name
 from repro.flow import run_flow
+from repro.logic import npn
+from repro.logic.npn import canonicalize_bits
 from repro.synthesis.aig import Aig, CONST0, CONST1, lit_is_complemented, lit_node
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import enumerate_cuts_arrays
 from repro.synthesis.optimize import balance, rewrite
 from repro.synthesis.rewrite_lib import (
-    REWRITE_LIBRARY,
     _cube_minterms,
     compile_cover,
     compile_ops,
+    cover_schedule,
     replay_cover,
-    replay_ops,
 )
 from tests.oracles.cuts import _cut_set_from_dict, enumerate_cuts_reference
 from tests.oracles.optimize import (
     RESYN2RS_REFERENCE,
     balance_reference,
     oracle_passes,
+    replay_ops,
     rewrite_reference,
 )
 
@@ -271,14 +274,6 @@ class TestBalanceHeapEquivalence:
         )
 
 
-def _table_strategy():
-    return st.integers(min_value=2, max_value=4).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)
-        )
-    )
-
-
 def _simulate_literal_table(aig: Aig, literal: int, num_vars: int) -> int:
     """Truth table of ``literal`` over the first ``num_vars`` PIs."""
     size = 1 << num_vars
@@ -301,8 +296,16 @@ def _simulate_literal_table(aig: Aig, literal: int, num_vars: int) -> int:
     return result & ((1 << size) - 1)
 
 
+def _table_strategy():
+    return st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)
+        )
+    )
+
+
 class TestRewriteLibrary:
-    """Program compilation, op schedules and template instantiation."""
+    """Op schedules, the per-function schedule memo and its use by the flow."""
 
     @given(_table_strategy())
     @settings(max_examples=60, deadline=None)
@@ -324,30 +327,44 @@ class TestRewriteLibrary:
 
     @given(_table_strategy())
     @settings(max_examples=60, deadline=None)
-    def test_template_instantiation_is_functionally_equivalent(self, arity_table):
+    def test_cover_schedule_memoizes_the_compiled_schedule(self, arity_table):
         num_vars, table = arity_table
-        aig = Aig("inst")
+        schedule = cover_schedule(table, num_vars)
+        assert schedule == compile_ops(compile_cover(table, num_vars))
+        assert cover_schedule(table, num_vars) is schedule
+
+    @given(_table_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_cover_schedule_computes_its_table(self, arity_table):
+        num_vars, table = arity_table
+        ops, result = cover_schedule(table, num_vars)
+        aig = Aig("schedule")
         leaves = [aig.add_pi(f"x{i}") for i in range(num_vars)]
+        literal = replay_ops(aig.and_gate, leaves, ops, result)
+        assert _simulate_literal_table(aig, literal, num_vars) == table
 
-        direct = replay_cover(
-            aig.and_gate, leaves, REWRITE_LIBRARY.program(table, num_vars)
-        )
-        via_template = REWRITE_LIBRARY.instantiate(aig, leaves, table, num_vars)
+    def test_cold_flow_runs_no_npn_canonicalization(self, monkeypatch):
+        """The rewrite pass keys its covers by raw table: a cold ``resyn2rs``
+        flow never enters the NPN orbit scan."""
+        cover_schedule.cache_clear()
+        canonicalize_bits.cache_clear()
+        calls = []
 
-        assert _simulate_literal_table(aig, direct, num_vars) == table
-        assert _simulate_literal_table(aig, via_template, num_vars) == table
+        def spy(name):
+            original = getattr(npn, name)
 
-    def test_class_compression(self):
-        """Members share class templates: classes <= members, and a member
-        equal to its canonical form reuses the template program object."""
-        REWRITE_LIBRARY.cache_clear()
-        for table in range(1 << (1 << 2)):
-            REWRITE_LIBRARY.program(table, 2)
-        assert REWRITE_LIBRARY.member_count == 16
-        assert REWRITE_LIBRARY.class_count < REWRITE_LIBRARY.member_count
-        template, _match = REWRITE_LIBRARY.template_for(0b1000, 2)
-        canonical_program = REWRITE_LIBRARY.program(template.table, 2)
-        assert canonical_program is template.program
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(npn, name, counted)
+
+        spy("_min_variant")
+        spy("_min_variant_batch")
+        result = run_flow("resyn2rs", benchmark_by_name("C1908").build())
+        assert result.aig.num_ands > 0
+        assert cover_schedule.cache_info().currsize > 0
+        assert calls == []
 
 
 class TestCubeMintermMasks:
