@@ -13,7 +13,7 @@ AIG built twice from the same structure shares nodes automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 AigLiteral = int
@@ -40,27 +40,27 @@ def make_literal(node: int, complemented: bool = False) -> AigLiteral:
     return (node << 1) | int(complemented)
 
 
-@dataclass(slots=True)
-class _Node:
-    """One AIG node.  Primary inputs have ``fanin0 == fanin1 == -1``."""
-
-    fanin0: AigLiteral
-    fanin1: AigLiteral
-    level: int
-
-
 class Aig:
-    """A structurally hashed And-Inverter Graph."""
+    """A structurally hashed And-Inverter Graph.
+
+    The graph lives in three flat lists indexed by node id: the two fanin
+    literals (``-1`` for the constant node 0 and the primary inputs, whose
+    ids interleave with the AND ids in creation order) and the level.  An
+    AND node stores its fanins in canonical order (``fanin0 < fanin1``) and
+    the structural-hash table maps ``(fanin0 << 32) | fanin1`` to its id.
+    """
 
     def __init__(self, name: str = "aig") -> None:
         self.name = name
         # Node 0 is the constant-false node.
-        self._nodes: list[_Node] = [_Node(-1, -1, 0)]
+        self._fanin0: list[AigLiteral] = [-1]
+        self._fanin1: list[AigLiteral] = [-1]
+        self._level: list[int] = [0]
         self._pi_names: list[str] = []
         self._pi_nodes: list[int] = []
         self._po_names: list[str] = []
         self._po_literals: list[AigLiteral] = []
-        self._strash: dict[tuple[AigLiteral, AigLiteral], int] = {}
+        self._strash: dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -68,49 +68,56 @@ class Aig:
         """Add a primary input and return its (positive) literal."""
         if name in self._pi_names:
             raise ValueError(f"duplicate primary input name {name!r}")
-        node = len(self._nodes)
-        self._nodes.append(_Node(-1, -1, 0))
+        node = len(self._fanin0)
+        self._fanin0.append(-1)
+        self._fanin1.append(-1)
+        self._level.append(0)
         self._pi_names.append(name)
         self._pi_nodes.append(node)
         return make_literal(node)
 
     def add_po(self, name: str, literal: AigLiteral) -> None:
         """Register a primary output driven by ``literal``."""
-        if literal < 0 or lit_node(literal) >= len(self._nodes):
+        if literal < 0 or lit_node(literal) >= len(self._fanin0):
             raise ValueError(f"literal {literal} does not exist")
         self._po_names.append(name)
         self._po_literals.append(literal)
 
     def and_gate(self, a: AigLiteral, b: AigLiteral) -> AigLiteral:
         """AND of two literals with structural hashing and local simplification."""
-        nodes = self._nodes
-        known = len(nodes)
+        known = len(self._fanin0)
         if a < 0 or (a >> 1) >= known or b < 0 or (b >> 1) >= known:
             bad = a if (a < 0 or (a >> 1) >= known) else b
             raise ValueError(f"literal {bad} does not exist")
-        # Local simplifications.
-        if a == CONST0 or b == CONST0:
-            return CONST0
-        if a == CONST1:
-            return b
-        if b == CONST1:
-            return a
+        return self.strash_and(a, b)
+
+    def strash_and(self, a: AigLiteral, b: AigLiteral) -> AigLiteral:
+        """:meth:`and_gate` without the existence check: the one gate
+        constructor, which the resynthesis passes call directly."""
+        if a < 2 or b < 2:
+            if a == 0 or b == 0:
+                return CONST0
+            return b if a == 1 else a
         if a == b:
             return a
         if a ^ 1 == b:
             return CONST0
-        # Canonical order for hashing.
         if a > b:
             a, b = b, a
-        key = (a, b)
-        existing = self._strash.get(key)
-        if existing is not None:
-            return existing << 1
-        level0 = nodes[a >> 1].level
-        level1 = nodes[b >> 1].level
-        nodes.append(_Node(a, b, (level0 if level0 >= level1 else level1) + 1))
-        self._strash[key] = known
-        return known << 1
+        key = (a << 32) | b
+        node = self._strash.get(key)
+        if node is not None:
+            return node << 1
+        level = self._level
+        level0 = level[a >> 1]
+        level1 = level[b >> 1]
+        fanin0 = self._fanin0
+        node = len(fanin0)
+        fanin0.append(a)
+        self._fanin1.append(b)
+        level.append((level0 if level0 >= level1 else level1) + 1)
+        self._strash[key] = node
+        return node << 1
 
     def not_gate(self, a: AigLiteral) -> AigLiteral:
         return lit_complement(a)
@@ -184,11 +191,11 @@ class Aig:
     @property
     def num_nodes(self) -> int:
         """Total node count including the constant and the primary inputs."""
-        return len(self._nodes)
+        return len(self._fanin0)
 
     @property
     def num_ands(self) -> int:
-        return len(self._nodes) - 1 - len(self._pi_nodes)
+        return len(self._fanin0) - 1 - len(self._pi_nodes)
 
     def pi_literal(self, name: str) -> AigLiteral:
         try:
@@ -198,34 +205,35 @@ class Aig:
         return make_literal(self._pi_nodes[index])
 
     def is_pi(self, node: int) -> bool:
-        return node in set(self._pi_nodes) if False else self._nodes[node].fanin0 == -1 and node != 0
+        return node != 0 and self._fanin0[node] == -1
 
     def is_and(self, node: int) -> bool:
-        return self._nodes[node].fanin0 >= 0
+        return self._fanin0[node] >= 0
 
     def fanins(self, node: int) -> tuple[AigLiteral, AigLiteral]:
-        data = self._nodes[node]
-        if data.fanin0 < 0:
+        fanin0 = self._fanin0[node]
+        if fanin0 < 0:
             raise ValueError(f"node {node} is not an AND node")
-        return data.fanin0, data.fanin1
+        return fanin0, self._fanin1[node]
 
     def level(self, node: int) -> int:
-        return self._nodes[node].level
+        return self._level[node]
 
     def literal_level(self, literal: AigLiteral) -> int:
         """Level of the node a literal refers to."""
-        return self._nodes[lit_node(literal)].level
+        return self._level[lit_node(literal)]
 
     def depth(self) -> int:
         """Number of AND levels on the longest PI-to-PO path."""
         if not self._po_literals:
             return 0
-        return max(self._nodes[lit_node(l)].level for l in self._po_literals)
+        return max(self._level[lit_node(l)] for l in self._po_literals)
 
     def and_nodes(self) -> Iterable[int]:
         """AND node indices in topological (creation) order."""
-        for node in range(1, len(self._nodes)):
-            if self.is_and(node):
+        fanin0 = self._fanin0
+        for node in range(1, len(fanin0)):
+            if fanin0[node] >= 0:
                 yield node
 
     def pi_nodes(self) -> tuple[int, ...]:
@@ -252,7 +260,7 @@ class Aig:
         num_words = len(next(iter(pi_words.values()))) if pi_words else 1
         mask = (1 << 64) - 1
         arrays = aig_arrays(self)
-        values = np.zeros((len(self._nodes), num_words), dtype=np.uint64)
+        values = np.zeros((len(self._fanin0), num_words), dtype=np.uint64)
         for name, node in zip(self._pi_names, self._pi_nodes):
             words = pi_words[name]
             if len(words) != num_words:
@@ -288,63 +296,76 @@ class Aig:
 
     # -- restructuring -----------------------------------------------------------
 
+    def copy_inputs(self) -> tuple["Aig", list[AigLiteral]]:
+        """A graph with this one's name and inputs but no gate, and the map.
+
+        The inputs keep their order and take the ids ``1 .. num_pis``; the
+        map gives every node here its literal there (``-1`` for the AND
+        nodes, left to the caller).
+        """
+        new = Aig(self.name)
+        count = 1 + len(self._pi_names)
+        new._fanin0, new._fanin1, new._level = [-1] * count, [-1] * count, [0] * count
+        new._pi_names = list(self._pi_names)
+        new._pi_nodes = list(range(1, count))
+        mapping = [-1] * len(self._fanin0)
+        mapping[0] = CONST0
+        for index, node in enumerate(self._pi_nodes, start=1):
+            mapping[node] = index << 1
+        return new, mapping
+
     def cleanup(self) -> "Aig":
         """Return a copy containing only the logic reachable from the outputs.
 
-        Runs on the array-backed view: reachability is a batched backward
-        sweep over the level groups and the surviving nodes are compacted
-        directly (old node order, canonical fanin order and levels are all
-        preserved).  No node has a constant or duplicated fanin -- neither
-        :meth:`and_gate` nor the passes' graph builder emits one -- so no
-        simplification could fire on a rebuild, and the result is node for
-        node the rebuild through :meth:`and_gate` that
-        ``tests/oracles/aig.py`` keeps as the oracle.
+        Liveness is one descending sweep (fanins precede their node).  The
+        copy then takes every primary input, in order, followed by the live
+        AND nodes in creation order.  The remap keeps every input and is
+        injective, so no node gains a constant or duplicated fanin, no two
+        nodes meet in the structural hash and levels carry over; a node's
+        fanins swap only where an input created after its other fanin, an
+        AND node, now comes first.  The result is node for node the rebuild
+        through :meth:`and_gate` that ``tests/oracles/aig.py`` keeps as the
+        oracle.
         """
-        import numpy as np
+        fanin0 = self._fanin0
+        fanin1 = self._fanin1
+        level = self._level
+        count = len(fanin0)
+        live = bytearray(count)
+        for literal in self._po_literals:
+            live[literal >> 1] = 1
+        for node in range(count - 1, 0, -1):
+            if live[node] and fanin0[node] >= 0:
+                live[fanin0[node] >> 1] = 1
+                live[fanin1[node] >> 1] = 1
 
-        from repro.synthesis.aig_array import aig_arrays
-
-        arrays = aig_arrays(self)
-        and_nodes = arrays.and_nodes
-        reachable = np.zeros(arrays.num_nodes, dtype=bool)
-        if arrays.po_literals.size:
-            reachable[arrays.po_literals >> 1] = True
-        for group in reversed(arrays.level_groups):
-            live = group[reachable[group]]
-            if live.size == 0:
-                continue
-            reachable[arrays.fanin0[live] >> 1] = True
-            reachable[arrays.fanin1[live] >> 1] = True
-
-        new = Aig(self.name)
-        mapping = np.zeros(arrays.num_nodes, dtype=np.int64)
-        for name, node in zip(self._pi_names, self._pi_nodes):
-            mapping[node] = new.add_pi(name)
-        live_ands = and_nodes[reachable[and_nodes]]
-        base = len(new._nodes)
-        mapping[live_ands] = np.arange(base, base + live_ands.size) << 1
-        fanin0 = arrays.fanin0[live_ands]
-        fanin1 = arrays.fanin1[live_ands]
-        new_f0 = mapping[fanin0 >> 1] ^ (fanin0 & 1)
-        new_f1 = mapping[fanin1 >> 1] ^ (fanin1 & 1)
-        lo = np.minimum(new_f0, new_f1)
-        hi = np.maximum(new_f0, new_f1)
-        nodes = new._nodes
+        new, mapping = self.copy_inputs()
+        new_fanin0, new_fanin1, new_level = new._fanin0, new._fanin1, new._level
         strash = new._strash
-        for node_id, (low, high, level) in enumerate(
-            zip(lo.tolist(), hi.tolist(), arrays.level[live_ands].tolist()),
-            start=base,
-        ):
-            nodes.append(_Node(low, high, level))
-            strash[(low, high)] = node_id
-        mapping_list = mapping.tolist()
-        for name, literal in zip(self._po_names, self._po_literals):
-            new.add_po(name, mapping_list[literal >> 1] ^ (literal & 1))
+        for node in compress(range(count), live):
+            a = fanin0[node]
+            if a < 0:
+                continue
+            b = fanin1[node]
+            a = mapping[a >> 1] ^ (a & 1)
+            b = mapping[b >> 1] ^ (b & 1)
+            if a > b:
+                a, b = b, a
+            new_id = len(new_fanin0)
+            new_fanin0.append(a)
+            new_fanin1.append(b)
+            new_level.append(level[node])
+            strash[(a << 32) | b] = new_id
+            mapping[node] = new_id << 1
+        new._po_names = list(self._po_names)
+        new._po_literals = [
+            mapping[literal >> 1] ^ (literal & 1) for literal in self._po_literals
+        ]
         return new
 
     def fanout_counts(self) -> dict[int, int]:
         """Number of references to every node (from AND fanins and POs)."""
-        counts: dict[int, int] = {node: 0 for node in range(len(self._nodes))}
+        counts: dict[int, int] = {node: 0 for node in range(len(self._fanin0))}
         for node in self.and_nodes():
             f0, f1 = self.fanins(node)
             counts[lit_node(f0)] += 1

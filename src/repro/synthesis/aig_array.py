@@ -1,9 +1,10 @@
 """Array-backed (struct-of-arrays) view of an :class:`~repro.synthesis.aig.Aig`.
 
-The pointer-chasing :class:`Aig` is ideal for incremental construction with
-structural hashing, but the hot read-only consumers -- cut enumeration, the
-mapping DP, packed simulation -- only ever walk the finished graph.  For them
-this module flattens the AIG once into a handful of numpy arrays:
+The :class:`Aig` keeps its graph in flat Python lists, which suit
+incremental construction with structural hashing, but the hot read-only
+consumers -- cut enumeration, the mapping DP, packed simulation -- work on
+whole columns of the finished graph.  For them this module converts the
+lists once into a handful of numpy arrays:
 
 * ``fanin0`` / ``fanin1``  -- fanin *literals* per node (``-1`` for the
   constant node and primary inputs), so complement bits travel with the edge;
@@ -57,37 +58,20 @@ class AigArrays:
 
 def _build_arrays(aig: Aig) -> AigArrays:
     num_nodes = aig.num_nodes
-    fanin0 = np.full(num_nodes, -1, dtype=np.int64)
-    fanin1 = np.full(num_nodes, -1, dtype=np.int64)
-    level = np.zeros(num_nodes, dtype=np.int64)
-
-    nodes = aig._nodes  # flattening lives next to the Aig class
-    for index in range(1, num_nodes):
-        data = nodes[index]
-        if data.fanin0 >= 0:
-            fanin0[index] = data.fanin0
-            fanin1[index] = data.fanin1
-        level[index] = data.level
-
-    po_literals = np.asarray(aig.po_literals, dtype=np.int64)
-    # Primary inputs are the non-zero nodes without fanins (``Aig.add_pi``
-    # appends them in id order, so the ascending ids match the PI name order).
+    # The Aig's own lists are the columns (the conversion lives next to the
+    # Aig class).
+    fanin0 = np.array(aig._fanin0, dtype=np.int64)
+    fanin1 = np.array(aig._fanin1, dtype=np.int64)
+    level = np.array(aig._level, dtype=np.int64)
+    po_literals = np.array(aig._po_literals, dtype=np.int64)
+    pi_nodes = np.array(aig._pi_nodes, dtype=np.int64)
     is_and = fanin0 >= 0
     and_nodes = np.nonzero(is_and)[0].astype(np.int64)
-    pi_mask = ~is_and
-    if num_nodes:
-        pi_mask[0] = False  # node 0 is the constant, never a PI
-    pi_nodes = np.nonzero(pi_mask)[0].astype(np.int64)
 
-    fanout = np.zeros(num_nodes, dtype=np.int64)
-    if and_nodes.size:
-        refs = np.concatenate([fanin0[and_nodes] >> 1, fanin1[and_nodes] >> 1])
-    else:
-        refs = np.empty(0, dtype=np.int64)
-    if po_literals.size:
-        refs = np.concatenate([refs, po_literals >> 1])
-    if refs.size:
-        fanout += np.bincount(refs, minlength=num_nodes)
+    refs = np.concatenate(
+        [fanin0[and_nodes] >> 1, fanin1[and_nodes] >> 1, po_literals >> 1]
+    )
+    fanout = np.bincount(refs, minlength=num_nodes).astype(np.int64, copy=False)
 
     groups: list[np.ndarray] = []
     if and_nodes.size:

@@ -41,7 +41,8 @@ def read_blif(text: str, name: str | None = None) -> Aig:
 
     Supports the combinational subset: ``.model``, ``.inputs``, ``.outputs``,
     ``.names`` (with multi-cube covers and the ``0``/``1``/``-`` input
-    notation) and ``.end``.  Latches and subcircuits are rejected.
+    notation) and ``.end``.  Latches and subcircuits are rejected, and so is
+    a signal defined twice: by two ``.names`` covers, or an input's cover.
     """
     lines = _join_continuations(text.splitlines())
     model_name = name or "blif"
@@ -99,6 +100,8 @@ def read_blif(text: str, name: str | None = None) -> Aig:
                     f"cover of {target!r} mixes bare output-value rows with "
                     "cube rows"
                 )
+            if target in covers:
+                raise BlifParseError(f"signal {target!r} has two .names covers")
             covers[target] = (fanins, cubes, output_value)
         elif keyword == ".end":
             index += 1
@@ -107,54 +110,72 @@ def read_blif(text: str, name: str | None = None) -> Aig:
         else:
             raise BlifParseError(f"unknown BLIF keyword {keyword!r}")
 
+    for input_name in inputs:
+        if input_name in covers:
+            raise BlifParseError(f"input {input_name!r} also has a .names cover")
+
     aig = Aig(model_name)
     literals: dict[str, AigLiteral] = {}
     for input_name in inputs:
         literals[input_name] = aig.add_pi(input_name)
 
-    def build_signal(signal: str, visiting: set[str]) -> AigLiteral:
-        if signal in literals:
-            return literals[signal]
-        if signal not in covers:
-            raise BlifParseError(f"signal {signal!r} is never defined")
-        if signal in visiting:
-            raise BlifParseError(f"combinational loop through {signal!r}")
-        visiting.add(signal)
-        fanins, cubes, output_value = covers[signal]
-        fanin_literals = [build_signal(f, visiting) for f in fanins]
-        visiting.remove(signal)
-
-        if not fanins:
-            literal = CONST1 if cubes and output_value == "1" else CONST0
-            literals[signal] = literal
-            return literal
-
-        cube_literals: list[AigLiteral] = []
-        for cube in cubes:
-            if len(cube) != len(fanins):
-                raise BlifParseError(
-                    f"cube {cube!r} width does not match fanins of {signal!r}"
+    def build_signal(root: str) -> AigLiteral:
+        # Depth-first on an explicit stack (no recursion limit): fanins left
+        # to right, each signal after its fanins.  An entry is a signal to
+        # enter, or, flagged, one whose fanins are all built.
+        stack = [(root, False)]
+        visiting: set[str] = set()
+        while stack:
+            signal, fanins_built = stack.pop()
+            if fanins_built:
+                visiting.remove(signal)
+                fanins, cubes, output_value = covers[signal]
+                literals[signal] = _cover_literal(
+                    aig, signal, [literals[f] for f in fanins], cubes, output_value
                 )
-            terms: list[AigLiteral] = []
-            for value, fanin_literal in zip(cube, fanin_literals):
-                if value == "1":
-                    terms.append(fanin_literal)
-                elif value == "0":
-                    terms.append(lit_complement(fanin_literal))
-                elif value == "-":
-                    continue
-                else:
-                    raise BlifParseError(f"invalid cube character {value!r}")
-            cube_literals.append(aig.and_many(terms) if terms else CONST1)
-        literal = aig.or_many(cube_literals) if cube_literals else CONST0
-        if output_value == "0":
-            literal = lit_complement(literal)
-        literals[signal] = literal
-        return literal
+            elif signal not in literals:
+                if signal not in covers:
+                    raise BlifParseError(f"signal {signal!r} is never defined")
+                if signal in visiting:
+                    raise BlifParseError(f"combinational loop through {signal!r}")
+                visiting.add(signal)
+                stack.append((signal, True))
+                stack.extend((fanin, False) for fanin in reversed(covers[signal][0]))
+        return literals[root]
 
     for output_name in outputs:
-        aig.add_po(output_name, build_signal(output_name, set()))
+        aig.add_po(output_name, build_signal(output_name))
     return aig
+
+
+def _cover_literal(
+    aig: Aig, signal: str, fanin_literals: list[AigLiteral], cubes: list[str],
+    output_value: str,
+) -> AigLiteral:
+    """Build one ``.names`` sum-of-products cover over its fanin literals."""
+    if not fanin_literals:
+        return CONST1 if cubes and output_value == "1" else CONST0
+    cube_literals: list[AigLiteral] = []
+    for cube in cubes:
+        if len(cube) != len(fanin_literals):
+            raise BlifParseError(
+                f"cube {cube!r} width does not match fanins of {signal!r}"
+            )
+        terms: list[AigLiteral] = []
+        for value, fanin_literal in zip(cube, fanin_literals):
+            if value == "1":
+                terms.append(fanin_literal)
+            elif value == "0":
+                terms.append(lit_complement(fanin_literal))
+            elif value == "-":
+                continue
+            else:
+                raise BlifParseError(f"invalid cube character {value!r}")
+        cube_literals.append(aig.and_many(terms) if terms else CONST1)
+    literal = aig.or_many(cube_literals) if cube_literals else CONST0
+    if output_value == "0":
+        literal = lit_complement(literal)
+    return literal
 
 
 def read_blif_file(path: str | Path) -> Aig:
@@ -164,36 +185,44 @@ def read_blif_file(path: str | Path) -> Aig:
 
 
 def write_blif(aig: Aig) -> str:
-    """Serialize an AIG to BLIF (one two-input AND cover per node)."""
+    """Serialize an AIG to BLIF (one two-input AND cover per node).
+
+    AND node ``k`` drives the net ``n<k>``, with ``_`` appended until the
+    name is no input's or output's, so every name is defined once.  An
+    output whose name an input or an earlier output already defines needs
+    no cover if it carries the same literal, and raises :class:`ValueError`
+    otherwise (BLIF cannot express it).
+    """
     lines = [f".model {aig.name}"]
     if aig.pi_names:
         lines.append(".inputs " + " ".join(aig.pi_names))
     if aig.po_names:
         lines.append(".outputs " + " ".join(aig.po_names))
 
-    def node_name(node: int) -> str:
-        if aig.is_pi(node):
-            return aig.pi_names[aig.pi_nodes().index(node)]
-        return f"n{node}"
-
-    def literal_expr(literal: AigLiteral) -> tuple[str, bool]:
-        return node_name(literal >> 1), bool(literal & 1)
-
+    names = dict(zip(aig.pi_nodes(), aig.pi_names))
+    taken = set(aig.pi_names) | set(aig.po_names)
     for node in aig.and_nodes():
         f0, f1 = aig.fanins(node)
-        n0, c0 = literal_expr(f0)
-        n1, c1 = literal_expr(f1)
-        lines.append(f".names {n0} {n1} n{node}")
-        lines.append(f"{'0' if c0 else '1'}{'0' if c1 else '1'} 1")
+        net = f"n{node}"
+        while net in taken:
+            net += "_"
+        names[node] = net
+        lines.append(f".names {names[f0 >> 1]} {names[f1 >> 1]} {net}")
+        lines.append(f"{'0' if f0 & 1 else '1'}{'0' if f1 & 1 else '1'} 1")
 
+    defined = {name: node << 1 for name, node in zip(aig.pi_names, aig.pi_nodes())}
     for name, literal in zip(aig.po_names, aig.po_literals):
+        if name in defined:
+            if literal != defined[name]:
+                raise ValueError(f"output {name!r} is already defined otherwise")
+            continue
+        defined[name] = literal
         if literal == CONST0 or literal == CONST1:
             lines.append(f".names {name}")
             if literal == CONST1:
                 lines.append("1")
             continue
-        source, complemented = literal_expr(literal)
-        lines.append(f".names {source} {name}")
-        lines.append("0 1" if complemented else "1 1")
+        lines.append(f".names {names[literal >> 1]} {name}")
+        lines.append("0 1" if literal & 1 else "1 1")
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -24,8 +24,8 @@ the cut enumerator: they read the graph through
 :class:`~repro.synthesis.cuts.CutSet` struct-of-arrays, select candidate
 cuts with one numpy scan, fetch each cut function's compiled cover
 schedule from the memo of :mod:`repro.synthesis.rewrite_lib`, and emit
-gates into a flat :class:`_GraphBuilder` instead of a pointer-chasing
-:class:`Aig`.
+gates straight into the flat lists of a new :class:`Aig`, which they sweep
+with :meth:`Aig.cleanup`.
 They run on every graph, however small.
 
 The per-node algorithms they replaced are the parity oracles in
@@ -43,207 +43,80 @@ import heapq
 
 import numpy as np
 
-from repro.synthesis.aig import Aig, AigLiteral, CONST0, CONST1, _Node
+from repro.synthesis.aig import Aig, AigLiteral, CONST1
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import distinct_keys
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.rewrite_lib import cover_schedule
 
 
-class _GraphBuilder:
-    """Append-only AND-graph accumulator on flat lists.
+def _replay(
+    graph: Aig,
+    leaves: list[AigLiteral],
+    ops: tuple[tuple[int, int], ...],
+    result: int,
+) -> AigLiteral:
+    """Run a :func:`~repro.synthesis.rewrite_lib.compile_ops` schedule into ``graph``.
 
-    Replays :meth:`Aig.and_gate` exactly -- the same local simplifications,
-    canonical fanin order, structural hashing and level computation -- while
-    skipping its per-call validation, attribute chasing and ``_Node``
-    allocation; :meth:`finish` bulk-materializes the accumulated nodes into
-    a real, fully equivalent :class:`Aig` (strash table included).  The
-    vectorized passes emit a whole pass worth of gates through one builder.
+    Semantically one :meth:`Aig.strash_and` call per op (the reference
+    executor in ``tests/oracles/optimize.py``) with the gate constructor
+    inlined into the op loop -- the rewrite pass replays thousands of
+    schedules per graph and the function frame per gate is its hottest
+    remaining overhead.
     """
-
-    __slots__ = ("fanin0", "fanin1", "level", "strash", "_pi_names")
-
-    def __init__(self, pi_names: tuple[str, ...]) -> None:
-        count = 1 + len(pi_names)
-        self.fanin0 = [-1] * count
-        self.fanin1 = [-1] * count
-        self.level = [0] * count
-        self.strash: dict[int, int] = {}
-        self._pi_names = pi_names
-
-    def pi_literal(self, index: int) -> AigLiteral:
-        """Literal of the ``index``-th primary input (they precede all ANDs)."""
-        return (1 + index) << 1
-
-    def and_gate(self, a: AigLiteral, b: AigLiteral) -> AigLiteral:
+    fanin0 = graph._fanin0
+    fanin1 = graph._fanin1
+    level = graph._level
+    strash = graph._strash
+    strash_get = strash.get
+    temps: list[AigLiteral] = []
+    append_temp = temps.append
+    for code_a, code_b in ops:
+        if code_a >= 2:
+            a = (temps if code_a & 2 else leaves)[(code_a >> 2) - 1] ^ (code_a & 1)
+        else:
+            a = code_a
+        if code_b >= 2:
+            b = (temps if code_b & 2 else leaves)[(code_b >> 2) - 1] ^ (code_b & 1)
+        else:
+            b = code_b
         if a < 2 or b < 2:
             if a == 0 or b == 0:
-                return 0
-            return b if a == 1 else a
+                append_temp(0)
+            else:
+                append_temp(b if a == 1 else a)
+            continue
         if a == b:
-            return a
+            append_temp(a)
+            continue
         if a ^ 1 == b:
-            return 0
+            append_temp(0)
+            continue
         if a > b:
             a, b = b, a
         key = (a << 32) | b
-        node = self.strash.get(key)
+        node = strash_get(key)
         if node is not None:
-            return node << 1
-        level = self.level
+            append_temp(node << 1)
+            continue
         level0 = level[a >> 1]
         level1 = level[b >> 1]
-        fanin0 = self.fanin0
         node = len(fanin0)
         fanin0.append(a)
-        self.fanin1.append(b)
+        fanin1.append(b)
         level.append((level0 if level0 >= level1 else level1) + 1)
-        self.strash[key] = node
-        return node << 1
+        strash[key] = node
+        append_temp(node << 1)
+    if result >= 2:
+        return (temps if result & 2 else leaves)[(result >> 2) - 1] ^ (result & 1)
+    return result
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.fanin0)
 
-    def replay(
-        self,
-        leaves: list[AigLiteral],
-        ops: tuple[tuple[int, int], ...],
-        result: int,
-    ) -> AigLiteral:
-        """Run a :func:`~repro.synthesis.rewrite_lib.compile_ops` schedule.
-
-        Semantically one :meth:`and_gate` call per op (the reference
-        executor in ``tests/oracles/optimize.py``) with the gate constructor
-        inlined into the op loop -- the rewrite pass replays thousands of
-        schedules per graph and the two function frames per gate are its
-        hottest remaining overhead.
-        """
-        fanin0 = self.fanin0
-        fanin1 = self.fanin1
-        level = self.level
-        strash = self.strash
-        strash_get = strash.get
-        temps: list[AigLiteral] = []
-        append_temp = temps.append
-        for code_a, code_b in ops:
-            if code_a >= 2:
-                a = (
-                    temps[(code_a >> 2) - 1]
-                    if code_a & 2
-                    else leaves[(code_a >> 2) - 1]
-                ) ^ (code_a & 1)
-            else:
-                a = code_a
-            if code_b >= 2:
-                b = (
-                    temps[(code_b >> 2) - 1]
-                    if code_b & 2
-                    else leaves[(code_b >> 2) - 1]
-                ) ^ (code_b & 1)
-            else:
-                b = code_b
-            if a < 2 or b < 2:
-                if a == 0 or b == 0:
-                    append_temp(0)
-                else:
-                    append_temp(b if a == 1 else a)
-                continue
-            if a == b:
-                append_temp(a)
-                continue
-            if a ^ 1 == b:
-                append_temp(0)
-                continue
-            if a > b:
-                a, b = b, a
-            key = (a << 32) | b
-            node = strash_get(key)
-            if node is not None:
-                append_temp(node << 1)
-                continue
-            level0 = level[a >> 1]
-            level1 = level[b >> 1]
-            node = len(fanin0)
-            fanin0.append(a)
-            fanin1.append(b)
-            level.append((level0 if level0 >= level1 else level1) + 1)
-            strash[key] = node
-            append_temp(node << 1)
-        if result >= 2:
-            return (
-                temps[(result >> 2) - 1] if result & 2 else leaves[(result >> 2) - 1]
-            ) ^ (result & 1)
-        return result
-
-    def finish(self, name: str) -> Aig:
-        """Materialize the accumulated graph as a real :class:`Aig`."""
-        aig = Aig(name)
-        for pi_name in self._pi_names:
-            aig.add_pi(pi_name)
-        nodes = aig._nodes
-        strash = aig._strash
-        fanin0 = self.fanin0
-        fanin1 = self.fanin1
-        level = self.level
-        for index in range(len(nodes), len(fanin0)):
-            a = fanin0[index]
-            b = fanin1[index]
-            nodes.append(_Node(a, b, level[index]))
-            strash[(a, b)] = index
-        return aig
-
-    def finish_cleaned(
-        self,
-        name: str,
-        po_names: tuple[str, ...],
-        po_literals: list[AigLiteral],
-    ) -> Aig:
-        """Materialize only the logic reachable from ``po_literals``.
-
-        Fuses :meth:`finish` with :meth:`Aig.cleanup`: liveness is one
-        descending sweep (fanins always precede their node), and the live
-        nodes are appended in their original order with an order-preserving
-        id remap.  Because the builder never emits constant or duplicated
-        fanins and the remap is strictly increasing, canonical fanin order
-        and levels are untouched -- the result is node-for-node the AIG that
-        ``finish(name)`` + ``add_po`` + ``cleanup()`` would produce, without
-        materializing the dead nodes or re-deriving the array view.
-        """
-        fanin0 = self.fanin0
-        fanin1 = self.fanin1
-        level = self.level
-        count = len(fanin0)
-        first_and = 1 + len(self._pi_names)
-        live = bytearray(count)
-        for literal in po_literals:
-            live[literal >> 1] = 1
-        for node in range(count - 1, first_and - 1, -1):
-            if live[node]:
-                live[fanin0[node] >> 1] = 1
-                live[fanin1[node] >> 1] = 1
-
-        aig = Aig(name)
-        mapping = list(range(0, 2 * first_and, 2))
-        for pi_name in self._pi_names:
-            aig.add_pi(pi_name)
-        nodes = aig._nodes
-        strash = aig._strash
-        for node in range(first_and, count):
-            if not live[node]:
-                mapping.append(-1)
-                continue
-            a = fanin0[node]
-            b = fanin1[node]
-            new_a = mapping[a >> 1] ^ (a & 1)
-            new_b = mapping[b >> 1] ^ (b & 1)
-            new_id = len(nodes)
-            nodes.append(_Node(new_a, new_b, level[node]))
-            strash[(new_a, new_b)] = new_id
-            mapping.append(new_id << 1)
-        for po_name, literal in zip(po_names, po_literals):
-            aig.add_po(po_name, mapping[literal >> 1] ^ (literal & 1))
-        return aig
+def _finish(aig: Aig, new: Aig, mapping: list[AigLiteral]) -> Aig:
+    """Give ``new`` the outputs of ``aig`` under ``mapping`` and sweep it."""
+    for name, literal in zip(aig.po_names, aig.po_literals):
+        new.add_po(name, mapping[literal >> 1] ^ (literal & 1))
+    return new.cleanup()
 
 
 # -- balance -----------------------------------------------------------------
@@ -268,11 +141,7 @@ def balance(aig: Aig, trace: list | None = None) -> Aig:
     fanout = arrays.fanout.tolist()
     and_nodes = arrays.and_nodes.tolist()
 
-    builder = _GraphBuilder(aig.pi_names)
-    mapping = [-1] * arrays.num_nodes
-    mapping[0] = CONST0
-    for index, node in enumerate(arrays.pi_nodes.tolist()):
-        mapping[node] = builder.pi_literal(index)
+    new, mapping = aig.copy_inputs()
 
     # Maximal-AND-tree leaves, bottom-up: a fanin edge is absorbed when it is
     # uncomplemented, feeds from an AND node and that node has fanout 1 (the
@@ -295,8 +164,8 @@ def balance(aig: Aig, trace: list | None = None) -> Aig:
         )
         leaves[node] = part0 + part1
 
-    level = builder.level
-    and_gate = builder.and_gate
+    level = new._level
+    and_gate = new.strash_and
     heappush = heapq.heappush
     heappop = heapq.heappop
     for node in and_nodes:
@@ -326,11 +195,7 @@ def balance(aig: Aig, trace: list | None = None) -> Aig:
         mapping[node] = result
         if trace is not None:
             trace.append((node, result))
-
-    po_literals = [
-        mapping[literal >> 1] ^ (literal & 1) for literal in aig.po_literals
-    ]
-    return builder.finish_cleaned(aig.name, aig.po_names, po_literals)
+    return _finish(aig, new, mapping)
 
 
 # -- rewrite -----------------------------------------------------------------
@@ -345,7 +210,7 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     each distinct cut function's cover schedule is read from the
     process-wide memo :func:`~repro.synthesis.rewrite_lib.cover_schedule`
     (one ISOP compile per function for the life of the process).  Every
-    candidate schedule is then replayed into a flat :class:`_GraphBuilder`;
+    candidate schedule is then replayed into the new graph (:func:`_replay`);
     the cheapest result (strictly fewer added gates, first minimum wins) is
     kept per node, losing candidates included in the emission stream exactly
     as the reference pass does -- their structural-hash side effects feed the
@@ -387,15 +252,9 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     fanin0 = arrays.fanin0.tolist()
     fanin1 = arrays.fanin1.tolist()
 
-    builder = _GraphBuilder(aig.pi_names)
-    mapping = [-1] * arrays.num_nodes
-    mapping[0] = CONST0
-    for index, node in enumerate(arrays.pi_nodes.tolist()):
-        mapping[node] = builder.pi_literal(index)
-
-    and_gate = builder.and_gate
-    replay = builder.replay
-    node_fanins = builder.fanin0
+    new, mapping = aig.copy_inputs()
+    and_gate = new.strash_and
+    node_fanins = new._fanin0
     cursor = 0
     for local, node in enumerate(and_nodes.tolist()):
         best_literal = -1
@@ -415,7 +274,7 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
             if available:
                 ops, result = ops_of[cursor]
                 before = len(node_fanins)
-                literal = replay(leaves, ops, result)
+                literal = _replay(new, leaves, ops, result)
                 cost = len(node_fanins) - before
                 if best_cost < 0 or cost < best_cost:
                     best_cost = cost
@@ -431,11 +290,7 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
         mapping[node] = best_literal
         if trace is not None:
             trace.append((node, best_slot, best_cost))
-
-    po_literals = [
-        mapping[literal >> 1] ^ (literal & 1) for literal in aig.po_literals
-    ]
-    return builder.finish_cleaned(aig.name, aig.po_names, po_literals)
+    return _finish(aig, new, mapping)
 
 
 def optimize(aig: Aig, max_rounds: int = 3) -> Aig:

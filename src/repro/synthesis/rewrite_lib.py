@@ -171,8 +171,8 @@ def replay_cover(
     Reproduces ``_synthesize_sop`` gate for gate: the same balanced-halving
     pairing for the factors of each cube and for the (complemented) terms of
     the OR, in the same order, with the same constant conventions.
-    ``and_gate`` is anything with :meth:`Aig.and_gate` semantics -- the real
-    graph or the flat ``_GraphBuilder`` of the vectorized passes.
+    ``and_gate`` is anything with :meth:`Aig.and_gate` semantics, such as
+    :meth:`Aig.strash_and`.
     """
     negate, cubes = program
     terms: list[AigLiteral] = []

@@ -1,10 +1,10 @@
 """Node-by-node AIG cleanup: the parity reference of ``Aig.cleanup``.
 
 Production (:meth:`repro.synthesis.aig.Aig.cleanup`) marks the live nodes
-with a batched backward sweep over the level groups and compacts them in
-one pass over the array view.  The function here does the same work the way
-``cleanup`` did before that: a depth-first reachability walk from the
-outputs, then every live AND node rebuilt in creation order through
+with one descending sweep over the graph's fanin lists and copies them under
+an id remap without re-deriving anything.  The function here does the same
+work the way ``cleanup`` did before that: a depth-first reachability walk
+from the outputs, then every live AND node rebuilt in creation order through
 :meth:`Aig.and_gate`, so structural hashing and the local simplifications
 apply as they would to freshly built logic.  Production must reproduce it
 node for node.

@@ -3,14 +3,14 @@
 Production (:func:`repro.synthesis.optimize.balance` and
 :func:`~repro.synthesis.optimize.rewrite`) reads the graph through its array
 view and the :class:`~repro.synthesis.cuts.CutSet` arrays and emits gates
-into a flat builder.  The functions here do the same work the way the passes
-did before that: a recursive tree collapse per node into a pointer-chasing
-:class:`Aig`, and, per cut, an irredundant sum of products synthesized
-through :meth:`Aig.and_many`/:meth:`Aig.or_many`.  Production must reproduce
+through :meth:`Aig.strash_and` and an inlined op loop.  The functions here do
+the same work the way the passes did before that: a recursive tree collapse
+per node through :meth:`Aig.and_gate`, and, per cut, an irredundant sum of
+products synthesized through :meth:`Aig.and_many`/:meth:`Aig.or_many`.  Production must reproduce
 them node for node: the same choice stream (``trace``), the same gate
 emission order, the same structural hashing and the same levels.
 :func:`replay_ops` is the one-call-per-gate executor of the op schedules
-the production pass replays through its inlined builder loop.
+the production pass replays through its inlined op loop.
 
 :data:`RESYN2RS_REFERENCE` is ``resyn2rs`` built from these passes.  It is
 never registered: run it inside :func:`oracle_passes`, which registers the
@@ -203,7 +203,7 @@ def replay_ops(
 ) -> AigLiteral:
     """Reference executor of a :func:`~repro.synthesis.rewrite_lib.compile_ops`
     schedule: the gates of :func:`~repro.synthesis.rewrite_lib.replay_cover`,
-    one ``and_gate`` call per op (``_GraphBuilder.replay`` inlines the call)."""
+    one ``and_gate`` call per op (``optimize._replay`` inlines the call)."""
     temps: list[AigLiteral] = []
     append = temps.append
     for a, b in ops:

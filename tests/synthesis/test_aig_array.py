@@ -84,7 +84,7 @@ class TestVectorizedSimulation:
 def _node_signature(aig: Aig) -> tuple:
     """Every node's fanins and level, the strash table, PIs and POs."""
     return (
-        tuple((node.fanin0, node.fanin1, node.level) for node in aig._nodes),
+        tuple(zip(aig._fanin0, aig._fanin1, aig._level)),
         aig._strash,
         aig.pi_names,
         aig.pi_nodes(),

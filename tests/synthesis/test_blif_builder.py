@@ -4,6 +4,7 @@ import pytest
 
 from repro.logic.simulation import exhaustive_pattern_words, random_pattern_words
 from repro.synthesis import CircuitBuilder, read_blif, write_blif
+from repro.synthesis.aig import Aig
 from repro.synthesis.blif import BlifParseError
 
 
@@ -76,6 +77,40 @@ class TestBlifReader:
         with pytest.raises(BlifParseError):
             read_blif(".model x\n.inputs a b\n.outputs y\n.names a b y\n1 1 1\n.end")
 
+    def test_second_cover_of_a_signal_rejected(self):
+        with pytest.raises(BlifParseError, match="two .names covers"):
+            read_blif(
+                ".model x\n.inputs a b\n.outputs y\n"
+                ".names a b y\n11 1\n.names a b y\n00 1\n.end\n"
+            )
+
+    def test_cover_of_a_declared_input_rejected(self):
+        with pytest.raises(BlifParseError, match="input 'b' also has"):
+            read_blif(
+                ".model x\n.inputs a b\n.outputs y\n"
+                ".names a b\n0 1\n.names a b y\n11 1\n.end\n"
+            )
+
+    def test_signals_resolve_fanins_first_in_output_order(self):
+        # y's cone is built first (t before y), then z, whatever the order
+        # of the .names blocks in the file.
+        aig = read_blif(
+            ".model order\n.inputs a b c\n.outputs y z\n"
+            ".names t c y\n11 1\n.names a b t\n11 1\n.names b c z\n11 1\n.end\n"
+        )
+        assert [aig.fanins(node) for node in aig.and_nodes()] == [
+            (2, 4),
+            (6, 8),
+            (4, 6),
+        ]
+
+    def test_loop_rejected(self):
+        with pytest.raises(BlifParseError, match="combinational loop"):
+            read_blif(
+                ".model x\n.inputs a\n.outputs y\n"
+                ".names a z y\n11 1\n.names y z\n1 1\n.end\n"
+            )
+
 
 class TestConstantCovers:
     """Constant ``.names`` drivers in every form tools emit them."""
@@ -135,6 +170,48 @@ class TestBlifRoundTrip:
         rebuilt = read_blif(write_blif(original))
         patterns = random_pattern_words(original.pi_names, num_words=4)
         assert original.simulate_words(patterns) == rebuilt.simulate_words(patterns)
+
+    def test_internal_nets_avoid_input_and_output_names(self):
+        aig = Aig("clash")
+        a, n4, c = (aig.add_pi(name) for name in ("a", "n4", "c"))
+        gate = aig.and_gate(a, c)  # node 4, whose default net name is n4
+        aig.add_po("y", aig.and_gate(gate, n4 ^ 1))
+        aig.add_po("n5", gate ^ 1)  # an output named like AND node 5's net
+        aig.add_po("a", a)  # an output named like the input driving it
+        text = write_blif(aig)
+        assert ".names a a" not in text
+        rebuilt = read_blif(text)
+        assert rebuilt.num_ands == 2
+        patterns = exhaustive_pattern_words(aig.pi_names)
+        assert rebuilt.simulate_words(patterns) == aig.simulate_words(patterns)
+
+    def test_unwritable_output_names_rejected(self):
+        aig = Aig("bad")
+        a = aig.add_pi("a")
+        b = aig.add_pi("b")
+        aig.add_po("a", b)
+        with pytest.raises(ValueError, match="'a' is already defined otherwise"):
+            write_blif(aig)
+        twice = Aig("twice")
+        a = twice.add_pi("a")
+        twice.add_po("y", a)
+        twice.add_po("y", a ^ 1)
+        with pytest.raises(ValueError, match="'y' is already defined otherwise"):
+            write_blif(twice)
+
+    def test_deep_chain_roundtrips(self):
+        aig = Aig("chain")
+        a = aig.add_pi("a")
+        b = aig.add_pi("b")
+        literal = a
+        for index in range(1500):
+            literal = aig.and_gate(literal ^ 1, a if index % 2 else b)
+        aig.add_po("y", literal)
+        assert aig.depth() == 1500
+        rebuilt = read_blif(write_blif(aig))
+        assert rebuilt.num_ands == 1500 and rebuilt.depth() == 1500
+        patterns = exhaustive_pattern_words(aig.pi_names)
+        assert rebuilt.simulate_words(patterns) == aig.simulate_words(patterns)
 
     @pytest.mark.parametrize(
         "name", ("add-16", "add-32", "t481", "C1908", "C1355", "dalu")

@@ -85,7 +85,7 @@ def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:
 def _signature(aig: Aig) -> tuple:
     """Full structural identity: every node's fanins/level, POs, names."""
     return (
-        tuple((node.fanin0, node.fanin1, node.level) for node in aig._nodes),
+        tuple(zip(aig._fanin0, aig._fanin1, aig._level)),
         tuple(aig.po_literals),
         tuple(aig.po_names),
         tuple(aig.pi_names),
