@@ -7,21 +7,23 @@ activity ``a = 2 p (1 - p)`` per cycle.  This module computes per-node
 probabilities for a whole AIG two ways:
 
 * **Exact enumeration** (:func:`exact_activities`) -- for subject graphs with
-  at most ``exact_limit`` primary inputs, all ``2**n`` input patterns are
-  enumerated at once in packed uint64 words (the same word-parallel batching
-  as :meth:`Aig.simulate_words`: one gather/AND per AND-level) and the
-  probability of a node is its exact minterm count over ``2**n``.
+  at most ``exact_limit`` primary inputs, all ``2**n`` input patterns packed
+  in uint64 words; a node's probability is its minterm count over ``2**n``.
 * **Monte-Carlo estimation** (:func:`monte_carlo_activities`) -- for large
   benchmarks, ``vectors`` words of 64 uniform random patterns per input are
-  drawn from a seeded :func:`numpy.random.default_rng` and propagated with
-  the same vectorized kernel.  The estimate is a pure function of
-  ``(structure, vectors, seed)``, so results are bit-identical across
-  processes and runs -- which is what lets the experiment engine fold the
-  Monte-Carlo parameters into its cache key.
+  drawn from a seeded :func:`numpy.random.default_rng`.  The estimate is a
+  pure function of ``(structure, vectors, seed)``, so results are
+  bit-identical across processes and runs -- which is what lets the
+  experiment engine fold the Monte-Carlo parameters into its cache key.
+
+Both count ones with the level kernel of :meth:`Aig.simulate_words`
+(:func:`~repro.synthesis.aig_array.simulate_packed`) over blocks of word
+columns sized to a byte budget, ``_BLOCK_BYTES``, holding one block of node
+values at a time; integer counts do not depend on the blocking.
 
 :func:`compute_activities` picks between the two automatically.  The slow
-one-assignment-at-a-time oracle the hypothesis property tests compare
-against is ``exact_activities_reference`` in ``tests/oracles/activity.py``.
+one-assignment-at-a-time oracle and the full-matrix propagation the
+property tests compare against are in ``tests/oracles/activity.py``.
 
 Primary inputs are assumed uniform and independent (``p = 1/2``), the
 convention of the classic switched-capacitance literature and the one the
@@ -34,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.synthesis.aig import Aig, lit_is_complemented, lit_node
-from repro.synthesis.aig_array import aig_arrays
+from repro.synthesis.aig_array import aig_arrays, simulate_packed
 from repro.synthesis.cut_kernels import popcount64
 
 #: Largest primary-input count enumerated exactly (4096 patterns = 64 words).
@@ -44,6 +47,8 @@ DEFAULT_EXACT_LIMIT = 12
 DEFAULT_VECTORS = 1024
 #: Default Monte-Carlo seed (folded into the engine's cache key).
 DEFAULT_SEED = 2009
+#: Bytes of node values one propagation block may hold.
+_BLOCK_BYTES = 8 << 20
 
 _U64 = np.uint64
 _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -76,53 +81,35 @@ class ActivityReport:
         return 1.0 - p if lit_is_complemented(literal) else p
 
 
-def _propagate_words(aig: Aig, pi_words: np.ndarray) -> np.ndarray:
-    """Packed values of *every* node on the given input words.
-
-    ``pi_words`` has shape ``(num_pis, num_words)``; the result has shape
-    ``(num_nodes, num_words)``.  Same level-batched evaluation as
-    :meth:`Aig.simulate_words`, kept separate because power analysis needs
-    the internal nodes, not just the primary outputs.
-    """
+def _count_ones(aig: Aig, pi_words: np.ndarray, tail_mask: int) -> np.ndarray:
+    """Ones per node over the input words (``tail_mask``: the valid bits of
+    the last word), counted one block of word columns at a time; annotates
+    the enclosing span with ``blocks`` and ``block_words``."""
     arrays = aig_arrays(aig)
-    num_words = pi_words.shape[1] if pi_words.size else 1
-    values = np.zeros((arrays.num_nodes, num_words), dtype=np.uint64)
-    if arrays.pi_nodes.size:
-        values[arrays.pi_nodes] = pi_words
-    for group in arrays.level_groups:
-        fanin0 = arrays.fanin0[group]
-        fanin1 = arrays.fanin1[group]
-        words0 = values[fanin0 >> 1]
-        words1 = values[fanin1 >> 1]
-        complement0 = ((fanin0 & 1) == 1)[:, None]
-        complement1 = ((fanin1 & 1) == 1)[:, None]
-        values[group] = np.where(complement0, ~words0, words0) & np.where(
-            complement1, ~words1, words1
-        )
-    return values
+    num_words = pi_words.shape[1]
+    block_words = min(num_words, max(64, _BLOCK_BYTES // (8 * arrays.num_nodes)))
+    starts = range(0, num_words, block_words)
+    counts = np.zeros(arrays.num_nodes, dtype=np.int64)
+    for start in starts:
+        values = simulate_packed(arrays, pi_words[:, start : start + block_words])
+        if start == starts[-1]:
+            values[:, -1] &= np.uint64(tail_mask)
+        counts += popcount64(values).sum(axis=1, dtype=np.int64)
+        del values  # one block alive at a time
+    obs.annotate(blocks=len(starts), block_words=block_words)
+    return counts
 
-def _report_from_values(
-    values: np.ndarray,
-    total_patterns: int,
-    tail_mask: int,
-    method: str,
-    seed: int | None,
+
+def _report(
+    counts: np.ndarray, total_patterns: int, method: str, seed: int | None
 ) -> ActivityReport:
-    """Count minterms per node and derive probabilities/activities.
-
-    ``tail_mask`` selects the valid bits of the last word (all words before
-    it are fully populated).
-    """
-    counts = popcount64(values[:, :-1]).sum(axis=1, dtype=np.int64)
-    counts += popcount64(values[:, -1] & np.uint64(tail_mask)).astype(np.int64)
     probability = counts / float(total_patterns)
-    activity = 2.0 * probability * (1.0 - probability)
     return ActivityReport(
         method=method,
         patterns=total_patterns,
         seed=seed,
         probability=probability,
-        activity=activity,
+        activity=2.0 * probability * (1.0 - probability),
     )
 
 
@@ -163,8 +150,7 @@ def exact_activities(aig: Aig, exact_limit: int = 16) -> ActivityReport:
             f"limited to {exact_limit} (use monte_carlo_activities)"
         )
     pi_words, total, tail_mask = exact_pi_words(aig.num_pis)
-    values = _propagate_words(aig, pi_words)
-    return _report_from_values(values, total, tail_mask, "exact", None)
+    return _report(_count_ones(aig, pi_words, tail_mask), total, "exact", None)
 
 
 def monte_carlo_activities(
@@ -177,8 +163,8 @@ def monte_carlo_activities(
     pi_words = rng.integers(
         0, 1 << 64, size=(aig.num_pis, vectors), dtype=np.uint64
     )
-    values = _propagate_words(aig, pi_words)
-    return _report_from_values(values, 64 * vectors, (1 << 64) - 1, "monte-carlo", seed)
+    counts = _count_ones(aig, pi_words, (1 << 64) - 1)
+    return _report(counts, 64 * vectors, "monte-carlo", seed)
 
 
 def compute_activities(

@@ -109,8 +109,8 @@ Scheduling goes through the parallel experiment engine
 ``--metrics-out PATH``
     Write the run metrics report (implies tracing): log-bucketed latency
     histograms with p50/p90/p99 for jobs and flow passes, per-stage time
-    totals, cache hit rate, retry/crash/timeout counts and the top spans
-    by self time, plus the full robustness counters.
+    totals, cache hit rate, retry/crash/timeout counts, the top spans by
+    self time, the robustness counters and the parent's and workers' peak RSS.
 
 ``--events-out PATH``
     Write the structured JSONL event log (implies tracing): one JSON
@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="write the run metrics report (latency percentiles, cache hit "
-        "rate, failure counts) as JSON; implies tracing",
+        "rate, failure counts, peak memory) as JSON; implies tracing",
     )
     parser.add_argument(
         "--events-out",

@@ -14,7 +14,7 @@ per-stage seconds and entry counts behind the runner's ``--profile``.
 engine's robustness stats into the JSON report behind ``--metrics-out``:
 per-job latency percentiles (p50/p90/p99), per-stage totals (from
 :func:`stage_report`), pass latencies, cache hit rate, retry/crash/timeout
-counts and the top spans by self time.
+counts, the top spans by self time and the process's peak memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.obs.tracer import SpanRecord
 _BUCKETS_PER_OCTAVE = 4
 
 #: Report schema version (bump when the JSON shape changes).
-METRICS_SCHEMA = 1
+METRICS_SCHEMA = 2
 
 
 class Histogram:
@@ -179,6 +179,20 @@ def stage_report(spans: Sequence[SpanRecord], counters: dict[str, float]) -> dic
     }
 
 
+def peak_memory() -> dict:
+    """Peak resident set sizes so far in MB (``ru_maxrss`` KiB / 1024): this
+    process's and the largest of its reaped children's (pool workers once
+    joined), ``None`` without the POSIX ``resource`` module."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - POSIX CI
+        return {"parent_peak_rss_mb": None, "workers_peak_rss_mb": None}
+    return {
+        "parent_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "workers_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    }
+
+
 def build_metrics(
     spans: Sequence[SpanRecord],
     counters: dict[str, float],
@@ -189,7 +203,8 @@ def build_metrics(
 
     ``robustness`` is :meth:`ExperimentEngine.robustness_stats` when an
     engine ran (cache hit rate, failure classification);
-    pure-trace consumers may omit it.
+    pure-trace consumers may omit it.  ``memory`` is :func:`peak_memory` read
+    when the report is built.
     """
     profile = stage_report(spans, counters)
     job_latency = Histogram()
@@ -246,6 +261,7 @@ def build_metrics(
         "mapper": {"candidate_rows": candidate_rows},
         "counters": profile["counters"],
         "top_spans_by_self_time": top_spans(spans),
+        "memory": peak_memory(),
     }
     if robustness is not None:
         report["robustness"] = robustness

@@ -244,14 +244,15 @@ class Aig:
     def simulate_words(self, pi_words: dict[str, list[int]]) -> dict[str, list[int]]:
         """64-bit packed simulation; returns one word list per primary output.
 
-        Runs on the array-backed view (:mod:`repro.synthesis.aig_array`): all
-        nodes of one AND-level are evaluated with a single batched uint64
-        gather/AND, so simulation cost is dominated by the number of levels
-        rather than the number of nodes.
+        Runs the level kernel of the array-backed view
+        (:func:`repro.synthesis.aig_array.simulate_packed`): all nodes of one
+        AND-level are evaluated with a single batched uint64 gather/AND, so
+        simulation cost is dominated by the number of levels rather than the
+        number of nodes.
         """
         import numpy as np
 
-        from repro.synthesis.aig_array import aig_arrays
+        from repro.synthesis.aig_array import aig_arrays, simulate_packed
 
         if set(pi_words) != set(self._pi_names):
             missing = set(self._pi_names) - set(pi_words)
@@ -259,34 +260,16 @@ class Aig:
             raise ValueError(f"pattern mismatch (missing {missing}, extra {extra})")
         num_words = len(next(iter(pi_words.values()))) if pi_words else 1
         mask = (1 << 64) - 1
-        arrays = aig_arrays(self)
-        values = np.zeros((len(self._fanin0), num_words), dtype=np.uint64)
-        for name, node in zip(self._pi_names, self._pi_nodes):
+        inputs = np.zeros((len(self._pi_names), num_words), dtype=np.uint64)
+        for row, name in enumerate(self._pi_names):
             words = pi_words[name]
             if len(words) != num_words:
                 raise ValueError("all inputs must provide the same number of words")
-            values[node] = np.fromiter(
-                (w & mask for w in words), dtype=np.uint64, count=num_words
-            )
-
-        for group in arrays.level_groups:
-            fanin0 = arrays.fanin0[group]
-            fanin1 = arrays.fanin1[group]
-            words0 = values[fanin0 >> 1]
-            words1 = values[fanin1 >> 1]
-            complement0 = ((fanin0 & 1) == 1)[:, None]
-            complement1 = ((fanin1 & 1) == 1)[:, None]
-            values[group] = np.where(complement0, ~words0, words0) & np.where(
-                complement1, ~words1, words1
-            )
-
-        result: dict[str, list[int]] = {}
-        for name, literal in zip(self._po_names, self._po_literals):
-            row = values[lit_node(literal)]
-            if lit_is_complemented(literal):
-                row = ~row
-            result[name] = [int(word) for word in row]
-        return result
+            inputs[row] = [w & mask for w in words]
+        arrays = aig_arrays(self)
+        flips = (-(arrays.po_literals & 1)).astype(np.uint64)[:, None]
+        outputs = simulate_packed(arrays, inputs)[arrays.po_literals >> 1] ^ flips
+        return dict(zip(self._po_names, outputs.tolist()))
 
     def evaluate(self, assignment: dict[str, bool]) -> dict[str, bool]:
         """Single-pattern evaluation (convenience wrapper over word simulation)."""

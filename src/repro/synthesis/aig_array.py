@@ -110,3 +110,23 @@ def aig_arrays(aig: Aig) -> AigArrays:
     arrays = _build_arrays(aig)
     aig.__dict__["_array_view"] = (key, arrays)
     return arrays
+
+
+def simulate_packed(arrays: AigArrays, pi_words: np.ndarray) -> np.ndarray:
+    """Packed ``(num_nodes, words)`` uint64 values of every node on the
+    ``(num_pis, words)`` input words, one batch per AND level: each fanin's
+    rows are gathered, XORed with the edge's mask (all ones where it is
+    complemented, as in the cut kernel) and ANDed in place."""
+    values = np.zeros((arrays.num_nodes, pi_words.shape[1]), dtype=np.uint64)
+    values[arrays.pi_nodes] = pi_words
+    nodes0, nodes1 = arrays.fanin0 >> 1, arrays.fanin1 >> 1
+    flips0 = (-(arrays.fanin0 & 1)).astype(np.uint64)[:, None]
+    flips1 = (-(arrays.fanin1 & 1)).astype(np.uint64)[:, None]
+    for group in arrays.level_groups:
+        words = values[nodes0[group]]
+        words ^= flips0[group]
+        other = values[nodes1[group]]
+        other ^= flips1[group]
+        words &= other
+        values[group] = words
+    return values

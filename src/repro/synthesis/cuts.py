@@ -388,9 +388,8 @@ def cut_set_for(
 
     The memo lives on the AIG instance keyed by its structural counts plus
     the enumeration parameters, so consumers sharing one subject graph --
-    e.g. the three library jobs of a Table-3 benchmark, or the mapper after
-    the rewrite pass already enumerated -- pay for enumeration once.  The
-    memo is garbage-collected with the AIG.
+    e.g. the three library jobs of a Table-3 benchmark -- pay for
+    enumeration once.  The memo is garbage-collected with the AIG.
     """
     _validate_parameters(max_inputs, cut_limit, aig.num_nodes)
     structure = (aig.num_nodes, aig.num_pos)

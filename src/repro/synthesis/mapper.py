@@ -59,7 +59,7 @@ normalized to the technology intrinsic delay ``tau`` to produce the Table-3
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
@@ -457,7 +457,7 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
 
 
 def _build_candidate_table(
-    arrays, cut_set, matcher: LibraryMatcher, prefer: str
+    arrays, cut_set, matcher: LibraryMatcher, prefer: str, frame=None
 ) -> CandidateTable:
     """Vectorized candidate-table construction (batched Boolean matching).
 
@@ -471,6 +471,11 @@ def _build_candidate_table(
     of the :class:`~repro.synthesis.matcher.MatchTable`, and the cell
     columns are the matches' :class:`MatchFigures`, gathered per row.  Rows
     are ordered nodes ascending, slot order within a node.
+
+    ``frame``, a table of the same cut set and matcher under another policy,
+    lends its policy-independent columns by identity (every cell enters
+    both policies' indexes, so the same cuts match): only ``match_index``
+    and the four figure columns are built.
     """
     and_nodes = arrays.and_nodes
     max_inputs = cut_set.max_inputs
@@ -480,24 +485,36 @@ def _build_candidate_table(
     total = int(per_node.sum())
     if total == 0:
         return _empty_candidate_table(arrays, max_inputs)
-    nodes_rep = np.repeat(and_nodes, per_node)
-    starts = np.concatenate(([0], np.cumsum(per_node)[:-1]))
-    slots = np.arange(total) - np.repeat(starts, per_node)
-    cut_leaves = cut_set.leaves[nodes_rep, slots]
 
     match_table = matcher.match_table(cut_set, and_nodes, prefer)
     inverse = match_table.inverse
     matches = match_table.matches
-    # Support positions are padded to six columns; K never exceeds six.
-    positions = match_table.positions[:, :max_inputs]
-
     kept = np.nonzero(match_table.matched[inverse])[0]
     ref = inverse[kept]
     match_rows = match_table.match_index[ref]
     figures = MatchFigures.resolve(matches, max_inputs)
+    policy_columns = dict(
+        match_index=match_rows,
+        delay=figures.intrinsic_delay[match_rows],
+        area=figures.area[match_rows],
+        parasitic=figures.parasitic_delay[match_rows],
+        effort=figures.effort_delay[match_rows],
+        matches=matches,
+        figures=figures,
+    )
+    if frame is not None:
+        return replace(frame, **policy_columns)
+
+    nodes_rep = np.repeat(and_nodes, per_node)
+    starts = np.concatenate(([0], np.cumsum(per_node)[:-1]))
+    slots = np.arange(total) - np.repeat(starts, per_node)
+    # Support positions are padded to six columns; K never exceeds six.
+    positions = match_table.positions[:, :max_inputs]
     node_rows = nodes_rep[kept]
     width_rows = match_table.width[ref]
-    leaf_rows = np.take_along_axis(cut_leaves[kept], positions[ref], axis=1)
+    leaf_rows = np.take_along_axis(
+        cut_set.leaves[node_rows, slots[kept]], positions[ref], axis=1
+    )
     leaf_rows = np.where(
         np.arange(max_inputs)[None, :] < width_rows[:, None], leaf_rows, 0
     ).astype(np.int32)
@@ -514,15 +531,9 @@ def _build_candidate_table(
         leaves=leaf_rows,
         width=width_rows,
         table_bits=match_table.reduced[ref],
-        match_index=match_rows,
-        delay=figures.intrinsic_delay[match_rows],
-        area=figures.area[match_rows],
-        parasitic=figures.parasitic_delay[match_rows],
-        effort=figures.effort_delay[match_rows],
-        matches=matches,
-        figures=figures,
         level_nodes=arrays.level_groups,
         level_rows=_level_rows(arrays.level_groups, start, count),
+        **policy_columns,
     )
 
 
@@ -532,24 +543,27 @@ def _candidate_table_for(
     """The (memoized) candidate table of a cut set under one matcher/policy.
 
     The memo lives on the :class:`CutSet` (which is itself memoized per AIG
-    structure) keyed by matcher identity and preferred-cell policy, so the
-    repeated mappings of one subject -- the three objectives of a Pareto
-    sweep, the rounds of a recovery run, re-maps after the cut memo warmed
-    -- pay for matching and table construction once.  The matcher is
-    stored in the entry to keep the identity key valid.
+    structure) keyed by matcher identity, one table per preferred-cell
+    policy, so the repeated mappings of one subject -- the three objectives
+    of a Pareto sweep, the rounds of a recovery run, re-maps after the cut
+    memo warmed -- pay for matching and table construction once; a second
+    policy builds on the first one's frame.  The matcher is stored in the
+    entry to keep the identity key valid.
     """
     memo = cut_set.__dict__.get("_match_tables")
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_match_tables", memo)
-    key = ("candidates", id(matcher), prefer)
+    key = ("candidates", id(matcher))
     entry = memo.get(key)
     if entry is None or entry[0] is not matcher:
-        memo[key] = entry = (
-            matcher,
-            _build_candidate_table(arrays, cut_set, matcher, prefer),
+        memo[key] = entry = (matcher, {})
+    tables = entry[1]
+    if prefer not in tables:
+        tables[prefer] = _build_candidate_table(
+            arrays, cut_set, matcher, prefer, next(iter(tables.values()), None)
         )
-    return entry[1]
+    return tables[prefer]
 
 
 def _concat_candidate_tables(

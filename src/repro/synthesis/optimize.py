@@ -46,7 +46,7 @@ import numpy as np
 from repro.synthesis.aig import Aig, AigLiteral, CONST1
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import distinct_keys
-from repro.synthesis.cuts import cut_set_for
+from repro.synthesis.cuts import enumerate_cuts_arrays
 from repro.synthesis.rewrite_lib import cover_schedule
 
 
@@ -217,8 +217,10 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     costs of later nodes, so replaying them is part of the pinned contract.
     ``trace`` receives the per-node choice stream ``(node, winning slot,
     cost)`` for the parity tests.
+    The cuts are not memoized on ``aig``, which keep-best often returns as
+    the flow's result.
     """
-    cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=4)
+    cut_set = enumerate_cuts_arrays(aig, max_inputs=max_inputs, cut_limit=4)
     arrays = aig_arrays(aig)
     and_nodes = arrays.and_nodes
 

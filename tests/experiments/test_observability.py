@@ -9,7 +9,9 @@ first needs them (never under key computation), a map batch's keys under
 one ``cache-keys`` span, fault handling leaves crash/retry markers in the trace, and the CLI
 exporters write valid files while leaving the artifacts byte-identical.
 ``--profile`` equals the metrics' stage totals of the same run and is
-served from the cache like any other run.
+served from the cache like any other run.  ``--metrics-out`` reports the
+peak memory of the parent and its workers, and each ``activity`` stage
+span carries its block count and width.
 """
 
 import json
@@ -31,6 +33,7 @@ from repro.experiments.engine import CharacterizationJob, ExperimentEngine, MapJ
 from repro.experiments.faults import FaultPlan
 from repro.experiments.resilience import RetryPolicy, run_resilient
 from repro.experiments.runner import main
+from repro.obs.metrics import METRICS_SCHEMA
 from repro.synthesis import matcher as matcher_module
 from repro.synthesis.mapper import technology_map, verify_mapping
 from repro.synthesis.matcher import matcher_for
@@ -429,6 +432,34 @@ class TestRunnerExporters:
         assert report["histograms"]["job_latency_ms"]["count"] > 0
         assert report["robustness"]["cache"]["misses"] > 0
         assert len(report["spans"]["pids"]) >= 3
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_metrics_out_reports_memory_and_activity_blocks(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        # A fresh activity memo: the in-process run computes add-16's again.
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.json"
+        self._run(
+            tmp_path, "--no-cache", "--jobs", str(jobs),
+            "--metrics-out", str(metrics_path), "--trace", str(trace_path),
+        )
+        report = json.loads(metrics_path.read_text())
+        assert report["schema"] == METRICS_SCHEMA == 2
+        memory = report["memory"]
+        assert set(memory) == {"parent_peak_rss_mb", "workers_peak_rss_mb"}
+        assert memory["parent_peak_rss_mb"] > 0
+        if jobs == 2:  # the joined pool workers are reaped children
+            assert memory["workers_peak_rss_mb"] > 0
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        blocks = [
+            (event["args"]["blocks"], event["args"]["block_words"])
+            for event in events
+            if event["ph"] == "X" and event["name"] == "activity"
+        ]
+        # add-16 is one small subject: all 1,024 Monte-Carlo words in one block.
+        assert blocks and set(blocks) == {(1, 1024)}
 
     def test_events_out_writes_run_scoped_jsonl(self, tmp_path):
         events_path = tmp_path / "events.jsonl"

@@ -149,7 +149,7 @@ class TestBuildMetrics:
             "jobs.backoff_seconds": 0.75,
         }
         report = build_metrics(self._trace(), counters, run_id="rid")
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["run_id"] == "rid"
         assert report["spans"]["total"] == 7
         assert report["spans"]["pids"] == [1, 2, 3]

@@ -14,7 +14,10 @@ These tests pin that contract:
 * ``_required_times`` edge cases (deadline below the worst arrival, values
   off the cover's nets, empty covers);
 * the cost-model contract: a model without the batch hooks is rejected at
-  registration.
+  registration;
+* the memory guard: a matcher's ``delay`` and ``area`` candidate tables
+  share their policy-independent frame by identity, and the shared table
+  equals one built on its own.
 """
 
 import numpy as np
@@ -36,6 +39,7 @@ from repro.synthesis.cost import (
 )
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import (
+    _build_candidate_table,
     _candidate_table_for,
     _dp_round_batched,
     _required_times,
@@ -271,3 +275,27 @@ def test_models_without_batch_hooks_are_rejected():
     with pytest.raises(ValueError, match="lacks price_batch and better_batch"):
         register_cost_model(model)
     assert model.name not in available_objectives()
+
+
+class TestMemoryGuards:
+    FRAME = ("node", "start", "count", "leaves", "width", "table_bits", "level_rows")
+
+    def test_policies_share_one_candidate_frame(self):
+        aig = run_flow("resyn2rs", benchmark_by_name("C1355").build()).aig
+        arrays = aig_arrays(aig)
+        cut_set = cut_set_for(aig)
+        delay = _candidate_table_for(arrays, cut_set, _MATCHER, "delay")
+        area = _candidate_table_for(arrays, cut_set, _MATCHER, "area")
+        for name in self.FRAME:
+            assert getattr(area, name) is getattr(delay, name), name
+        assert not np.array_equal(area.area, delay.area)
+
+        alone = _build_candidate_table(arrays, cut_set, _MATCHER, "area")
+        for name in (*self.FRAME, "match_index", "delay", "area", "parasitic", "effort"):
+            shared, built = getattr(area, name), getattr(alone, name)
+            if name == "level_rows":
+                assert len(shared) == len(built)
+                assert all(map(np.array_equal, shared, built)), name
+            else:
+                assert shared.dtype == built.dtype and np.array_equal(shared, built), name
+        assert area.matches == alone.matches

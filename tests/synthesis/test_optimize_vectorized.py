@@ -23,7 +23,9 @@ per-node algorithms produced.  These tests pin that contract:
   flow runs no NPN canonicalization;
 * the mask-based ``_cube_minterms`` against the per-minterm loop it
   replaced, and the cut enumerator's level kernel against the pure-Python
-  oracle in ``tests/oracles/cuts.py``, cut for cut.
+  oracle in ``tests/oracles/cuts.py``, cut for cut;
+* the memory guard: the graph ``resyn2rs`` returns holds no cut set of the
+  rewrite pass.
 """
 
 import random
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.registry import benchmark_by_name
+from repro.bench.registry import BENCHMARKS, benchmark_by_name
 from repro.flow import run_flow
 from repro.logic import npn
 from repro.logic.npn import canonicalize_bits
@@ -433,3 +435,13 @@ class TestEnumeratorParity:
     @settings(max_examples=20, deadline=None)
     def test_random(self, seed, num_inputs, num_nodes):
         self._assert_parity(_random_aig(seed, num_inputs, num_nodes), 4, 4)
+
+
+class TestMemoryGuards:
+    def test_flow_output_holds_no_rewrite_cuts(self):
+        """Keep-best returns the rewrite pass's input graph for most
+        subjects; the pass must not leave its (4,4) cuts memoized there."""
+        for case in BENCHMARKS:
+            aig = run_flow("resyn2rs", case.build()).aig
+            _, memo = aig.__dict__.get("_cut_sets", (None, {}))
+            assert (4, 4) not in memo, case.name
